@@ -295,7 +295,7 @@ void lustre_bank_ablation(const BenchArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = parse_args(argc, argv, kCsv);
   std::printf("== Ablations: the paper's future-work directions (§7) ==\n");
   cluster::print_calibration_banner(net::ipoib_rc());
   rdma_ablation(args);

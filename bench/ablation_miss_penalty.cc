@@ -69,14 +69,12 @@ std::uint64_t g_events = 0;
 // the tail so exactly k blocks stay cached, and time one whole-file read.
 // The copy ledger is snapshotted around the read (including the window in
 // which fire-and-forget read-repairs land), so `bytes_copied` is the full
-// data-path cost of serving it. `legacy` flips the pre-refactor
-// copy-per-hop buffer behaviour for the ablation.
-ReadMeasure timed_read(bool partial_hit, std::size_t k, bool legacy = false) {
+// data-path cost of serving it.
+ReadMeasure timed_read(bool partial_hit, std::size_t k) {
   auto cfg = base_config();
   cfg.imca.partial_hit_reads = partial_hit;
   GlusterTestbed tb(cfg);
   ReadMeasure m;
-  set_legacy_copy_path(legacy);
   tb.run([](GlusterTestbed& t, std::size_t cached,
             ReadMeasure& out) -> sim::Task<void> {
     auto f = co_await t.client(0).create(kPath);
@@ -91,7 +89,6 @@ ReadMeasure timed_read(bool partial_hit, std::size_t k, bool legacy = false) {
     out.bytes_copied = buffer_stats().bytes_copied - before.bytes_copied;
     out.gather_calls = buffer_stats().gather_calls - before.gather_calls;
   }(tb, k, m));
-  set_legacy_copy_path(false);
   g_events += tb.loop().events_processed();
   return m;
 }
@@ -141,7 +138,7 @@ WarmResult warm_reread() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = imca::bench::parse_args(argc, argv);
+  const auto args = imca::bench::parse_args(argc, argv, imca::bench::kJson);
   const imca::bench::BenchTimer bench_timer;
 
   bool strictly_cheaper = true;
@@ -173,13 +170,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(w.blocks_repaired),
               warm_is_full_hit ? "true" : "false");
   // The copy ledger (tentpole metric): bytes the buffer layer memcpy'd per
-  // byte the caller read, zero-copy vs the legacy copy-per-hop ablation.
+  // byte the caller read.
   constexpr double kPayload = static_cast<double>(kBlocks * kBlock);
   const ReadMeasure full = timed_read(true, kBlocks);
   const ReadMeasure half = timed_read(true, kBlocks / 2);
-  const ReadMeasure full_legacy = timed_read(true, kBlocks, /*legacy=*/true);
-  const ReadMeasure half_legacy =
-      timed_read(true, kBlocks / 2, /*legacy=*/true);
   const auto ledger = [](const char* name, const ReadMeasure& m) {
     std::printf("    \"%s\": {\"bytes_copied\": %llu, \"gather_calls\":"
                 " %llu, \"bytes_copied_per_byte_read\": %.3f},\n",
@@ -194,8 +188,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kBlocks * kBlock));
   ledger("full_hit", full);
   ledger("half_hit", half);
-  ledger("full_hit_legacy_copy_path", full_legacy);
-  ledger("half_hit_legacy_copy_path", half_legacy);
   std::printf("    \"full_hit_copies_le_one_payload\": %s\n  },\n",
               le_one_payload ? "true" : "false");
 

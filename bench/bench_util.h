@@ -1,5 +1,5 @@
 // Shared helpers for the figure benches: client-list collection, strict flag
-// parsing (--csv, --scale, --json, --seed, --legacy-queue), percentage
+// parsing (each bench accepts only the flags it honours), percentage
 // formatting, and the self-timing perf-trajectory recorder that writes the
 // versioned BENCH_*.json schema (EXPERIMENTS.md "Perf trajectory").
 #pragma once
@@ -30,9 +30,9 @@ std::vector<fsapi::FileSystemClient*> clients_of(Testbed& tb) {
 
 struct BenchArgs {
   bool csv = false;
-  // Scales the workload volume (files, file sizes): 1 = the bench default
-  // (itself scaled down from the paper; see EXPERIMENTS.md), larger values
-  // approach the paper's raw volumes at the cost of runtime.
+  // Scales the workload volume: 1 = the bench default (itself scaled down
+  // from the paper; see EXPERIMENTS.md), larger values approach the paper's
+  // raw volumes at the cost of runtime.
   double scale = 1.0;
   // --json=<path>: write this bench's perf records (BENCH_*.json schema)
   // to `path`. Empty = don't write (sim_core_bench overrides the default).
@@ -44,65 +44,104 @@ struct BenchArgs {
   // busy host hits every variant roughly equally).
   int reps = 3;
   // --legacy-queue: run the EventLoop on the old std::priority_queue — the
-  // perf baseline ablation (same style as --legacy-copy-path).
+  // perf baseline ablation.
   bool legacy_queue = false;
   // --bricks: run the bench's brick-scaling sweep (distribute groups) in
-  // addition to its headline figure. Only fig09 honours it today.
+  // addition to its headline figure.
   bool bricks = false;
   // --writeback: run the durable write-back ablation (write-through vs
-  // K-way dirty absorb into the MCD tier). Only fig09 honours it today.
+  // K-way dirty absorb into the MCD tier).
   bool writeback = false;
 };
 
+// The BenchArgs flags, one bit each. A bench passes the set it honours to
+// parse_args; any other flag is rejected like a typo.
+enum BenchFlag : unsigned {
+  kCsv = 1u << 0,
+  kScale = 1u << 1,
+  kJson = 1u << 2,
+  kSeed = 1u << 3,
+  kReps = 1u << 4,
+  kLegacyQueue = 1u << 5,
+  kBricks = 1u << 6,
+  kWriteback = 1u << 7,
+};
+
+struct BenchFlagHelp {
+  unsigned flag;
+  const char* name;
+  const char* help;
+};
+
+inline constexpr BenchFlagHelp kBenchFlagHelp[] = {
+    {kCsv, "--csv", "print tables as CSV"},
+    {kScale, "--scale=<x>", "multiply workload volume (default 1.0)"},
+    {kJson, "--json=<path>", "append perf records (BENCH_*.json schema)"},
+    {kSeed, "--seed=<n>", "seed for randomized mixes (default 1)"},
+    {kReps, "--reps=<n>", "timing reps per config, best wins (default 3)"},
+    {kLegacyQueue, "--legacy-queue", "EventLoop on the legacy priority_queue"},
+    {kBricks, "--bricks", "also run the brick-scaling sweep"},
+    {kWriteback, "--writeback", "also run the write-back ablation"},
+};
+
 [[noreturn]] inline void usage_and_exit(const char* argv0,
-                                        const char* bad_flag) {
+                                        const char* bad_flag,
+                                        unsigned honoured) {
   if (bad_flag != nullptr) {
     std::fprintf(stderr, "%s: unknown flag '%s'\n", argv0, bad_flag);
   }
-  std::fprintf(stderr,
-               "usage: %s [--csv] [--scale=<x>] [--json=<path>] [--seed=<n>]"
-               " [--reps=<n>] [--legacy-queue] [--bricks] [--writeback]\n"
-               "  --csv           print tables as CSV\n"
-               "  --scale=<x>     multiply workload volume (default 1.0)\n"
-               "  --json=<path>   append perf records (BENCH_*.json schema)\n"
-               "  --seed=<n>      seed for randomized mixes (default 1)\n"
-               "  --reps=<n>      timing reps per config, best wins"
-               " (default 3)\n"
-               "  --legacy-queue  EventLoop on the legacy priority_queue\n"
-               "  --bricks        also run the brick-scaling sweep\n"
-               "  --writeback     also run the write-back ablation\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s", argv0);
+  for (const BenchFlagHelp& f : kBenchFlagHelp) {
+    if ((honoured & f.flag) != 0) std::fprintf(stderr, " [%s]", f.name);
+  }
+  std::fprintf(stderr, "\n");
+  for (const BenchFlagHelp& f : kBenchFlagHelp) {
+    if ((honoured & f.flag) != 0) {
+      std::fprintf(stderr, "  %-15s %s\n", f.name, f.help);
+    }
+  }
   std::exit(2);
 }
 
-// Strict: any unrecognized argument is a usage error (exit 2) — a typo like
-// --sclae=4 must not silently run the bench at the wrong scale.
-inline BenchArgs parse_args(int argc, char** argv) {
+// Strict: any unrecognized or unhonoured argument is a usage error (exit
+// 2) — a typo like --sclae=4 must not silently run the bench at the wrong
+// scale, and neither may a flag this bench would ignore.
+inline BenchArgs parse_args(int argc, char** argv, unsigned honoured) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
+    const char* a = argv[i];
+    const auto is = [&](unsigned flag, const char* name) {
+      return (honoured & flag) != 0 && std::strcmp(a, name) == 0;
+    };
+    // The text after `prefix` when `a` is that honoured flag, else null.
+    const auto value = [&](unsigned flag, const char* prefix) -> const char* {
+      const std::size_t n = std::strlen(prefix);
+      return (honoured & flag) != 0 && std::strncmp(a, prefix, n) == 0
+                 ? a + n
+                 : nullptr;
+    };
+    if (is(kCsv, "--csv")) {
       args.csv = true;
-    } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      args.scale = std::atof(argv[i] + 8);
+    } else if (const char* scale = value(kScale, "--scale=")) {
+      args.scale = std::atof(scale);
       if (args.scale <= 0) args.scale = 1.0;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      args.json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      args.reps = std::atoi(argv[i] + 7);
+    } else if (const char* json = value(kJson, "--json=")) {
+      args.json_path = json;
+    } else if (const char* seed = value(kSeed, "--seed=")) {
+      args.seed = std::strtoull(seed, nullptr, 10);
+    } else if (const char* reps = value(kReps, "--reps=")) {
+      args.reps = std::atoi(reps);
       if (args.reps < 1) args.reps = 1;
-    } else if (std::strcmp(argv[i], "--legacy-queue") == 0) {
+    } else if (is(kLegacyQueue, "--legacy-queue")) {
       args.legacy_queue = true;
-    } else if (std::strcmp(argv[i], "--bricks") == 0) {
+    } else if (is(kBricks, "--bricks")) {
       args.bricks = true;
-    } else if (std::strcmp(argv[i], "--writeback") == 0) {
+    } else if (is(kWriteback, "--writeback")) {
       args.writeback = true;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      usage_and_exit(argv[0], nullptr);
+    } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
+      usage_and_exit(argv[0], nullptr, honoured);
     } else {
-      usage_and_exit(argv[0], argv[i]);
+      usage_and_exit(argv[0], a, honoured);
     }
   }
   return args;

@@ -57,7 +57,7 @@ void panel(const char* title, std::uint64_t server_cache,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = parse_args(argc, argv, kCsv);
   std::printf("== Fig 1: multi-client IOzone read bandwidth (MB/s) over NFS"
               " ==\n");
   cluster::print_calibration_banner(net::ipoib_rc());

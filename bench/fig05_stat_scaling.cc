@@ -59,7 +59,7 @@ double run_lustre(std::size_t n_clients, std::size_t n_ds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = parse_args(argc, argv, kCsv | kScale | kJson);
   const BenchTimer bench_timer;
   const auto n_files =
       static_cast<std::size_t>(8192 * args.scale);

@@ -67,7 +67,7 @@ LatencySeries run_lustre(std::size_t n_ds, bool cold) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = parse_args(argc, argv, kCsv);
   std::printf("== Fig 6: single-client latency, 1 MCD "
               "(128 records/size; paper: 1024) ==\n");
   cluster::print_calibration_banner(net::ipoib_rc());

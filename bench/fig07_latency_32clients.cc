@@ -79,7 +79,7 @@ LatencySeries run_lustre(bool cold) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = parse_args(argc, argv, kCsv);
   std::printf("== Fig 7: read latency (us), 32 clients, varying MCDs; "
               "Lustre uses 4 DSs ==\n");
   cluster::print_calibration_banner(net::ipoib_rc());

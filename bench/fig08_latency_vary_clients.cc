@@ -54,7 +54,7 @@ Outcome run(std::size_t n_clients, std::size_t n_mcds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = parse_args(argc, argv, kCsv);
   std::printf("== Fig 8: read latency (us) vs clients, 1 MCD and 4 MCDs ==\n");
   cluster::print_calibration_banner(net::ipoib_rc());
 

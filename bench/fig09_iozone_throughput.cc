@@ -205,7 +205,7 @@ double run_lustre(std::size_t threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = parse_args(argc, argv, kCsv | kJson | kBricks | kWriteback);
   const BenchTimer bench_timer;
   std::printf("== Fig 9: IOzone read throughput (MB/s); %llu MB files, "
               "modulo hash, 2K IMCa blocks (paper: 1 GB files) ==\n",

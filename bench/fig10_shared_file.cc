@@ -56,7 +56,7 @@ double run_lustre(std::size_t n_clients) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = parse_args(argc, argv, kCsv);
   std::printf("== Fig 10: read latency (us) to a shared file; root writes,"
               " all nodes read; 1 MCD; %llu-byte records ==\n",
               static_cast<unsigned long long>(kRecord));

@@ -167,7 +167,8 @@ const char* impl_name(QueueImpl impl) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = parse_args(argc, argv);
+  auto args = parse_args(
+      argc, argv, kCsv | kScale | kJson | kSeed | kReps | kLegacyQueue);
   if (args.json_path.empty()) args.json_path = "BENCH_sim_core.json";
 
   const std::size_t client_counts[] = {1000, 10000, 100000};

@@ -3,7 +3,10 @@
 namespace imca::cluster {
 
 GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
-    : cfg_(std::move(cfg)), fabric_(loop_, cfg_.transport), rpc_(fabric_) {
+    : cfg_(std::move(cfg)),
+      loop_(cfg_.queue, cfg_.tie_shake),
+      fabric_(loop_, cfg_.transport),
+      rpc_(fabric_) {
   const std::size_t replicas = cfg_.n_replicas == 0 ? 1 : cfg_.n_replicas;
   const std::size_t groups = cfg_.n_bricks == 0 ? 1 : cfg_.n_bricks;
   const std::size_t n_servers = groups * replicas;

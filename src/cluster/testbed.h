@@ -53,6 +53,10 @@ struct GlusterTestbedConfig {
   // memcached port and/or the brick's GlusterFS port, plus scheduled
   // crash/restart windows on either tier. Inert when inactive (default).
   net::FaultPlan faults;
+  // DES kernel (DESIGN.md §5h/§5k): the event-queue implementation and the
+  // schedule-shake seed (0 = plain FIFO tie-break), fixed for the run.
+  sim::QueueImpl queue = sim::QueueImpl::kTimerWheel;
+  std::uint64_t tie_shake = 0;
 };
 
 class GlusterTestbed {

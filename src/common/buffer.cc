@@ -7,14 +7,9 @@ namespace imca {
 
 namespace {
 BufferStats g_stats;
-bool g_legacy_copy_path = false;
 }  // namespace
 
 BufferStats& buffer_stats() noexcept { return g_stats; }
-void reset_buffer_stats() noexcept { g_stats = BufferStats{}; }
-
-bool legacy_copy_path() noexcept { return g_legacy_copy_path; }
-void set_legacy_copy_path(bool on) noexcept { g_legacy_copy_path = on; }
 
 // --- Segment ---
 
@@ -75,10 +70,6 @@ Buffer Buffer::zeros(std::size_t n) {
 
 void Buffer::append(BufView v) {
   if (v.empty()) return;
-  if (g_legacy_copy_path && !views_.empty()) {
-    // Old regime: growing a buffer re-copies the incoming bytes.
-    v = BufView(Segment::copy_of(v.bytes()));
-  }
   size_ += v.size();
   views_.push_back(std::move(v));
 }
@@ -100,7 +91,7 @@ void Buffer::append(Buffer&& other) {
     for (std::size_t i = 0; i < n; ++i) append(views_[i]);
     return;
   }
-  if (views_.empty() && !g_legacy_copy_path) {
+  if (views_.empty()) {
     views_ = std::move(other.views_);
     size_ = other.size_;
   } else {
@@ -123,22 +114,6 @@ Buffer Buffer::slice(std::size_t offset, std::size_t length) const {
   ++g_stats.view_slices;
   const std::size_t off = std::min(offset, size_);
   const std::size_t len = std::min(length, size_ - off);
-  if (g_legacy_copy_path) {
-    // Old regime: a sub-range is its own freshly copied vector.
-    std::vector<std::byte> out(len);
-    std::size_t copied = 0;
-    auto [vi, vo] = locate(off);
-    while (copied < len) {
-      const auto src = views_[vi].bytes().subspan(vo);
-      const std::size_t n = std::min(len - copied, src.size());
-      std::memcpy(out.data() + copied, src.data(), n);
-      copied += n;
-      ++vi;
-      vo = 0;
-    }
-    g_stats.bytes_copied += len;
-    return Buffer::take(std::move(out));
-  }
   Buffer b;
   auto [vi, vo] = locate(off);
   std::size_t left = len;

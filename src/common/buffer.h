@@ -15,11 +15,6 @@
 // wire receive) — and every one is recorded in the process-wide BufferStats
 // ledger, so "how many times was this byte moved" is a measured quantity
 // (`bytes_copied_per_byte_read` in the bench JSON), not a belief.
-//
-// The `legacy_copy_path` switch restores the pre-refactor regime for
-// ablation: every append/slice deep-copies, reproducing the old
-// copy-per-hop ledger (the simulated clock is unaffected either way; the
-// ledger is what the ablation compares).
 #pragma once
 
 #include <cstddef>
@@ -44,12 +39,6 @@ struct BufferStats {
 };
 
 BufferStats& buffer_stats() noexcept;
-void reset_buffer_stats() noexcept;
-
-// Ablation: when true, Buffer::append and Buffer::slice deep-copy instead of
-// sharing segments — the pre-refactor copy-per-hop behaviour.
-bool legacy_copy_path() noexcept;
-void set_legacy_copy_path(bool on) noexcept;
 
 // Refcounted immutable byte storage. Copying a Segment copies a pointer.
 class Segment {
@@ -150,8 +139,8 @@ class Buffer {
   const std::vector<BufView>& views() const noexcept { return views_; }
   std::size_t segment_count() const noexcept { return views_.size(); }
 
-  // Zero-copy sub-range (deep copy under legacy_copy_path). Clamped to the
-  // buffer's extent: slice(off, npos) is "everything from off".
+  // Zero-copy sub-range. Clamped to the buffer's extent: slice(off, npos)
+  // is "everything from off".
   Buffer slice(std::size_t offset, std::size_t length = npos) const;
 
   // Copy up to out.size() bytes starting at `offset` into `out`; returns the

@@ -77,6 +77,12 @@ ProtocolClientStats GlusterClient::protocol_totals() const {
   return total;
 }
 
+ReplicateStats GlusterClient::replicate_totals() const {
+  ReplicateStats total;
+  for (const ReplicateXlator* g : groups_) total += g->stats();
+  return total;
+}
+
 sim::Task<HealReport> GlusterClient::heal_all() {
   HealReport total;
   for (ReplicateXlator* g : groups_) {

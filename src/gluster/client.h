@@ -104,6 +104,9 @@ class GlusterClient final : public fsapi::FileSystemClient {
   // Per-brick retry/replay counters summed across every ProtocolClient of
   // the mount (max_op_elapsed takes the max).
   ProtocolClientStats protocol_totals() const;
+  // Replicate-group counters summed across every group of the mount (all
+  // zero when replicas == 1).
+  ReplicateStats replicate_totals() const;
   // Drive self-heal to convergence on every replicate group.
   sim::Task<HealReport> heal_all();
 

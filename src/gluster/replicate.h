@@ -59,6 +59,19 @@ struct ReplicateStats {
   std::uint64_t heals_scheduled = 0;  // background heal workers spawned
   std::uint64_t heals_completed = 0;  // (child, path) pairs made byte-equal
   std::uint64_t heal_bytes_copied = 0;
+
+  ReplicateStats& operator+=(const ReplicateStats& o) noexcept {
+    mutations += o.mutations;
+    quorum_short_writes += o.quorum_short_writes;
+    partial_acks += o.partial_acks;
+    reads += o.reads;
+    read_child_switches += o.read_child_switches;
+    reads_degraded += o.reads_degraded;
+    heals_scheduled += o.heals_scheduled;
+    heals_completed += o.heals_completed;
+    heal_bytes_copied += o.heal_bytes_copied;
+    return *this;
+  }
 };
 
 struct HealReport {

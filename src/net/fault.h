@@ -103,12 +103,12 @@ struct ServerCrashEvent {
 // tiers.
 struct FaultPlan {
   std::uint64_t seed = 1;
-  FaultSpec spec;                 // MCD array wire faults
-  std::vector<CrashEvent> crashes;
+  FaultSpec spec = {};  // MCD array wire faults
+  std::vector<CrashEvent> crashes = {};
   // File-server tier (DESIGN.md §5f): wire faults on port 24007 — the
   // slow-server / lossy-server drills — plus brick crash windows.
-  FaultSpec server_spec;
-  std::vector<ServerCrashEvent> server_crashes;
+  FaultSpec server_spec = {};
+  std::vector<ServerCrashEvent> server_crashes = {};
 
   bool active() const noexcept {
     return spec.any() || !crashes.empty() || server_spec.any() ||

@@ -6,9 +6,6 @@ namespace imca::sim {
 
 namespace {
 
-bool g_legacy_event_queue = false;
-std::uint64_t g_default_tie_shake = 0;
-
 // Wrapper coroutine that owns a spawned task for its whole lifetime. The
 // frame (and the Task parameter captured inside it) self-destroys at
 // completion because final_suspend() never suspends.
@@ -34,16 +31,6 @@ Detached detach_and_count(Task<void> task, std::size_t& live) {
   co_await std::move(task);
 }
 }  // namespace
-
-void set_legacy_event_queue(bool legacy) noexcept {
-  g_legacy_event_queue = legacy;
-}
-bool legacy_event_queue() noexcept { return g_legacy_event_queue; }
-
-void set_default_tie_shake(std::uint64_t seed) noexcept {
-  g_default_tie_shake = seed;
-}
-std::uint64_t default_tie_shake() noexcept { return g_default_tie_shake; }
 
 void EventLoop::schedule_at(SimTime at, std::coroutine_handle<> h) {
   if (at < now_) [[unlikely]] {

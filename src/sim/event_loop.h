@@ -14,10 +14,13 @@
 //     an unsorted far-future overflow list for events ≥ 2^32 ns ahead.
 //     schedule/pop are O(1) amortized and allocation-free at steady state.
 //   * kLegacyHeap — the original std::priority_queue, kept as the perf
-//     baseline (`bench/sim_core_bench --legacy-queue`, in the style of the
-//     buffer layer's --legacy-copy-path) and as the determinism oracle: both
-//     impls must produce identical (time, seq) resume traces, pinned by
-//     tests/sim_wheel_test.cc and the fault-matrix --legacy-queue diff.
+//     baseline (`bench/sim_core_bench --legacy-queue`) and as the
+//     determinism oracle: both impls must produce identical (time, seq)
+//     resume traces, pinned by tests/sim_wheel_test.cc and the fault-matrix
+//     --legacy-queue diff.
+//
+// The queue and the schedule-shake seed are constructor arguments, fixed
+// for the loop's lifetime; testbeds take them from their config.
 #pragma once
 
 #include <bit>
@@ -53,19 +56,6 @@ struct EventLoopStats {
 };
 
 enum class QueueImpl { kTimerWheel, kLegacyHeap };
-
-// Process-wide default for EventLoop's queue implementation, so ablation
-// flags can flip testbeds they never construct directly (exactly how
-// set_legacy_copy_path works for the buffer layer).
-void set_legacy_event_queue(bool legacy) noexcept;
-bool legacy_event_queue() noexcept;
-
-// Process-wide default tie-shake seed, consumed by EventLoop's default
-// constructor (same pattern as set_legacy_event_queue): harness drivers set
-// it from --shake=SEED before building a testbed they never construct the
-// loop of. 0 = plain FIFO tie-break (bit-for-bit today's schedules).
-void set_default_tie_shake(std::uint64_t seed) noexcept;
-std::uint64_t default_tie_shake() noexcept;
 
 namespace detail {
 
@@ -121,16 +111,17 @@ class TimerWheel {
   static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;  // 256
   static constexpr SimTime kSpan = SimTime{1} << (kSlotBits * kLevels);
 
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t size() const noexcept { return size_; }
-  std::uint64_t cascades() const noexcept { return cascades_; }
-  std::uint64_t tie_shaken() const noexcept { return tie_shaken_; }
-
   // Schedule-shake (DESIGN.md §5k): non-zero seed makes pop_min pick the
   // minimum (shake_key, seq) node from the slot instead of the list head.
   // Timestamp order is untouched — only FIFO ties are permuted — so every
   // shaken run is still a legal schedule of the same simulation.
-  void set_tie_shake(std::uint64_t seed) noexcept { shake_seed_ = seed; }
+  explicit TimerWheel(std::uint64_t shake_seed) noexcept
+      : shake_seed_(shake_seed) {}
+
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
+  std::uint64_t cascades() const noexcept { return cascades_; }
+  std::uint64_t tie_shaken() const noexcept { return tie_shaken_; }
 
   // Pre: n->at >= the last popped timestamp (enforced by EventLoop's clamp).
   void insert(EventNode* n) noexcept {
@@ -410,7 +401,7 @@ class TimerWheel {
   SimTime cursor_ = 0;
   std::size_t size_ = 0;
   std::uint64_t cascades_ = 0;
-  std::uint64_t shake_seed_ = 0;
+  const std::uint64_t shake_seed_;
   std::uint64_t tie_shaken_ = 0;
 };
 
@@ -418,12 +409,17 @@ class TimerWheel {
 
 class EventLoop {
  public:
-  EventLoop()
-      : EventLoop(legacy_event_queue() ? QueueImpl::kLegacyHeap
-                                       : QueueImpl::kTimerWheel) {}
-  explicit EventLoop(QueueImpl impl) noexcept : impl_(impl) {
-    set_tie_shake(default_tie_shake());
-  }
+  // Schedule-shake (DESIGN.md §5k): a non-zero `tie_shake` seed
+  // deterministically permutes the resume order of equal-timestamp events —
+  // every FIFO tie becomes a seeded draw — so code whose correctness
+  // silently leans on the kernel's FIFO tie-break fails loudly under an
+  // executable interleaving search. 0 is plain FIFO. Both arguments are
+  // fixed for the loop's lifetime: the legacy heap keys entries at push
+  // time and the wheel at pop time, so a mid-run change would let the two
+  // implementations diverge.
+  explicit EventLoop(QueueImpl impl = QueueImpl::kTimerWheel,
+                     std::uint64_t tie_shake = 0) noexcept
+      : impl_(impl), wheel_(tie_shake), shake_seed_(tie_shake) {}
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -478,18 +474,6 @@ class EventLoop {
                           arena_.reuse(), past_clamps_, wheel_.tie_shaken()};
   }
 
-  // Schedule-shake (DESIGN.md §5k): a non-zero seed deterministically
-  // permutes the resume order of equal-timestamp events — every FIFO tie
-  // becomes a seeded draw — so code whose correctness silently leans on the
-  // kernel's FIFO tie-break fails loudly under an executable interleaving
-  // search. 0 restores plain FIFO, bit-for-bit identical to an unshaken
-  // run. Call before the first schedule_at: the legacy heap keys entries at
-  // push time, the wheel at pop time, so a mid-run change would let the two
-  // implementations diverge.
-  void set_tie_shake(std::uint64_t seed) noexcept {
-    shake_seed_ = seed;
-    wheel_.set_tie_shake(seed);
-  }
   std::uint64_t tie_shake() const noexcept { return shake_seed_; }
 
   // Test hook: record every resume as a (time, seq) pair — the determinism
@@ -537,7 +521,7 @@ class EventLoop {
   std::vector<std::pair<SimTime, std::uint64_t>>* trace_ = nullptr;
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t shake_seed_ = 0;
+  const std::uint64_t shake_seed_;
   std::uint64_t processed_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t past_clamps_ = 0;

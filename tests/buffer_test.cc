@@ -192,7 +192,7 @@ TEST(Buffer, MegabyteBoundarySegments) {
   EXPECT_EQ(mid[8], static_cast<std::byte>(2 & 0xFF));
 }
 
-// --- the ledger and the ablation switch ---
+// --- the ledger ---
 
 TEST(Buffer, GatherIsTheCountedMaterialization) {
   const Buffer b = Buffer::take(pattern_vec(4096));
@@ -202,22 +202,6 @@ TEST(Buffer, GatherIsTheCountedMaterialization) {
   EXPECT_EQ(buffer_stats().gather_calls, gathers_before + 1);
   EXPECT_EQ(buffer_stats().bytes_copied, copied_before + 4096);
   EXPECT_TRUE(b.content_equals(out));
-}
-
-TEST(Buffer, LegacyCopyPathRestoresCopyPerHop) {
-  const Buffer src = Buffer::take(pattern_vec(1024));
-  set_legacy_copy_path(true);
-  const auto copied_before = buffer_stats().bytes_copied;
-  Buffer hop1;
-  hop1.append(Buffer::of_string("hdr)"));
-  hop1.append(src);                      // copy 1 (append to non-empty)
-  const Buffer hop2 = hop1.slice(4, 1024);  // copy 2 (slice)
-  set_legacy_copy_path(false);
-  EXPECT_GE(buffer_stats().bytes_copied - copied_before, 2 * 1024u);
-  EXPECT_TRUE(hop2.content_equals(src));  // behaviour identical, cost not
-  // And the segments are genuinely distinct storage.
-  EXPECT_NE(hop2.views()[0].segment().bytes().data(),
-            src.views()[0].segment().bytes().data());
 }
 
 // --- end-to-end copy budgets (the acceptance regression) ---

@@ -358,7 +358,9 @@ sim::Task<void> replay_body(cluster::GlusterTestbed& bed,
   const std::vector<core::WbLostExtent> losses = bed.writeback_losses();
   co_await verify_all(fs, st, res,
                       cfg.tolerate_wb_loss ? &losses : nullptr);
-  if (res.ok && cfg.n_replicas > 1) co_await verify_replicas(bed, st, res);
+  if (res.ok && cfg.testbed.n_replicas > 1) {
+    co_await verify_replicas(bed, st, res);
+  }
   if (!res.ok) res.failed_op = trace.size();
 }
 
@@ -412,38 +414,16 @@ std::vector<Op> generate_ops(std::uint64_t seed, std::size_t n_ops) {
 }
 
 ReplayResult replay(const std::vector<Op>& trace, const ReplayConfig& cfg) {
-  cluster::GlusterTestbedConfig tc;
-  tc.n_clients = 1;
-  tc.n_mcds = cfg.n_mcds;
-  tc.n_bricks = cfg.n_bricks;
-  tc.n_replicas = cfg.n_replicas;
-  tc.smcache = cfg.smcache;
-  tc.imca = cfg.imca;
-  tc.faults = cfg.faults;
-  tc.server = cfg.server;
-  tc.client = cfg.client;
-  cluster::GlusterTestbed bed(std::move(tc));
+  cluster::GlusterTestbed bed(cfg.testbed);
 
   ReplayResult res;
   bed.run(replay_body(bed, trace, cfg, res));
 
+  res.loop = bed.loop().stats();
   res.server = bed.server_totals();
   gluster::GlusterClient& gc = bed.gluster_client(0);
   res.pc = gc.protocol_totals();
-  for (std::size_t g = 0; g < gc.n_groups(); ++g) {
-    const gluster::ReplicateXlator* rep = gc.replica_group(g);
-    if (rep == nullptr) break;
-    const auto& s = rep->stats();
-    res.replicate.mutations += s.mutations;
-    res.replicate.quorum_short_writes += s.quorum_short_writes;
-    res.replicate.partial_acks += s.partial_acks;
-    res.replicate.reads += s.reads;
-    res.replicate.read_child_switches += s.read_child_switches;
-    res.replicate.reads_degraded += s.reads_degraded;
-    res.replicate.heals_scheduled += s.heals_scheduled;
-    res.replicate.heals_completed += s.heals_completed;
-    res.replicate.heal_bytes_copied += s.heal_bytes_copied;
-  }
+  res.replicate = gc.replicate_totals();
   if (gc.distribute() != nullptr) res.distribute = gc.distribute()->stats();
   if (bed.imca_enabled()) {
     res.cm = bed.cmcache(0).stats();

@@ -49,24 +49,17 @@ struct Op {
 };
 
 struct ReplayConfig {
-  std::size_t n_mcds = 3;
-  // Brick grid: n_bricks distribute groups of n_replicas AFR replicas. The
-  // 1x1 default is the seed's single-server testbed. With n_replicas > 1 the
-  // final sweep additionally drives self-heal to convergence and byte-checks
-  // EVERY replica of every file against the oracle (deleted files must be
-  // kNoEnt on every replica) — so grid fault plans must restart what they
-  // crash, or the sweep rightly fails.
-  std::size_t n_bricks = 1;
-  std::size_t n_replicas = 1;
-  bool smcache = true;
-  core::ImcaConfig imca;
-  net::FaultPlan faults;
-  // Brick-side knobs (crash/restart drills set write_behind +
-  // flush_before_ack so an acked byte is always durable — the mode under
-  // which "acked mutations survive any crash schedule" is provable).
-  gluster::GlusterServerParams server;
-  // Mount-side knobs (protocol/client deadline + retry/replay policy).
-  gluster::GlusterClientParams client;
+  ReplayConfig() { testbed.n_mcds = 3; }
+
+  // The testbed the trace replays on (3 MCDs unless set otherwise); the
+  // harness drives client 0. With n_replicas > 1 the final sweep
+  // additionally drives self-heal to convergence and byte-checks EVERY
+  // replica of every file against the oracle (deleted files must be kNoEnt
+  // on every replica) — so grid fault plans must restart what they crash,
+  // or the sweep rightly fails. Brick crash drills set server.write_behind
+  // + flush_before_ack so an acked byte is always durable — the mode under
+  // which "acked mutations survive any crash schedule" is provable.
+  cluster::GlusterTestbedConfig testbed;
   // Byte-check every live file after every op (the invariant proper). Off =
   // only the read ops and the final sweep check.
   bool verify_every_op = true;
@@ -103,6 +96,10 @@ struct ReplayResult {
   core::WritebackStats wb;
   std::vector<core::WbLostExtent> wb_lost;  // accounted losses, per path
   std::uint64_t wb_tolerated_divergences = 0;  // files excused by a loss
+  // The DES kernel's counters: proof that the queue and shake settings
+  // reached the loop (cascades > 0 only on the wheel, tie_shaken > 0 only
+  // under a shake seed).
+  sim::EventLoopStats loop;
 };
 
 // Deterministic payload for a write op: `n` bytes drawn from `payload_seed`.

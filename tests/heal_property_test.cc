@@ -55,24 +55,25 @@ void add_crash_schedule(std::uint64_t seed, net::FaultPlan* plan) {
 
 harness::ReplayConfig grid_config(std::uint64_t seed) {
   harness::ReplayConfig cfg;
-  cfg.n_mcds = 3;
-  cfg.smcache = true;
-  cfg.n_bricks = 1;
-  cfg.n_replicas = 3;
-  cfg.imca.mcd_op_timeout = 2 * kMilli;
-  cfg.imca.mcd_retry_dead_interval = 10 * kMilli;
+  cluster::GlusterTestbedConfig& tc = cfg.testbed;
+  tc.n_mcds = 3;
+  tc.smcache = true;
+  tc.n_bricks = 1;
+  tc.n_replicas = 3;
+  tc.imca.mcd_op_timeout = 2 * kMilli;
+  tc.imca.mcd_retry_dead_interval = 10 * kMilli;
   // Same stance as the brick fault matrix: the deadline is shorter than
   // every crash window, so the leg to a dead replica genuinely fails, the
   // write commits 2-of-3, and self-heal gets real dirt to copy back — but
   // wide enough to also absorb a wait behind a same-path heal.
-  cfg.client.protocol.op_deadline = 200 * kMilli;
-  cfg.client.protocol.attempt_timeout = 20 * kMilli;
-  cfg.client.protocol.backoff_base = 1 * kMilli;
-  cfg.client.protocol.backoff_cap = 4 * kMilli;
-  cfg.client.protocol.eject_after = 3;
-  cfg.client.protocol.probe_interval = 5 * kMilli;
-  cfg.faults.seed = seed;
-  add_crash_schedule(seed, &cfg.faults);
+  tc.client.protocol.op_deadline = 200 * kMilli;
+  tc.client.protocol.attempt_timeout = 20 * kMilli;
+  tc.client.protocol.backoff_base = 1 * kMilli;
+  tc.client.protocol.backoff_cap = 4 * kMilli;
+  tc.client.protocol.eject_after = 3;
+  tc.client.protocol.probe_interval = 5 * kMilli;
+  tc.faults.seed = seed;
+  add_crash_schedule(seed, &tc.faults);
   return cfg;
 }
 

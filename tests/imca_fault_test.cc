@@ -44,10 +44,10 @@ Buffer pattern(std::size_t n, unsigned salt) {
 TEST(ImcaFault, KillEachMcdMidWorkload) {
   for (std::size_t victim = 0; victim < 3; ++victim) {
     harness::ReplayConfig cfg;
-    cfg.n_mcds = 3;
-    cfg.imca = failover_imca();
-    cfg.faults.seed = 900 + victim;
-    cfg.faults.crashes.push_back({victim, 2 * kMilli, 20 * kMilli});
+    cfg.testbed.n_mcds = 3;
+    cfg.testbed.imca = failover_imca();
+    cfg.testbed.faults.seed = 900 + victim;
+    cfg.testbed.faults.crashes.push_back({victim, 2 * kMilli, 20 * kMilli});
 
     const auto res = harness::run_seeded(101 + victim, 150, cfg);
     EXPECT_TRUE(res.ok) << "victim mcd" << victim << " op " << res.failed_op
@@ -217,12 +217,13 @@ TEST(ImcaFault, AllMcdsDownReadsDegradeToServer) {
 // stay consistent with the read-path counters.
 TEST(ImcaFault, CountersAccountForDegradedOps) {
   harness::ReplayConfig cfg;
-  cfg.n_mcds = 3;
-  cfg.imca = failover_imca();
-  cfg.faults.seed = 42;
-  cfg.faults.crashes.push_back({0, 2 * kMilli, std::nullopt});
-  cfg.faults.crashes.push_back({1, 2 * kMilli + kMilli / 2, std::nullopt});
-  cfg.faults.crashes.push_back({2, 3 * kMilli, std::nullopt});
+  net::FaultPlan& faults = cfg.testbed.faults;
+  cfg.testbed.n_mcds = 3;
+  cfg.testbed.imca = failover_imca();
+  faults.seed = 42;
+  faults.crashes.push_back({0, 2 * kMilli, std::nullopt});
+  faults.crashes.push_back({1, 2 * kMilli + kMilli / 2, std::nullopt});
+  faults.crashes.push_back({2, 3 * kMilli, std::nullopt});
 
   const auto res = harness::run_seeded(7, 160, cfg);
   EXPECT_TRUE(res.ok) << "op " << res.failed_op << ": " << res.detail;
@@ -237,8 +238,8 @@ TEST(ImcaFault, CountersAccountForDegradedOps) {
 // counters must all stay zero (no false positives from the detector).
 TEST(ImcaFault, NoFaultPlanLeavesCountersZero) {
   harness::ReplayConfig cfg;
-  cfg.n_mcds = 3;
-  cfg.imca = failover_imca();
+  cfg.testbed.n_mcds = 3;
+  cfg.testbed.imca = failover_imca();
 
   const auto res = harness::run_seeded(11, 120, cfg);
   EXPECT_TRUE(res.ok) << "op " << res.failed_op << ": " << res.detail;

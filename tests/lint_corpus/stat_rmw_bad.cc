@@ -2,7 +2,7 @@
 // counter is read into a local, the frame suspends, and the counter is
 // written back from the stale local. Every update another coroutine made
 // during the suspension is silently erased; under shaken resume order
-// (EventLoop::set_tie_shake) the final count changes run to run.
+// (EventLoop's tie_shake seed) the final count changes run to run.
 #include <cstdint>
 
 #include "sim/task.h"

@@ -1,11 +1,11 @@
-// Schedule-shake validator pins (DESIGN.md §5k). set_tie_shake(seed)
-// deterministically permutes equal-timestamp FIFO resume order — the
+// Schedule-shake validator pins (DESIGN.md §5k). EventLoop's tie_shake
+// seed deterministically permutes equal-timestamp FIFO resume order — the
 // executable half of the imca-lint suspension-atomicity checks: every
 // static finding about state assumed stable across a suspension gets an
 // interleaving search that can actually reorder the racing resumes.
 //
 // Pinned here:
-//   * set_tie_shake(0) is byte-identical to today's FIFO order (trace
+//   * tie_shake 0 is byte-identical to today's FIFO order (trace
 //     equality, tie_shaken == 0) — shake off means bit-for-bit off.
 //   * A shaken run permutes ONLY ties: the timestamp sequence is
 //     unchanged and each timestamp resumes the same event set, but the
@@ -45,8 +45,7 @@ Task<void> lockstep_client(EventLoop& loop, std::size_t iters) {
 
 Trace run_lockstep(QueueImpl impl, std::uint64_t shake, std::size_t n_clients,
                    std::size_t iters, EventLoopStats* stats = nullptr) {
-  EventLoop loop(impl);
-  loop.set_tie_shake(shake);
+  EventLoop loop(impl, shake);
   Trace trace;
   loop.set_trace(&trace);
   for (std::size_t id = 0; id < n_clients; ++id) {
@@ -108,18 +107,6 @@ TEST(ScheduleShake, SameSeedReproducesDifferentSeedsDiffer) {
   EXPECT_EQ(by_time(a1), by_time(b));  // still the same legal schedule space
 }
 
-// The process-wide default (what the fault-matrix --shake flag sets) must
-// reach loops constructed with the plain default constructor, and reset
-// cleanly.
-TEST(ScheduleShake, DefaultSeedReachesDefaultConstructedLoops) {
-  set_default_tie_shake(21);
-  EventLoop shaken_loop;
-  EXPECT_EQ(shaken_loop.tie_shake(), 21u);
-  set_default_tie_shake(0);
-  EventLoop plain_loop;
-  EXPECT_EQ(plain_loop.tie_shake(), 0u);
-}
-
 // Oracle correctness under shake: a guarded read-modify-write that parks
 // inside its critical section (forcing other workers to pile up on the
 // mutex at the same timestamps) must still count exactly. This is the
@@ -137,8 +124,7 @@ Task<void> guarded_rmw(EventLoop& loop, SimMutex& mu, std::uint64_t& total,
 
 TEST(ScheduleShake, GuardedRmwStaysExactUnderShake) {
   for (const std::uint64_t seed : {0ull, 3ull, 99ull}) {
-    EventLoop loop;
-    loop.set_tie_shake(seed);
+    EventLoop loop(QueueImpl::kTimerWheel, seed);
     SimMutex mu(loop);
     std::uint64_t total = 0;
     constexpr std::size_t kWorkers = 16;

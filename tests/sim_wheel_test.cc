@@ -219,18 +219,5 @@ TEST(TimerWheel, ArenaRecyclesNodesAcrossDrains) {
   EXPECT_EQ(loop.events_processed(), second.events_scheduled);
 }
 
-// The process-wide default switch (the --legacy-queue ablation hook) must
-// steer default-constructed loops, and explicit constructors must ignore it.
-TEST(TimerWheel, LegacyQueueSwitchSelectsDefaultImpl) {
-  ASSERT_FALSE(legacy_event_queue());
-  EXPECT_EQ(EventLoop().queue_impl(), QueueImpl::kTimerWheel);
-  set_legacy_event_queue(true);
-  EXPECT_EQ(EventLoop().queue_impl(), QueueImpl::kLegacyHeap);
-  EXPECT_EQ(EventLoop(QueueImpl::kTimerWheel).queue_impl(),
-            QueueImpl::kTimerWheel);
-  set_legacy_event_queue(false);
-  EXPECT_EQ(EventLoop().queue_impl(), QueueImpl::kTimerWheel);
-}
-
 }  // namespace
 }  // namespace imca::sim

@@ -61,6 +61,17 @@ TEST(Testbed, ImcaConfigWiresTranslators) {
   }(tb));
 }
 
+// The DES kernel knobs live in the config and reach the testbed's own loop
+// (the fault matrices' --legacy-queue and --shake flags ride on this).
+TEST(Testbed, QueueAndShakeConfigReachTheLoop) {
+  GlusterTestbedConfig cfg;
+  cfg.queue = sim::QueueImpl::kLegacyHeap;
+  cfg.tie_shake = 21;
+  GlusterTestbed tb(cfg);
+  EXPECT_EQ(tb.loop().queue_impl(), sim::QueueImpl::kLegacyHeap);
+  EXPECT_EQ(tb.loop().tie_shake(), 21u);
+}
+
 TEST(Latency, SmallReadsFasterWithImca) {
   auto read_1b = [](std::size_t n_mcds) {
     GlusterTestbedConfig cfg;

@@ -43,7 +43,6 @@ struct Options {
   bool no_partial_hit = false;    // paper baseline: forward on any miss
   bool no_read_repair = false;    // don't push fetched blocks to the MCDs
   bool no_coalesce = false;       // don't single-flight concurrent fetches
-  bool legacy_copy_path = false;  // pre-refactor copy-per-hop buffers
   bool cold = false;              // lustre: unmount before reads
   std::uint64_t max_record = 64 * kKiB;
   std::size_t records = 128;
@@ -106,8 +105,6 @@ struct Options {
       "  --no-partial-hit  forward whole reads on any block miss (paper)\n"
       "  --no-read-repair  disable client-side read-repair of missed blocks\n"
       "  --no-coalesce     disable single-flight read coalescing\n"
-      "  --legacy-copy-path  deep-copy buffers at every hop (pre-iovec\n"
-      "                      ablation; see DESIGN.md \u00a75e copy ledger)\n"
       "  --cold            lustre: drop client caches before reads\n"
       "  --max-record=BYTES  latency sweep ceiling (default 65536)\n"
       "  --records=N         records per size (default 128)\n"
@@ -169,10 +166,6 @@ Options parse(int argc, char** argv) {
     if (!std::strcmp(a, "--no-partial-hit")) { o.no_partial_hit = true; continue; }
     if (!std::strcmp(a, "--no-read-repair")) { o.no_read_repair = true; continue; }
     if (!std::strcmp(a, "--no-coalesce")) { o.no_coalesce = true; continue; }
-    if (!std::strcmp(a, "--legacy-copy-path")) {
-      o.legacy_copy_path = true;
-      continue;
-    }
     if (!std::strcmp(a, "--writeback")) { o.writeback = true; continue; }
     if (!std::strcmp(a, "--cold")) { o.cold = true; continue; }
     if (!std::strcmp(a, "--csv")) { o.csv = true; continue; }
@@ -650,20 +643,7 @@ void print_grid_report(Rig& rig, const Options& o) {
   if (o.replicas > 1) {
     gluster::ReplicateStats rs;
     for (std::size_t c = 0; c < rig.gluster->n_clients(); ++c) {
-      auto& mount = rig.gluster->gluster_client(c);
-      for (std::size_t g = 0; g < mount.n_groups(); ++g) {
-        if (const auto* grp = mount.replica_group(g)) {
-          const auto& s = grp->stats();
-          rs.mutations += s.mutations;
-          rs.quorum_short_writes += s.quorum_short_writes;
-          rs.partial_acks += s.partial_acks;
-          rs.read_child_switches += s.read_child_switches;
-          rs.reads_degraded += s.reads_degraded;
-          rs.heals_scheduled += s.heals_scheduled;
-          rs.heals_completed += s.heals_completed;
-          rs.heal_bytes_copied += s.heal_bytes_copied;
-        }
-      }
+      rs += rig.gluster->gluster_client(c).replicate_totals();
     }
     std::printf("# replicate: mutations=%llu short_writes=%llu"
                 " partial_acks=%llu switches=%llu degraded=%llu"
@@ -707,7 +687,6 @@ void print_writeback_report(Rig& rig, const Options& o) {
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
-  set_legacy_copy_path(o.legacy_copy_path);
   Rig rig = build(o);
 
   std::printf("# system=%s workload=%s transport=%s clients=%zu",
@@ -746,9 +725,8 @@ int main(int argc, char** argv) {
   print_server_fault_report(rig, o);
   print_grid_report(rig, o);
   const BufferStats& bs = buffer_stats();
-  std::printf("# copy_ledger%s: segments=%llu segment_bytes=%llu"
+  std::printf("# copy_ledger: segments=%llu segment_bytes=%llu"
               " bytes_copied=%llu gathers=%llu slices=%llu\n",
-              o.legacy_copy_path ? " (legacy-copy-path)" : "",
               static_cast<unsigned long long>(bs.segments_allocated),
               static_cast<unsigned long long>(bs.segment_bytes),
               static_cast<unsigned long long>(bs.bytes_copied),
