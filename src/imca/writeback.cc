@@ -595,8 +595,8 @@ sim::Task<std::optional<Expected<Buffer>>> WritebackTier::overlay_read(
   if (view_end <= offset) co_return Expected<Buffer>{Buffer{}};  // at/after EOF
 
   // Materialize: base bytes, then dirty extents ascending epoch on top.
-  // Gaps past the base EOF stay zero — exactly what the brick's zero-fill
-  // produces once the extents flush.
+  // Gaps past the base EOF stay zero — exactly what the brick's holes read
+  // as once the extents flush.
   std::vector<std::byte> bytes(static_cast<std::size_t>(view_end - offset),
                                std::byte{0});
   if (base && base_len > 0) {

@@ -1,8 +1,48 @@
 #include "store/object_store.h"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
+#include <limits>
 
 namespace imca::store {
+
+namespace {
+
+using Extents = std::map<std::uint64_t, BufView>;
+
+// Drops [begin, end) from `ext`, trimming extents that straddle either
+// edge; returns the first extent at or past `end`.
+Extents::iterator punch(Extents& ext, std::uint64_t begin, std::uint64_t end) {
+  auto it = ext.lower_bound(begin);
+  if (it != ext.begin()) {
+    const auto prev = std::prev(it);
+    const std::uint64_t prev_end = prev->first + prev->second.size();
+    if (prev_end > begin) {
+      // Straddles `begin`: keep its head. If it also straddles `end`,
+      // nothing else starts inside the range; its tail goes back in.
+      const BufView whole = prev->second;
+      prev->second = whole.sub(0, begin - prev->first);
+      if (prev_end > end) {
+        return ext.emplace_hint(it, end,
+                                whole.sub(end - prev->first, prev_end - end));
+      }
+    }
+  }
+  const auto last = ext.lower_bound(end);
+  if (last == it) return it;
+  const auto back = std::prev(last);
+  const std::uint64_t back_end = back->first + back->second.size();
+  BufView tail;
+  if (back_end > end) {
+    tail = back->second.sub(end - back->first, back_end - end);
+  }
+  it = ext.erase(it, last);
+  if (!tail.empty()) it = ext.emplace_hint(it, end, std::move(tail));
+  return it;
+}
+
+}  // namespace
 
 void Attr::encode(ByteBuf& out) const {
   out.put_u64(inode);
@@ -54,7 +94,7 @@ Expected<Attr> ObjectStore::create(std::string_view path, SimTime now,
 Expected<void> ObjectStore::unlink(std::string_view path) {
   auto it = files_.find(path);
   if (it == files_.end()) return Errc::kNoEnt;
-  total_bytes_ -= it->second.data.size();
+  total_bytes_ -= it->second.attr.size;
   files_.erase(it);
   return {};
 }
@@ -69,19 +109,33 @@ Expected<Attr> ObjectStore::stat(std::string_view path) const {
   return it->second.attr;
 }
 
+BufView ObjectStore::zeros(std::size_t n) const {
+  if (zeros_.size() < n) zeros_ = Segment::zeros(std::bit_ceil(n));
+  return BufView(zeros_, 0, n);
+}
+
 Expected<std::uint64_t> ObjectStore::write(std::string_view path,
                                            std::uint64_t offset,
                                            const Buffer& data, SimTime now) {
+  if (data.size() > std::numeric_limits<std::uint64_t>::max() - offset) {
+    return Errc::kInval;
+  }
   auto it = files_.find(path);
   if (it == files_.end()) return Errc::kNoEnt;
   File& f = it->second;
   const std::uint64_t end = offset + data.size();
-  if (end > f.data.size()) {
-    total_bytes_ += end - f.data.size();
-    f.data.resize(end);  // zero-fills holes
+  if (end > f.attr.size) {
+    total_bytes_ += end - f.attr.size;
+    f.attr.size = end;
   }
-  data.copy_to(0, std::span<std::byte>(f.data).subspan(offset, data.size()));
-  f.attr.size = f.data.size();
+  if (!data.empty()) {
+    auto at = punch(f.extents, offset, end);
+    std::uint64_t pos = offset;
+    for (const BufView& v : data.views()) {
+      f.extents.emplace_hint(at, pos, v);
+      pos += v.size();
+    }
+  }
   f.attr.mtime = f.attr.ctime = now;
   return f.attr.size;
 }
@@ -89,12 +143,29 @@ Expected<std::uint64_t> ObjectStore::write(std::string_view path,
 Expected<Buffer> ObjectStore::read(std::string_view path,
                                    std::uint64_t offset,
                                    std::uint64_t len) const {
-  auto it = files_.find(path);
-  if (it == files_.end()) return Errc::kNoEnt;
-  const File& f = it->second;
-  if (offset >= f.data.size()) return Buffer{};
-  const std::uint64_t n = std::min(len, f.data.size() - offset);
-  return Buffer::copy_of(std::span<const std::byte>(f.data).subspan(offset, n));
+  auto fit = files_.find(path);
+  if (fit == files_.end()) return Errc::kNoEnt;
+  const File& f = fit->second;
+  if (offset >= f.attr.size) return Buffer{};
+  const std::uint64_t end = offset + std::min(len, f.attr.size - offset);
+  auto it = f.extents.upper_bound(offset);
+  if (it != f.extents.begin()) {
+    const auto prev = std::prev(it);
+    if (prev->first + prev->second.size() > offset) it = prev;
+  }
+  Buffer out;
+  std::uint64_t pos = offset;
+  for (; it != f.extents.end() && it->first < end; ++it) {
+    if (it->first > pos) {
+      out.append(zeros(it->first - pos));
+      pos = it->first;
+    }
+    BufView piece = it->second.sub(pos - it->first, end - pos);
+    pos += piece.size();
+    out.append(std::move(piece));
+  }
+  if (pos < end) out.append(zeros(end - pos));
+  return out;
 }
 
 Expected<void> ObjectStore::truncate(std::string_view path, std::uint64_t size,
@@ -102,12 +173,12 @@ Expected<void> ObjectStore::truncate(std::string_view path, std::uint64_t size,
   auto it = files_.find(path);
   if (it == files_.end()) return Errc::kNoEnt;
   File& f = it->second;
-  if (size >= f.data.size()) {
-    total_bytes_ += size - f.data.size();
+  if (size >= f.attr.size) {
+    total_bytes_ += size - f.attr.size;
   } else {
-    total_bytes_ -= f.data.size() - size;
+    total_bytes_ -= f.attr.size - size;
+    punch(f.extents, size, f.attr.size);
   }
-  f.data.resize(size);
   f.attr.size = size;
   f.attr.mtime = f.attr.ctime = now;
   return {};
@@ -120,13 +191,13 @@ Expected<void> ObjectStore::rename(std::string_view from, std::string_view to,
   if (from == to) return {};
   // Replace any existing target (POSIX semantics).
   if (auto dst = files_.find(to); dst != files_.end()) {
-    total_bytes_ -= dst->second.data.size();
+    total_bytes_ -= dst->second.attr.size;
     files_.erase(dst);
   }
-  File moved = std::move(src->second);
-  files_.erase(src);
-  moved.attr.ctime = now;
-  files_.emplace(std::string(to), std::move(moved));
+  auto node = files_.extract(src);
+  node.key() = std::string(to);
+  node.mapped().attr.ctime = now;
+  files_.insert(std::move(node));
   return {};
 }
 
@@ -134,6 +205,7 @@ std::vector<std::string> ObjectStore::list() const {
   std::vector<std::string> out;
   out.reserve(files_.size());
   for (const auto& [path, file] : files_) out.push_back(path);
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -2,16 +2,25 @@
 //
 // This is the ground truth the whole reproduction is checked against: data
 // written through any path (GlusterFS, IMCa, Lustre, NFS) lands here, data
-// read through any path is copied out of here, and the integrity tests
+// read through any path is sliced out of here, and the integrity tests
 // compare end-to-end reads against direct ObjectStore contents. Time is
 // never charged here — the disk/page-cache models own all timing.
+//
+// A file is an extent map from offset to the BufViews its writers handed
+// in (GlusterFS iobufs pinned by the brick, not bytes copied to a platter).
+// Writing keeps the caller's segments by reference; reading returns slices
+// of them, with holes served from a per-store zero segment. No payload byte
+// is copied, zero-filled or reallocated here, and since segments are
+// immutable an overwrite replaces extents instead of mutating bytes — a
+// Buffer returned by an earlier read stays a snapshot of the file as it was.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/buffer.h"
@@ -60,16 +69,15 @@ class ObjectStore {
 
   Expected<Attr> stat(std::string_view path) const;
 
-  // Write bytes at `offset`, extending the file (holes are zero-filled).
-  // Returns the file's new size. Updates mtime/ctime. The store keeps flat
-  // per-file bytes, so this materializes `data` once (the "iobuf -> disk"
-  // copy in the ledger).
+  // Write bytes at `offset`, extending the file (holes read as zeros).
+  // Returns the file's new size. Updates mtime/ctime. Keeps `data`'s views
+  // by reference — no copy. Fails with kInval if offset + size overflows.
   Expected<std::uint64_t> write(std::string_view path, std::uint64_t offset,
                                 const Buffer& data, SimTime now);
 
   // Read up to `len` bytes from `offset`; short reads at EOF like POSIX.
-  // Allocates one fresh segment per call (the "disk -> iobuf" copy); every
-  // hop above shares it.
+  // Returns slices of the written segments (no copy); holes are views of
+  // this store's zero segment.
   Expected<Buffer> read(std::string_view path, std::uint64_t offset,
                         std::uint64_t len) const;
 
@@ -90,10 +98,25 @@ class ObjectStore {
  private:
   struct File {
     Attr attr;
-    std::vector<std::byte> data;
+    // Non-overlapping views keyed by file offset, all below attr.size; the
+    // gaps between them are holes.
+    std::map<std::uint64_t, BufView> extents;
   };
 
-  std::map<std::string, File, std::less<>> files_;
+  struct PathHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  // `n` zero bytes as a view of zeros_, regrown when a hole outsizes it.
+  BufView zeros(std::size_t n) const;
+
+  std::unordered_map<std::string, File, PathHash, std::equal_to<>> files_;
+  // Per store, not process-wide: the buffer ledger is process-wide, and a
+  // shared static segment would be counted by the first store only.
+  mutable Segment zeros_;
   std::uint64_t next_inode_ = 1;
   std::uint64_t total_bytes_ = 0;
 };

@@ -1,7 +1,7 @@
 // Tests for the refcounted scatter-gather buffer layer (common/buffer.h):
 // slice/concat semantics, segment-refcount lifetime, iterator behaviour,
 // degenerate segment sizes, the copy ledger, and end-to-end copy-count
-// regression budgets for the CMCache read path.
+// regression budgets for the CMCache read path and the brick write path.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -262,15 +262,40 @@ TEST(CopyBudget, FullyCachedReadCopiesAtMostOnePayload) {
 }
 
 TEST(CopyBudget, ColdPartialHitReadStaysUnderBudget) {
-  // 4 of 8 blocks evicted: the server materializes the missing range once
-  // (ObjectStore read = one counted source copy of 8 KiB); everything else
-  // — cached blocks, wire payloads, assembly, repair — is spliced views.
-  // Budget: the fetched bytes once, plus one block of header slack.
+  // 4 of 8 blocks evicted: the server slices the missing range out of the
+  // extents the write left in its ObjectStore, and everything above —
+  // cached blocks, wire payloads, assembly, repair — is spliced views.
+  // Budget: protocol header text only, under one block.
   const ReadLedger led = measure_read(kBlocks / 2);
   const std::uint64_t fetched = (kBlocks / 2) * kBlock;
-  EXPECT_LE(led.bytes_copied, fetched + kBlock)
+  EXPECT_LT(led.bytes_copied, kBlock)
       << "copied " << led.bytes_copied << " fetched " << fetched;
   EXPECT_EQ(led.gather_calls, 0u);
+}
+
+TEST(CopyBudget, BrickWriteCopiesNoPayload) {
+  // One 256 KiB write through IMCa: the brick keeps the payload's views in
+  // its ObjectStore, and SMCache's read-back publishes slices of them. The
+  // whole write, 32 block publishes included, copies header text only —
+  // less than one 8 KiB block (the largest size Fig 6 sweeps).
+  constexpr std::uint64_t kWrite = 256 * kKiB;
+  cluster::GlusterTestbedConfig cfg;
+  cfg.n_clients = 1;
+  cfg.n_mcds = 2;
+  cfg.imca.block_size = 8 * kKiB;
+  cluster::GlusterTestbed tb(cfg);
+  std::uint64_t copied = 0;
+  tb.run([](cluster::GlusterTestbed& t, std::uint64_t& out) -> sim::Task<void> {
+    auto f = co_await t.client(0).create(kPath);
+    Buffer payload = Buffer::take(pattern_vec(kWrite));
+    const auto before = buffer_stats().bytes_copied;
+    auto w = co_await t.client(0).write(*f, 0, std::move(payload));
+    co_await t.quiesce_smcaches();
+    out = buffer_stats().bytes_copied - before;
+    EXPECT_TRUE(w.has_value());
+  }(tb, copied));
+  EXPECT_GT(tb.smcache()->stats().blocks_published, 0u);
+  EXPECT_LT(copied, cfg.imca.block_size) << "copied " << copied;
 }
 
 }  // namespace

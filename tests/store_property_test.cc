@@ -2,19 +2,30 @@
 //  * PageCache behaves exactly like a reference LRU over (file,page) keys
 //    under random op sequences — trace-based, so a failure is shrunk to a
 //    minimal op sequence (tests/harness/shrink.h) and printed with its seed;
+//  * ObjectStore's extent map behaves exactly like flat per-file byte
+//    vectors (bytes, attributes, accounting, listing), never copies a
+//    payload byte, and leaves earlier read results untouched — same
+//    trace/shrink discipline;
 //  * SlabAllocator accounting invariants hold under random alloc/free churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
+#include <deque>
+#include <iterator>
 #include <list>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/rng.h"
 #include "harness/shrink.h"
 #include "memcache/slab.h"
+#include "store/object_store.h"
 #include "store/page_cache.h"
 
 namespace imca {
@@ -237,6 +248,403 @@ TEST_P(PageCacheVsLru, RandomOpsMatchReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, PageCacheVsLru,
                          ::testing::Values(1, 4, 16, 64));
+
+// --- trace-based ObjectStore-vs-flat-bytes property ---
+//
+// The reference is the store as it was before the extent map: one flat byte
+// vector per file, zero-filled on extension, copied in and copied out. Every
+// op is self-contained (a write to a missing path must fail the same way in
+// both), so any subsequence of a trace is a valid trace and failures shrink.
+
+constexpr const char* kStorePaths[] = {"/a", "/b", "/c", "/d/e"};
+constexpr std::uint64_t kNumStorePaths = std::size(kStorePaths);
+
+struct StoreOp {
+  enum class Kind : std::uint8_t {
+    kCreate,
+    kUnlink,
+    kWrite,     // `len` bytes at `offset`, arriving as `pieces` views
+    kTruncate,  // to `offset`
+    kRename,    // `path` onto `to`
+    kRead,
+  };
+  Kind kind = Kind::kRead;
+  std::uint8_t path = 0;
+  std::uint8_t to = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t len = 0;
+  std::uint8_t pieces = 1;
+  std::uint8_t salt = 0;
+};
+
+std::string format_store_op(const StoreOp& op) {
+  const std::string p = kStorePaths[op.path];
+  const std::string off = std::to_string(op.offset);
+  const std::string len = std::to_string(op.len);
+  switch (op.kind) {
+    case StoreOp::Kind::kCreate: return "create " + p;
+    case StoreOp::Kind::kUnlink: return "unlink " + p;
+    case StoreOp::Kind::kWrite:
+      return "write " + p + " @" + off + " +" + len + " in " +
+             std::to_string(op.pieces) + " salt " + std::to_string(op.salt);
+    case StoreOp::Kind::kTruncate: return "truncate " + p + " to " + off;
+    case StoreOp::Kind::kRename:
+      return "rename " + p + " -> " + kStorePaths[op.to];
+    case StoreOp::Kind::kRead: return "read " + p + " @" + off + " +" + len;
+  }
+  return "?";
+}
+
+std::vector<StoreOp> generate_store_ops(std::uint64_t seed, std::size_t n_ops) {
+  Rng rng(seed);
+  // Most offsets land in a small window so writes keep colliding with the
+  // extents earlier writes left; a rare far offset, and a rare long read,
+  // span a hole wider than the store's first zero segment.
+  constexpr std::uint64_t kWindow = 192;
+  auto offset = [&] {
+    return rng.below(40) == 0 ? rng.range(4 * kKiB, 20 * kKiB)
+                              : rng.below(kWindow);
+  };
+  std::vector<StoreOp> ops;
+  ops.reserve(n_ops);
+  for (std::size_t i = 0; i < n_ops; ++i) {
+    StoreOp op;
+    op.path = static_cast<std::uint8_t>(rng.below(kNumStorePaths));
+    op.to = static_cast<std::uint8_t>(rng.below(kNumStorePaths));
+    op.salt = static_cast<std::uint8_t>(rng.below(256));
+    const std::uint64_t pick = rng.below(20);
+    if (pick < 2) {
+      op.kind = StoreOp::Kind::kCreate;
+    } else if (pick < 3) {
+      op.kind = StoreOp::Kind::kUnlink;
+    } else if (pick < 5) {
+      op.kind = StoreOp::Kind::kTruncate;
+      op.offset = offset();
+    } else if (pick < 6) {
+      op.kind = StoreOp::Kind::kRename;
+    } else if (pick < 13) {
+      op.kind = StoreOp::Kind::kWrite;
+      op.offset = offset();
+      op.len = rng.below(10) == 0 ? 0 : rng.range(1, 72);
+      op.pieces = static_cast<std::uint8_t>(std::min<std::uint64_t>(
+          rng.range(1, 3), std::max<std::uint64_t>(op.len, 1)));
+    } else {
+      op.kind = StoreOp::Kind::kRead;
+      op.offset = rng.below(8) == 0 ? offset() : rng.below(kWindow + 64);
+      op.len = rng.below(16) == 0 ? rng.range(4 * kKiB, 24 * kKiB)
+                                  : rng.below(kWindow);
+    }
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+// `len` pattern bytes (never zero, so holes stand out) arriving as `pieces`
+// views cut from one larger segment: the views start and stop mid-segment,
+// like payload slices of a receive buffer.
+Buffer make_store_payload(const StoreOp& op) {
+  std::vector<std::byte> raw(op.len + 8);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    raw[i] = static_cast<std::byte>(1 + (op.salt + i * 131) % 255);
+  }
+  const Buffer whole = Buffer::take(std::move(raw)).slice(4, op.len);
+  Buffer out;
+  std::uint64_t at = 0;
+  for (std::uint8_t k = 0; k < op.pieces; ++k) {
+    const std::uint64_t n =
+        k + 1 == op.pieces ? op.len - at : op.len / op.pieces;
+    out.append(whole.slice(at, n));
+    at += n;
+  }
+  return out;
+}
+
+// The pre-extent-map ObjectStore, kept as the oracle. Beside the bytes it
+// labels every byte with the write piece that last set it, so a write can
+// report how many extents (maximal runs of one label) it overlapped.
+class FlatStore {
+ public:
+  Expected<store::Attr> create(const std::string& path, SimTime now) {
+    auto [it, inserted] = files_.try_emplace(path);
+    if (!inserted) return Errc::kExist;
+    store::Attr& a = it->second.attr;
+    a.inode = next_inode_++;
+    a.atime = a.mtime = a.ctime = now;
+    return a;
+  }
+
+  Expected<void> unlink(const std::string& path) {
+    auto it = files_.find(path);
+    if (it == files_.end()) return Errc::kNoEnt;
+    total_bytes_ -= it->second.data.size();
+    files_.erase(it);
+    return {};
+  }
+
+  Expected<store::Attr> stat(const std::string& path) const {
+    auto it = files_.find(path);
+    if (it == files_.end()) return Errc::kNoEnt;
+    return it->second.attr;
+  }
+
+  Expected<std::uint64_t> write(const std::string& path, std::uint64_t offset,
+                                const Buffer& data, SimTime now,
+                                std::size_t& extents_overlapped) {
+    auto it = files_.find(path);
+    if (it == files_.end()) return Errc::kNoEnt;
+    File& f = it->second;
+    const std::uint64_t end = offset + data.size();
+    extents_overlapped = 0;
+    std::uint32_t run = 0;
+    const std::uint64_t old_end = std::min<std::uint64_t>(end, f.data.size());
+    for (std::uint64_t i = offset; i < old_end; ++i) {
+      if (f.label[i] != 0 && f.label[i] != run) ++extents_overlapped;
+      run = f.label[i];
+    }
+    if (end > f.data.size()) {
+      total_bytes_ += end - f.data.size();
+      f.data.resize(end);
+      f.label.resize(end);
+    }
+    const std::vector<std::byte> bytes = data.gather();
+    std::copy(bytes.begin(), bytes.end(),
+              f.data.begin() + static_cast<std::ptrdiff_t>(offset));
+    std::uint64_t at = offset;
+    for (const BufView& v : data.views()) {
+      ++next_label_;
+      for (std::size_t k = 0; k < v.size(); ++k) f.label[at++] = next_label_;
+    }
+    f.attr.size = f.data.size();
+    f.attr.mtime = f.attr.ctime = now;
+    return f.attr.size;
+  }
+
+  Expected<std::vector<std::byte>> read(const std::string& path,
+                                        std::uint64_t offset,
+                                        std::uint64_t len) const {
+    auto it = files_.find(path);
+    if (it == files_.end()) return Errc::kNoEnt;
+    const auto& data = it->second.data;
+    if (offset >= data.size()) return std::vector<std::byte>{};
+    const std::uint64_t n = std::min<std::uint64_t>(len, data.size() - offset);
+    const auto first = data.begin() + static_cast<std::ptrdiff_t>(offset);
+    return std::vector<std::byte>(first,
+                                  first + static_cast<std::ptrdiff_t>(n));
+  }
+
+  Expected<void> truncate(const std::string& path, std::uint64_t size,
+                          SimTime now) {
+    auto it = files_.find(path);
+    if (it == files_.end()) return Errc::kNoEnt;
+    File& f = it->second;
+    total_bytes_ = total_bytes_ - f.data.size() + size;
+    f.data.resize(size);
+    f.label.resize(size);
+    f.attr.size = size;
+    f.attr.mtime = f.attr.ctime = now;
+    return {};
+  }
+
+  Expected<void> rename(const std::string& from, const std::string& to,
+                        SimTime now) {
+    auto src = files_.find(from);
+    if (src == files_.end()) return Errc::kNoEnt;
+    if (from == to) return {};
+    if (auto dst = files_.find(to); dst != files_.end()) {
+      total_bytes_ -= dst->second.data.size();
+      files_.erase(dst);
+    }
+    File moved = std::move(src->second);
+    files_.erase(src);
+    moved.attr.ctime = now;
+    files_.emplace(to, std::move(moved));
+    return {};
+  }
+
+  std::size_t file_count() const { return files_.size(); }
+  std::uint64_t total_bytes() const { return total_bytes_; }
+  std::vector<std::string> list() const {
+    std::vector<std::string> out;
+    for (const auto& [path, file] : files_) out.push_back(path);
+    return out;
+  }
+
+ private:
+  struct File {
+    store::Attr attr;
+    std::vector<std::byte> data;
+    std::vector<std::uint32_t> label;  // 0 = hole
+  };
+  std::map<std::string, File> files_;
+  std::uint64_t next_inode_ = 1;
+  std::uint64_t total_bytes_ = 0;
+  std::uint32_t next_label_ = 0;
+};
+
+struct StoreFailure {
+  std::size_t op_index = 0;
+  std::string detail;
+};
+
+// Writes by how many existing extents they overlapped: 0, 1, 2, 3, 4+.
+using StraddleCounts = std::array<std::uint64_t, 5>;
+
+// Replays `trace` against a fresh ObjectStore and FlatStore; nullopt when
+// every check held after every op.
+std::optional<StoreFailure> replay_store(const std::vector<StoreOp>& trace,
+                                         StraddleCounts* straddles = nullptr) {
+  struct Snapshot {
+    Buffer got;
+    std::vector<std::byte> want;
+  };
+  store::ObjectStore os;
+  FlatStore ref;
+  std::deque<Snapshot> snapshots;  // recent read results, re-checked later
+
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const StoreOp& op = trace[i];
+    const SimTime now = i + 1;
+    const std::string path = kStorePaths[op.path];
+    const std::string to = kStorePaths[op.to];
+    const Buffer payload =
+        op.kind == StoreOp::Kind::kWrite ? make_store_payload(op) : Buffer{};
+    auto fail = [&](std::string what) {
+      return StoreFailure{i, format_store_op(op) + ": " + std::move(what)};
+    };
+
+    const std::uint64_t copied_before = buffer_stats().bytes_copied;
+    Errc got_err = Errc::kOk, want_err = Errc::kOk;
+    switch (op.kind) {
+      case StoreOp::Kind::kCreate: {
+        const auto got = os.create(path, now);
+        const auto want = ref.create(path, now);
+        got_err = got.error();
+        want_err = want.error();
+        if (got && want && *got != *want) return fail("create attr differs");
+        break;
+      }
+      case StoreOp::Kind::kUnlink:
+        got_err = os.unlink(path).error();
+        want_err = ref.unlink(path).error();
+        break;
+      case StoreOp::Kind::kWrite: {
+        const auto got = os.write(path, op.offset, payload, now);
+        if (buffer_stats().bytes_copied != copied_before) {
+          return fail("write copied payload bytes");
+        }
+        std::size_t overlapped = 0;
+        const auto want = ref.write(path, op.offset, payload, now, overlapped);
+        got_err = got.error();
+        want_err = want.error();
+        if (got && want && *got != *want) {
+          return fail("write returned size " + std::to_string(*got) +
+                      ", reference " + std::to_string(*want));
+        }
+        if (want && straddles && !payload.empty()) {
+          ++(*straddles)[std::min<std::size_t>(overlapped, 4)];
+        }
+        break;
+      }
+      case StoreOp::Kind::kTruncate:
+        got_err = os.truncate(path, op.offset, now).error();
+        want_err = ref.truncate(path, op.offset, now).error();
+        break;
+      case StoreOp::Kind::kRename:
+        got_err = os.rename(path, to, now).error();
+        want_err = ref.rename(path, to, now).error();
+        break;
+      case StoreOp::Kind::kRead: {
+        auto got = os.read(path, op.offset, op.len);
+        if (buffer_stats().bytes_copied != copied_before) {
+          return fail("read copied payload bytes");
+        }
+        auto want = ref.read(path, op.offset, op.len);
+        got_err = got.error();
+        want_err = want.error();
+        if (got && want) {
+          if (!got->content_equals(*want)) {
+            return fail("read " + std::to_string(got->size()) +
+                        " bytes that differ from the reference's " +
+                        std::to_string(want->size()));
+          }
+          snapshots.push_back({std::move(*got), std::move(*want)});
+          if (snapshots.size() > 8) snapshots.pop_front();
+        }
+        break;
+      }
+    }
+    if (got_err != want_err) {
+      return fail(std::string("error ") + std::string(errc_name(got_err)) +
+                  ", reference " + std::string(errc_name(want_err)));
+    }
+
+    for (const char* p : kStorePaths) {
+      const auto got = os.stat(p);
+      const auto want = ref.stat(p);
+      if (got.error() != want.error() || (got && *got != *want)) {
+        return fail(std::string("stat ") + p + " differs (size " +
+                    std::to_string(got ? got->size : 0) + ", reference " +
+                    std::to_string(want ? want->size : 0) + ")");
+      }
+    }
+    if (os.total_bytes() != ref.total_bytes()) {
+      return fail("total_bytes " + std::to_string(os.total_bytes()) +
+                  ", reference " + std::to_string(ref.total_bytes()));
+    }
+    if (os.file_count() != ref.file_count()) return fail("file_count differs");
+    if (os.list() != ref.list()) return fail("list() differs");
+    for (const Snapshot& snap : snapshots) {
+      if (!snap.got.content_equals(snap.want)) {
+        return fail("an earlier read result changed");
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+class ObjectStoreProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ObjectStoreProperty, ExtentMapMatchesFlatBytes) {
+  const std::uint64_t seed = GetParam();
+  const auto trace = generate_store_ops(seed, 3000);
+
+  StraddleCounts straddles{};
+  const auto failure = replay_store(trace, &straddles);
+  if (!failure) {
+    // Anti-vacuity: the trace really overwrote across extent boundaries.
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_GT(straddles[k], 0u) << "no write overlapped " << k << " extents";
+    }
+    return;
+  }
+
+  // Enough halving rounds to reach single-op chunks: a store trace replays
+  // in well under a millisecond.
+  const auto minimized = harness::shrink_trace(
+      trace,
+      [](const std::vector<StoreOp>& candidate) {
+        return replay_store(candidate).has_value();
+      },
+      /*max_rounds=*/32);
+  std::string dump;
+  for (std::size_t i = 0; i < minimized.size(); ++i) {
+    dump += "  [" + std::to_string(i) + "] " + format_store_op(minimized[i]) +
+            "\n";
+  }
+  std::fprintf(stderr,
+               "ObjectStoreProperty FAILED: seed=%llu op %llu: %s\n"
+               "minimized trace (%llu ops):\n%s",
+               static_cast<unsigned long long>(seed),
+               static_cast<unsigned long long>(failure->op_index),
+               failure->detail.c_str(),
+               static_cast<unsigned long long>(minimized.size()),
+               dump.c_str());
+  FAIL() << "op " << failure->op_index << ": " << failure->detail << " (seed "
+         << seed << ", minimized to " << minimized.size() << " ops above)";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ObjectStoreProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 TEST(SlabProperty, AccountingInvariantsUnderChurn) {
   memcache::SlabAllocator slabs(8 * kMiB);

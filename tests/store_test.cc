@@ -2,6 +2,9 @@
 // cache LRU behaviour, object store semantics, and the BlockDevice facade.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/bytebuf.h"
 #include "store/block_device.h"
 #include "store/disk.h"
@@ -236,7 +239,7 @@ TEST(ObjectStore, WriteExtendsAndStampsMtime) {
   const auto st = os.stat("/f").value();
   EXPECT_EQ(st.size, 15u);
   EXPECT_EQ(st.mtime, 50u);
-  // The hole [0,10) is zero-filled.
+  // The hole [0,10) reads as zeros.
   auto head = os.read("/f", 0, 10).value();
   for (auto b : head) EXPECT_EQ(b, std::byte{0});
   EXPECT_EQ(to_string(os.read("/f", 10, 5).value()), "hello");
@@ -257,6 +260,40 @@ TEST(ObjectStore, OverwriteInPlace) {
   ASSERT_TRUE(os.write("/f", 0, to_buffer("aaaa"), 2));
   ASSERT_TRUE(os.write("/f", 1, to_buffer("bb"), 3));
   EXPECT_EQ(to_string(os.read("/f", 0, 4).value()), "abba");
+}
+
+TEST(ObjectStore, OverwriteLeavesEarlierReadsIntact) {
+  ObjectStore os;
+  ASSERT_TRUE(os.create("/f", 1));
+  ASSERT_TRUE(os.write("/f", 0, to_buffer("abcdef"), 2));
+  const Buffer before = os.read("/f", 0, 6).value();
+  const auto copied = buffer_stats().bytes_copied;
+  ASSERT_TRUE(os.write("/f", 2, to_buffer("XY"), 3));  // splits the extent
+  ASSERT_TRUE(os.truncate("/f", 1, 4));
+  EXPECT_EQ(to_string(before), "abcdef");  // a snapshot, not a window
+  EXPECT_EQ(to_string(os.read("/f", 0, 6).value()), "a");
+  // Writes and reads share the caller's segments; only to_string gathers.
+  EXPECT_EQ(buffer_stats().bytes_copied, copied + 2 + 6 + 1);
+}
+
+TEST(ObjectStore, OverflowingWriteRangeIsRejected) {
+  ObjectStore os;
+  ASSERT_TRUE(os.create("/f", 1));
+  ASSERT_TRUE(os.write("/f", 0, to_buffer("abc"), 2));
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(os.write("/f", kMax, to_buffer("x"), 3).error(), Errc::kInval);
+  EXPECT_EQ(os.write("/f", kMax - 1, to_buffer("xyz"), 3).error(),
+            Errc::kInval);
+  // The file is untouched.
+  EXPECT_EQ(os.stat("/f").value().size, 3u);
+  EXPECT_EQ(os.stat("/f").value().mtime, 2u);
+  EXPECT_EQ(os.total_bytes(), 3u);
+  EXPECT_EQ(to_string(os.read("/f", 0, 10).value()), "abc");
+  // A range ending exactly at 2^64 - 1 is representable: the file is sparse.
+  ASSERT_TRUE(os.create("/g", 4));
+  EXPECT_EQ(os.write("/g", kMax - 1, to_buffer("z"), 5).value(), kMax);
+  EXPECT_EQ(to_string(os.read("/g", kMax - 1, 10).value()), "z");
+  EXPECT_EQ(os.read("/g", 0, 5000).value(), Buffer::zeros(5000));
 }
 
 TEST(ObjectStore, WriteToMissingFileFails) {
