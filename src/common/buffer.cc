@@ -101,7 +101,7 @@ void Buffer::append(Buffer&& other) {
   other.size_ = 0;
 }
 
-std::pair<std::size_t, std::size_t> Buffer::locate(std::size_t offset) const {
+Buffer::Position Buffer::locate(std::size_t offset) const {
   std::size_t i = 0;
   for (; i < views_.size(); ++i) {
     if (offset < views_[i].size()) return {i, offset};
@@ -111,17 +111,20 @@ std::pair<std::size_t, std::size_t> Buffer::locate(std::size_t offset) const {
 }
 
 Buffer Buffer::slice(std::size_t offset, std::size_t length) const {
+  return slice(locate(std::min(offset, size_)), length);
+}
+
+Buffer Buffer::slice(Position from, std::size_t length) const {
   ++g_stats.view_slices;
-  const std::size_t off = std::min(offset, size_);
-  const std::size_t len = std::min(length, size_ - off);
   Buffer b;
-  auto [vi, vo] = locate(off);
-  std::size_t left = len;
-  while (left > 0) {
-    BufView part = views_[vi].sub(vo, left);
-    left -= part.size();
-    b.size_ += part.size();
-    b.views_.push_back(std::move(part));
+  std::size_t vi = from.view, vo = from.offset;
+  while (length > 0 && vi < views_.size()) {
+    BufView part = views_[vi].sub(vo, length);
+    if (!part.empty()) {
+      length -= part.size();
+      b.size_ += part.size();
+      b.views_.push_back(std::move(part));
+    }
     ++vi;
     vo = 0;
   }

@@ -139,9 +139,20 @@ class Buffer {
   const std::vector<BufView>& views() const noexcept { return views_; }
   std::size_t segment_count() const noexcept { return views_.size(); }
 
+  // Where a logical offset lives: view index and offset within that view.
+  // A sequential reader (the memcached text scanner) keeps one and moves it
+  // forward, instead of re-walking the view list from the front per access.
+  struct Position {
+    std::size_t view = 0;
+    std::size_t offset = 0;
+  };
+
   // Zero-copy sub-range. Clamped to the buffer's extent: slice(off, npos)
   // is "everything from off".
   Buffer slice(std::size_t offset, std::size_t length = npos) const;
+  // The same, starting at `from` (a position inside this buffer, or the
+  // one-past-the-end {views().size(), 0}); clamped at the buffer's end.
+  Buffer slice(Position from, std::size_t length) const;
 
   // Copy up to out.size() bytes starting at `offset` into `out`; returns the
   // number copied. A materialization point (counted).
@@ -209,8 +220,8 @@ class Buffer {
   const_iterator end() const;
 
  private:
-  // (view index, offset within that view) for a logical offset.
-  std::pair<std::size_t, std::size_t> locate(std::size_t offset) const;
+  // Position of a logical offset; {views_.size(), 0} at or past the end.
+  Position locate(std::size_t offset) const;
 
   std::vector<BufView> views_;
   std::size_t size_ = 0;

@@ -13,6 +13,22 @@ using memcache::StoreReply;
 using memcache::StoreVerb;
 using memcache::Value;
 
+namespace {
+
+// How a store reply surfaces to the caller.
+Expected<void> store_outcome(Expected<StoreReply> parsed) {
+  if (!parsed) return parsed.error();
+  switch (*parsed) {
+    case StoreReply::kStored: return {};
+    case StoreReply::kNotStored: return Errc::kNotStored;
+    case StoreReply::kServerError: return Errc::kTooBig;
+    case StoreReply::kClientError: return Errc::kKeyTooLong;
+  }
+  return Errc::kProto;
+}
+
+}  // namespace
+
 McClient::McClient(net::RpcSystem& rpc, net::NodeId self,
                    std::vector<net::NodeId> servers,
                    std::unique_ptr<ServerSelector> selector,
@@ -186,57 +202,66 @@ sim::Task<Expected<ByteBuf>> McClient::call(std::size_t server,
   co_return last;
 }
 
+sim::Task<Expected<Value>> McClient::fetch_one(std::size_t server,
+                                               std::string key,
+                                               bool with_cas) {
+  const std::span<const std::string> keys(&key, 1);
+  // Encoded in its own statement: inside a co_await expression, GCC 12
+  // evaluates both arms of a conditional whose arms are class temporaries.
+  ByteBuf request =
+      with_cas ? memcache::encode_gets(keys) : memcache::encode_get(keys);
+  auto resp = co_await call(server, std::move(request), OpKind::kGet,
+                            ReplyShape::kTerminated);
+  if (!resp) {
+    ++stats_.misses;
+    co_return resp.error();
+  }
+  std::optional<Value> slot[1];
+  auto filled = memcache::parse_get_response(*resp, keys, slot);
+  if (!filled || !slot[0]) {
+    ++stats_.misses;  // a torn reply that still framed degrades to a miss
+    co_return Errc::kNoEnt;
+  }
+  ++stats_.hits;
+  co_return std::move(*slot[0]);
+}
+
 sim::Task<Expected<Value>> McClient::get(std::string key,
                                          std::optional<std::uint64_t> hint) {
   ++stats_.gets;
   co_await rpc_.fabric().node(self_).cpu().use(params_.per_key_cpu);
   const std::size_t server = route(key, hint);
-  const std::string keys[] = {key};
-  auto resp = co_await call(server, memcache::encode_get(keys), OpKind::kGet,
-                            ReplyShape::kTerminated);
-  if (!resp) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;  // dead or unreachable daemon reads as a miss
-  }
-  auto parsed = memcache::parse_get_response(*resp);
-  if (!parsed) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;  // torn reply that still framed: degrade to miss
-  }
-  auto it = parsed->find(key);
-  if (it == parsed->end()) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;
-  }
-  ++stats_.hits;
-  co_return std::move(it->second);
+  auto v = co_await fetch_one(server, std::move(key), /*with_cas=*/false);
+  if (!v) co_return Errc::kNoEnt;  // dead or unreachable daemon: a miss
+  co_return v;
 }
 
 McClient::KeyGroups McClient::group_by_server(
     std::vector<std::string> keys,
     std::span<const std::uint64_t> hints) const {
   const std::size_t n = keys.size();
-  KeyGroups g;
-  g.server_of.resize(n);
-  g.pos_of.resize(n);
   // Route everything first so each group can reserve its exact size; then
   // move (never copy) each key into its group, preserving input order within
   // the group.
-  std::map<std::size_t, std::size_t> group_size;
+  std::vector<std::size_t> server_of(n);
+  std::vector<std::size_t> group_size(servers_.size(), 0);
   for (std::size_t i = 0; i < n; ++i) {
     const auto hint = hints.empty()
                           ? std::optional<std::uint64_t>{}
                           : std::optional<std::uint64_t>{hints[i]};
-    g.server_of[i] = route(keys[i], hint);
-    ++group_size[g.server_of[i]];
+    server_of[i] = route(keys[i], hint);
+    ++group_size[server_of[i]];
   }
-  for (const auto& [server, count] : group_size) {
-    g.by_server[server].reserve(count);
+  KeyGroups g;
+  g.keys.resize(servers_.size());
+  g.slots.resize(servers_.size());
+  for (std::size_t s = 0; s < servers_.size(); ++s) {
+    g.keys[s].reserve(group_size[s]);
+    g.slots[s].reserve(group_size[s]);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    auto& group = g.by_server[g.server_of[i]];
-    g.pos_of[i] = group.size();
-    group.push_back(std::move(keys[i]));
+    g.keys[server_of[i]].push_back(std::move(keys[i]));
+    g.slots[server_of[i]].push_back(i);
   }
   return g;
 }
@@ -255,8 +280,8 @@ sim::Task<GetResult> McClient::multi_get(std::vector<std::string> keys,
   // deadline schedule instead of stalling the whole read.
   GetResult merged;
   std::vector<sim::Task<void>> calls;
-  calls.reserve(groups.by_server.size());
-  for (auto& [server, group] : groups.by_server) {
+  for (std::size_t s = 0; s < groups.keys.size(); ++s) {
+    if (groups.keys[s].empty()) continue;
     calls.push_back([](McClient& c, std::size_t srv,
                        std::vector<std::string> keys_for_server,
                        GetResult& out) -> sim::Task<void> {
@@ -266,7 +291,7 @@ sim::Task<GetResult> McClient::multi_get(std::vector<std::string> keys,
       auto parsed = memcache::parse_get_response(*resp);
       if (!parsed) co_return;
       out.merge(*parsed);
-    }(*this, server, group, merged));
+    }(*this, s, std::move(groups.keys[s]), merged));
   }
   co_await sim::when_all(rpc_.fabric().loop(), std::move(calls));
   stats_.hits += merged.size();
@@ -284,33 +309,33 @@ sim::Task<std::vector<std::optional<Value>>> McClient::multi_get_ordered(
   stats_.gets += n;
   co_await rpc_.fabric().node(self_).cpu().use(n * params_.per_key_cpu);
 
-  // One batched get per daemon, parsed into a per-daemon result map.
-  std::map<std::size_t, GetResult> parsed;
+  // One batched get per daemon; each reply is parsed against its own keys
+  // and the hits land in their input slots.
   std::vector<sim::Task<void>> calls;
-  calls.reserve(groups.by_server.size());
-  for (auto& [server, group] : groups.by_server) {
+  for (std::size_t s = 0; s < groups.keys.size(); ++s) {
+    if (groups.keys[s].empty()) continue;
     calls.push_back([](McClient& c, std::size_t srv,
                        std::vector<std::string> keys_for_server,
-                       GetResult& out_map) -> sim::Task<void> {
+                       std::vector<std::size_t> slots,
+                       std::vector<std::optional<Value>>& results)
+                        -> sim::Task<void> {
       auto resp = co_await c.call(srv, memcache::encode_get(keys_for_server),
                                   OpKind::kGet, ReplyShape::kTerminated);
       if (!resp) co_return;  // whole group misses
-      auto p = memcache::parse_get_response(*resp);
-      if (!p) co_return;
-      out_map = std::move(*p);
-    }(*this, server, group, parsed[server]));
+      std::vector<std::optional<Value>> got(keys_for_server.size());
+      if (!memcache::parse_get_response(*resp, keys_for_server, got)) {
+        co_return;
+      }
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        if (got[j]) results[slots[j]] = std::move(got[j]);
+      }
+    }(*this, s, std::move(groups.keys[s]), std::move(groups.slots[s]), out));
   }
   co_await sim::when_all(rpc_.fabric().loop(), std::move(calls));
 
-  // Reassemble in input order, moving each hit out of its response map.
   std::size_t hit_count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& key = groups.by_server[groups.server_of[i]][groups.pos_of[i]];
-    auto node = parsed[groups.server_of[i]].extract(key);
-    if (!node.empty()) {
-      out[i].emplace(std::move(node.mapped()));
-      ++hit_count;
-    }
+  for (const auto& v : out) {
+    if (v) ++hit_count;
   }
   stats_.hits += hit_count;
   stats_.misses += n - hit_count;
@@ -334,17 +359,7 @@ sim::Task<Expected<void>> McClient::store(StoreVerb verb, std::string key,
       co_return Errc::kNoEnt;
     co_return resp.error();
   }
-  auto parsed = memcache::parse_store_response(*resp);
-  if (!parsed) co_return parsed.error();
-  switch (*parsed) {
-    case StoreReply::kStored:
-      co_return Expected<void>{};
-    case StoreReply::kNotStored:
-      co_return Errc::kNotStored;
-    case StoreReply::kServerError:
-      co_return Errc::kTooBig;
-  }
-  co_return Errc::kProto;
+  co_return store_outcome(memcache::parse_store_response(*resp));
 }
 
 sim::Task<Expected<void>> McClient::set(std::string key, Buffer data,
@@ -368,25 +383,9 @@ sim::Task<Expected<Value>> McClient::gets(std::string key,
   ++stats_.gets;
   co_await rpc_.fabric().node(self_).cpu().use(params_.per_key_cpu);
   const std::size_t server = route(key, hint);
-  const std::string keys[] = {key};
-  auto resp = co_await call(server, memcache::encode_gets(keys), OpKind::kGet,
-                            ReplyShape::kTerminated);
-  if (!resp) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;
-  }
-  auto parsed = memcache::parse_get_response(*resp);
-  if (!parsed) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;
-  }
-  auto it = parsed->find(key);
-  if (it == parsed->end()) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;
-  }
-  ++stats_.hits;
-  co_return std::move(it->second);
+  auto v = co_await fetch_one(server, std::move(key), /*with_cas=*/true);
+  if (!v) co_return Errc::kNoEnt;
+  co_return v;
 }
 
 sim::Task<Expected<void>> McClient::cas(std::string key, Buffer data,
@@ -448,50 +447,16 @@ sim::Task<Expected<memcache::Value>> McClient::get_at(std::size_t server,
                                                       std::string key) {
   ++stats_.gets;
   co_await rpc_.fabric().node(self_).cpu().use(params_.per_key_cpu);
-  const std::string keys[] = {key};
-  auto resp = co_await call(server, memcache::encode_get(keys), OpKind::kGet,
-                            ReplyShape::kTerminated);
-  if (!resp) {
-    ++stats_.misses;
-    co_return resp.error();  // dead/unreachable: caller tells miss from down
-  }
-  auto parsed = memcache::parse_get_response(*resp);
-  if (!parsed) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;
-  }
-  auto it = parsed->find(key);
-  if (it == parsed->end()) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;
-  }
-  ++stats_.hits;
-  co_return std::move(it->second);
+  // A failed call keeps its error: the caller tells a miss from a down
+  // daemon.
+  co_return co_await fetch_one(server, std::move(key), /*with_cas=*/false);
 }
 
 sim::Task<Expected<memcache::Value>> McClient::gets_at(std::size_t server,
                                                        std::string key) {
   ++stats_.gets;
   co_await rpc_.fabric().node(self_).cpu().use(params_.per_key_cpu);
-  const std::string keys[] = {key};
-  auto resp = co_await call(server, memcache::encode_gets(keys), OpKind::kGet,
-                            ReplyShape::kTerminated);
-  if (!resp) {
-    ++stats_.misses;
-    co_return resp.error();
-  }
-  auto parsed = memcache::parse_get_response(*resp);
-  if (!parsed) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;
-  }
-  auto it = parsed->find(key);
-  if (it == parsed->end()) {
-    ++stats_.misses;
-    co_return Errc::kNoEnt;
-  }
-  ++stats_.hits;
-  co_return std::move(it->second);
+  co_return co_await fetch_one(server, std::move(key), /*with_cas=*/true);
 }
 
 sim::Task<Expected<void>> McClient::set_at(std::size_t server, std::string key,
@@ -501,17 +466,7 @@ sim::Task<Expected<void>> McClient::set_at(std::size_t server, std::string key,
       server, memcache::encode_store(StoreVerb::kSet, key, flags, 0, data),
       OpKind::kMutation, ReplyShape::kLine);
   if (!resp) co_return resp.error();
-  auto parsed = memcache::parse_store_response(*resp);
-  if (!parsed) co_return parsed.error();
-  switch (*parsed) {
-    case StoreReply::kStored:
-      co_return Expected<void>{};
-    case StoreReply::kNotStored:
-      co_return Errc::kNotStored;
-    case StoreReply::kServerError:
-      co_return Errc::kTooBig;
-  }
-  co_return Errc::kProto;
+  co_return store_outcome(memcache::parse_store_response(*resp));
 }
 
 sim::Task<Expected<void>> McClient::add_at(std::size_t server, std::string key,
@@ -521,17 +476,7 @@ sim::Task<Expected<void>> McClient::add_at(std::size_t server, std::string key,
       server, memcache::encode_store(StoreVerb::kAdd, key, flags, 0, data),
       OpKind::kMutation, ReplyShape::kLine);
   if (!resp) co_return resp.error();
-  auto parsed = memcache::parse_store_response(*resp);
-  if (!parsed) co_return parsed.error();
-  switch (*parsed) {
-    case StoreReply::kStored:
-      co_return Expected<void>{};
-    case StoreReply::kNotStored:
-      co_return Errc::kNotStored;
-    case StoreReply::kServerError:
-      co_return Errc::kTooBig;
-  }
-  co_return Errc::kProto;
+  co_return store_outcome(memcache::parse_store_response(*resp));
 }
 
 sim::Task<Expected<void>> McClient::cas_at(std::size_t server, std::string key,

@@ -128,15 +128,17 @@ class McClient {
 
   // Like multi_get, but the result is aligned with the input: slot i holds
   // keys[i]'s value, or nullopt on a miss. Callers that need to know which
-  // keys missed (CMCache's partial-hit read path) get that for free, with no
-  // per-key map lookups of their own and the values moved, not copied.
-  // Duplicate input keys are not supported (only one slot is filled).
+  // keys missed (CMCache's partial-hit read path) get that for free: each
+  // reply is parsed straight into its daemon's slots, with no per-key map
+  // and the values moved, not copied. A key listed twice is sent twice and
+  // each copy takes one of the daemon's answers in turn.
   sim::Task<std::vector<std::optional<memcache::Value>>> multi_get_ordered(
       std::vector<std::string> keys,
       std::span<const std::uint64_t> hints = {});
 
   // Store a value; kNoEnt if the daemon is dead (callers ignore: the data
-  // is merely uncached), kTooBig/kKeyTooLong surface protocol limits.
+  // is merely uncached), kTooBig/kKeyTooLong surface protocol limits (the
+  // daemon's SERVER_ERROR and CLIENT_ERROR replies).
   sim::Task<Expected<void>> set(std::string key, Buffer data,
                                 std::optional<std::uint64_t> hint = std::nullopt,
                                 std::uint32_t flags = 0,
@@ -232,16 +234,22 @@ class McClient {
     return selector_->pick(key, hint, servers_.size());
   }
 
-  // Keys partitioned per daemon (moved, not copied), plus the inverse map so
-  // ordered results can be reassembled: input slot i went to daemon
-  // server_of[i] at position pos_of[i] within that daemon's group.
+  // Keys partitioned per daemon, moved (not copied) out of the input:
+  // keys[s] holds daemon s's keys in input order and slots[s][j] is the
+  // input index of keys[s][j]. Each daemon's pair moves on into its call
+  // frame.
   struct KeyGroups {
-    std::map<std::size_t, std::vector<std::string>> by_server;
-    std::vector<std::size_t> server_of;
-    std::vector<std::size_t> pos_of;
+    std::vector<std::vector<std::string>> keys;
+    std::vector<std::vector<std::size_t>> slots;
   };
   KeyGroups group_by_server(std::vector<std::string> keys,
                             std::span<const std::uint64_t> hints) const;
+  // A one-key get or gets on `server`; routing and the CPU charge are the
+  // caller's. A miss, or a reply that does not parse, is kNoEnt; a failed
+  // call returns the call's error.
+  sim::Task<Expected<memcache::Value>> fetch_one(std::size_t server,
+                                                 std::string key,
+                                                 bool with_cas);
 
   // Full failover path: dead gate (with delete bypass and rejoin probes),
   // per-attempt deadline, framing check, retry/backoff, ejection.

@@ -4,24 +4,53 @@
 
 namespace imca::memcache {
 
-bool McCache::live(std::string_view key, SimTime now) {
-  auto it = items_.find(std::string(key));
-  if (it == items_.end()) return false;
-  Item& item = it->second;
-  if (item.expire_at != 0 && item.expire_at <= now) {
-    erase(it, /*evicted=*/false, /*expired=*/true);
-    return false;
+void McCache::link_newest(Item& item) {
+  Lru& lru = lru_[item.slab_class];
+  item.newer = nullptr;
+  item.older = lru.newest;
+  if (lru.newest != nullptr) {
+    lru.newest->newer = &item;
+  } else {
+    lru.oldest = &item;
   }
-  return true;
+  lru.newest = &item;
 }
 
-void McCache::erase(std::unordered_map<std::string, Item>::iterator it,
-                    bool evicted, bool expired) {
-  Item& item = it->second;
-  lru_[item.slab_class].erase(item.lru_pos);
+void McCache::unlink(Item& item) {
+  Lru& lru = lru_[item.slab_class];
+  if (item.newer != nullptr) {
+    item.newer->older = item.older;
+  } else {
+    lru.newest = item.older;
+  }
+  if (item.older != nullptr) {
+    item.older->newer = item.newer;
+  } else {
+    lru.oldest = item.newer;
+  }
+  item.newer = item.older = nullptr;
+}
+
+McCache::ItemMap::iterator McCache::find_live(std::string_view key,
+                                              SimTime now) {
+  auto it = items_.find(key);
+  if (it == items_.end()) return it;
+  if (it->second.expire_at != 0 && it->second.expire_at <= now) {
+    erase(it, /*evicted=*/false, /*expired=*/true);
+    return items_.end();
+  }
+  return it;
+}
+
+void McCache::release(Item& item) {
+  unlink(item);
   slabs_.free(item.slab_class);
-  stats_.bytes -= total_size(item.key, item.data.size());
+  stats_.bytes -= total_size(item.key, item.value.data.size());
   --stats_.curr_items;
+}
+
+void McCache::erase(ItemMap::iterator it, bool evicted, bool expired) {
+  release(it->second);
   if (evicted) ++stats_.evictions;
   if (expired) ++stats_.expired_unfetched;
   items_.erase(it);
@@ -33,11 +62,11 @@ Expected<void> McCache::claim_chunk(std::uint32_t cls) {
   if (r) return {};
   if (r.error() != Errc::kNoSpc) return r.error();
   // Memory limit reached: evict the least-recently-used item of this class.
-  auto& lru = lru_[cls];
-  if (lru.empty()) return Errc::kNoSpc;  // class has no pages and no victims
-  auto victim = items_.find(std::string(lru.back()));
-  assert(victim != items_.end());
-  erase(victim, /*evicted=*/true, /*expired=*/false);
+  const Item* victim = lru_[cls].oldest;
+  if (victim == nullptr) return Errc::kNoSpc;  // no pages and no victims
+  auto it = items_.find(victim->key);
+  assert(it != items_.end());
+  erase(it, /*evicted=*/true, /*expired=*/false);
   return slabs_.alloc(cls);
 }
 
@@ -47,26 +76,28 @@ Expected<void> McCache::store(std::string_view key, std::uint32_t flags,
   auto cls = slabs_.class_for(total_size(key, data.size()));
   if (!cls) return cls.error();
 
-  // Replace any existing item first (set overwrites).
-  if (auto it = items_.find(std::string(key)); it != items_.end()) {
-    erase(it, false, false);
+  // set overwrites: an existing item gives up its chunk and LRU place before
+  // the claim, exactly as deleting it first would, and its map node is
+  // reused for the new value.
+  auto it = items_.find(key);
+  const bool existed = it != items_.end();
+  if (existed) release(it->second);
+  if (auto c = claim_chunk(*cls); !c) {
+    if (existed) items_.erase(it);
+    return c.error();
+  }
+  if (!existed) {
+    it = items_.try_emplace(std::string(key)).first;
+    it->second.key = it->first;
   }
 
-  if (auto c = claim_chunk(*cls); !c) return c.error();
-
-  auto [it, inserted] = items_.try_emplace(std::string(key));
-  assert(inserted);
   Item& item = it->second;
-  item.key = it->first;
-  item.flags = flags;
   item.expire_at = expire_at;
-  item.data = std::move(data);
+  item.value = Value{flags, std::move(data), next_cas_++};
   item.slab_class = *cls;
-  item.cas = next_cas_++;
-  lru_[*cls].push_front(std::string_view(it->first));
-  item.lru_pos = lru_[*cls].begin();
+  link_newest(item);
 
-  stats_.bytes += total_size(key, item.data.size());
+  stats_.bytes += total_size(key, item.value.data.size());
   ++stats_.curr_items;
   (void)now;
   return {};
@@ -81,59 +112,68 @@ Expected<void> McCache::set(std::string_view key, std::uint32_t flags,
 Expected<void> McCache::add(std::string_view key, std::uint32_t flags,
                             SimTime expire_at, Buffer data, SimTime now) {
   ++stats_.cmd_set;
-  if (live(key, now)) return Errc::kNotStored;
+  if (find_live(key, now) != items_.end()) return Errc::kNotStored;
   return store(key, flags, expire_at, std::move(data), now);
 }
 
 Expected<void> McCache::replace(std::string_view key, std::uint32_t flags,
                                 SimTime expire_at, Buffer data, SimTime now) {
   ++stats_.cmd_set;
-  if (!live(key, now)) return Errc::kNotStored;
+  if (find_live(key, now) == items_.end()) return Errc::kNotStored;
   return store(key, flags, expire_at, std::move(data), now);
 }
 
 Expected<void> McCache::append(std::string_view key, Buffer data,
                                SimTime now) {
   ++stats_.cmd_set;
-  if (!live(key, now)) return Errc::kNotStored;
-  const Item& old = items_.find(std::string(key))->second;
-  Buffer merged = old.data;  // shares segments
+  auto it = find_live(key, now);
+  if (it == items_.end()) return Errc::kNotStored;
+  const Item& old = it->second;
+  Buffer merged = old.value.data;  // shares segments
   merged.append(std::move(data));
-  return store(key, old.flags, old.expire_at, std::move(merged), now);
+  return store(key, old.value.flags, old.expire_at, std::move(merged), now);
 }
 
 Expected<void> McCache::prepend(std::string_view key, Buffer data,
                                 SimTime now) {
   ++stats_.cmd_set;
-  if (!live(key, now)) return Errc::kNotStored;
-  const Item& old = items_.find(std::string(key))->second;
+  auto it = find_live(key, now);
+  if (it == items_.end()) return Errc::kNotStored;
+  const Item& old = it->second;
   Buffer merged = std::move(data);
-  merged.append(old.data);
-  return store(key, old.flags, old.expire_at, std::move(merged), now);
+  merged.append(old.value.data);
+  return store(key, old.value.flags, old.expire_at, std::move(merged), now);
+}
+
+const Value* McCache::get_ref(std::string_view key, SimTime now) {
+  ++stats_.cmd_get;
+  auto it = find_live(key, now);
+  if (it == items_.end()) {
+    ++stats_.get_misses;
+    return nullptr;
+  }
+  Item& item = it->second;
+  if (lru_[item.slab_class].newest != &item) {  // refresh LRU position
+    unlink(item);
+    link_newest(item);
+  }
+  ++stats_.get_hits;
+  return &item.value;
 }
 
 Expected<Value> McCache::get(std::string_view key, SimTime now) {
-  ++stats_.cmd_get;
-  if (!live(key, now)) {
-    ++stats_.get_misses;
-    return Errc::kNoEnt;
-  }
-  auto it = items_.find(std::string(key));
-  Item& item = it->second;
-  // Refresh LRU position.
-  auto& lru = lru_[item.slab_class];
-  lru.splice(lru.begin(), lru, item.lru_pos);
-  ++stats_.get_hits;
-  return Value{item.flags, item.data, item.cas};
+  const Value* v = get_ref(key, now);
+  if (v == nullptr) return Errc::kNoEnt;
+  return *v;
 }
 
 Expected<void> McCache::cas(std::string_view key, std::uint32_t flags,
                             SimTime expire_at, Buffer data,
                             std::uint64_t expected_cas, SimTime now) {
   ++stats_.cmd_set;
-  if (!live(key, now)) return Errc::kNoEnt;  // NOT_FOUND
-  const Item& item = items_.find(std::string(key))->second;
-  if (item.cas != expected_cas) return Errc::kBusy;  // EXISTS
+  auto it = find_live(key, now);
+  if (it == items_.end()) return Errc::kNoEnt;  // NOT_FOUND
+  if (it->second.value.cas != expected_cas) return Errc::kBusy;  // EXISTS
   return store(key, flags, expire_at, std::move(data), now);
 }
 
@@ -141,12 +181,13 @@ Expected<std::uint64_t> McCache::arith(std::string_view key,
                                        std::uint64_t delta, bool up,
                                        SimTime now) {
   ++stats_.cmd_set;
-  if (!live(key, now)) return Errc::kNoEnt;
-  Item& item = items_.find(std::string(key))->second;
+  auto it = find_live(key, now);
+  if (it == items_.end()) return Errc::kNoEnt;
+  const Item& item = it->second;
   // Parse the decimal-ASCII value in place, as memcached does.
   std::uint64_t value = 0;
-  if (item.data.empty()) return Errc::kInval;
-  for (const auto b : item.data) {
+  if (item.value.data.empty()) return Errc::kInval;
+  for (const auto b : item.value.data) {
     const char c = static_cast<char>(b);
     if (c < '0' || c > '9') return Errc::kInval;
     value = value * 10 + static_cast<std::uint64_t>(c - '0');
@@ -156,7 +197,7 @@ Expected<std::uint64_t> McCache::arith(std::string_view key,
   } else {
     value = delta > value ? 0 : value - delta;  // decr clamps at zero
   }
-  auto r = store(key, item.flags, item.expire_at,
+  auto r = store(key, item.value.flags, item.expire_at,
                  Buffer::of_string(std::to_string(value)), now);
   if (!r) return r.error();
   return value;
@@ -173,7 +214,7 @@ Expected<std::uint64_t> McCache::decr(std::string_view key,
 }
 
 Expected<void> McCache::del(std::string_view key) {
-  auto it = items_.find(std::string(key));
+  auto it = items_.find(key);
   if (it == items_.end()) return Errc::kNoEnt;
   erase(it, false, false);
   return {};
@@ -187,7 +228,7 @@ void McCache::flush_all() {
 
 void McCache::flush_clean(std::uint32_t keep_mask) {
   for (auto it = items_.begin(); it != items_.end();) {
-    if (it->second.flags & keep_mask) {
+    if (it->second.value.flags & keep_mask) {
       ++it;
     } else {
       erase(it++, false, false);

@@ -12,8 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <optional>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -82,6 +81,11 @@ class McCache {
 
   // Fetch; refreshes LRU position. kNoEnt on miss or lazy expiry.
   Expected<Value> get(std::string_view key, SimTime now);
+  // The same lookup, with the same stats and LRU effects, handing back the
+  // stored value in place instead of a copy of its view list (the daemon's
+  // multi-get path). nullptr on a miss. Valid until the next call that
+  // stores, deletes or flushes.
+  const Value* get_ref(std::string_view key, SimTime now);
 
   // Compare-and-swap: store only if the item's current cas id equals
   // `expected_cas`. kNoEnt if absent, kBusy ("EXISTS") on a cas mismatch.
@@ -111,14 +115,31 @@ class McCache {
   std::size_t item_count() const noexcept { return items_.size(); }
 
  private:
+  // Stored under the map's own key: `key` views the map node's string, which
+  // never moves (unordered_map nodes are stable under rehash).
   struct Item {
-    std::string key;
-    std::uint32_t flags = 0;
+    std::string_view key;
     SimTime expire_at = 0;
-    Buffer data;
+    Value value;
     std::uint32_t slab_class = 0;
-    std::uint64_t cas = 0;
-    std::list<std::string_view>::iterator lru_pos;
+    // Links of the item's slab-class LRU list, threaded through the items.
+    Item* newer = nullptr;
+    Item* older = nullptr;
+  };
+  // Transparent hashing: lookups take the caller's string_view as is.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view k) const noexcept {
+      return std::hash<std::string_view>{}(k);
+    }
+  };
+  using ItemMap =
+      std::unordered_map<std::string, Item, KeyHash, std::equal_to<>>;
+  // One slab class's LRU: `newest` is the most recently used item, `oldest`
+  // the next eviction victim.
+  struct Lru {
+    Item* newest = nullptr;
+    Item* oldest = nullptr;
   };
 
   static std::uint64_t total_size(std::string_view key, std::uint64_t value_len) {
@@ -129,19 +150,21 @@ class McCache {
                        SimTime expire_at, Buffer data, SimTime now);
   Expected<std::uint64_t> arith(std::string_view key, std::uint64_t delta,
                                 bool up, SimTime now);
-  // True if the item exists and is not expired; expired items are reaped.
-  bool live(std::string_view key, SimTime now);
-  void erase(std::unordered_map<std::string, Item>::iterator it, bool evicted,
-             bool expired);
+  // The item under `key` if it exists and is not expired; an expired item
+  // is reaped and reads as absent (end()).
+  ItemMap::iterator find_live(std::string_view key, SimTime now);
+  // Drop the item's slab chunk, LRU links and accounting; it stays mapped.
+  void release(Item& item);
+  void erase(ItemMap::iterator it, bool evicted, bool expired);
+  void link_newest(Item& item);
+  void unlink(Item& item);
   // Make a chunk of `cls` available, evicting that class's LRU if needed.
   Expected<void> claim_chunk(std::uint32_t cls);
 
   SlabAllocator slabs_;
   std::uint64_t next_cas_ = 1;
-  std::unordered_map<std::string, Item> items_;
-  // One LRU list per slab class; front = most recently used. string_views
-  // point at the map keys (stable under rehash).
-  std::vector<std::list<std::string_view>> lru_;
+  ItemMap items_;
+  std::vector<Lru> lru_;  // indexed by slab class
   CacheStats stats_;
 };
 

@@ -1,15 +1,17 @@
 #include "memcache/protocol.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
+#include <cstring>
+#include <initializer_list>
 
 namespace imca::memcache {
 namespace {
 
 constexpr std::string_view kCrlf = "\r\n";
 
-const char* verb_name(StoreVerb v) {
+std::string_view verb_name(StoreVerb v) {
   switch (v) {
     case StoreVerb::kSet: return "set";
     case StoreVerb::kAdd: return "add";
@@ -20,66 +22,132 @@ const char* verb_name(StoreVerb v) {
   return "?";
 }
 
-// Cursor over the segment chain of a message; reads CRLF-terminated lines
-// and exact-size binary blocks. Data blocks come back as zero-copy slices of
-// the message's own segments; header lines are borrowed in place when they
-// fit one segment and staged through a small scratch string when they
-// straddle a boundary.
+// One forward pass over the segment chain of a message: CRLF-terminated
+// lines and exact-size binary blocks. The cursor is a (view, offset)
+// position, so no call walks the views behind it again, and CR is found
+// with memchr. Data blocks come back as zero-copy slices of the message's
+// own segments. A line is borrowed in place when it lies inside one view and
+// staged through a small scratch string (a counted copy) when it straddles
+// a view boundary.
 class Scanner {
  public:
-  explicit Scanner(const Buffer& buf) : buf_(buf) {}
+  explicit Scanner(const Buffer& buf) : buf_(buf), views_(buf.views()) {}
 
   // Next line without its CRLF; kProto if no terminator remains. The view is
   // valid until the next line() call.
   Expected<std::string_view> line() {
-    const auto pos = buf_.find(kCrlf, cursor_);
-    if (pos == Buffer::npos) return Errc::kProto;
-    const std::size_t len = pos - cursor_;
-    std::string_view out;
-    if (const auto flat = buf_.contiguous(cursor_, len); flat.size() == len) {
-      out = {reinterpret_cast<const char*>(flat.data()), len};
-    } else {
-      scratch_.resize(len);
-      buf_.copy_to(cursor_,
-                   {reinterpret_cast<std::byte*>(scratch_.data()), len});
-      out = scratch_;
+    std::size_t base = pos_ - at_.offset;  // logical offset of view `vi`
+    for (std::size_t vi = at_.view, from = at_.offset; vi < views_.size();
+         base += views_[vi].size(), ++vi, from = 0) {
+      const auto v = views_[vi].bytes();
+      const auto* text = reinterpret_cast<const char*>(v.data());
+      while (from < v.size()) {
+        const auto* cr = static_cast<const char*>(
+            std::memchr(text + from, '\r', v.size() - from));
+        if (cr == nullptr) break;
+        const auto i = static_cast<std::size_t>(cr - text);
+        if (lf_after({vi, i})) return take_line(base + i - pos_);
+        from = i + 1;
+      }
     }
-    cursor_ = pos + kCrlf.size();
-    return out;
+    return Errc::kProto;
   }
 
-  // Exactly `n` bytes followed by CRLF (a data block).
+  // Exactly `n` bytes followed by CRLF (a data block). The bound is checked
+  // without forming n + 2, which wraps for a byte count near 2^64.
   Expected<Buffer> block(std::size_t n) {
-    if (buf_.size() - cursor_ < n + kCrlf.size()) return Errc::kProto;
-    if (buf_.at(cursor_ + n) != std::byte{'\r'} ||
-        buf_.at(cursor_ + n + 1) != std::byte{'\n'}) {
+    const std::size_t left = buf_.size() - pos_;
+    if (n > left || left - n < kCrlf.size()) return Errc::kProto;
+    const Buffer::Position end = skip(at_, n);
+    if (views_[end.view].bytes()[end.offset] != std::byte{'\r'} ||
+        !lf_after(end)) {
       return Errc::kProto;
     }
-    Buffer out = buf_.slice(cursor_, n);
-    cursor_ += n + kCrlf.size();
+    Buffer out = buf_.slice(at_, n);
+    at_ = skip(end, kCrlf.size());
+    pos_ += n + kCrlf.size();
     return out;
   }
 
-  bool exhausted() const noexcept { return cursor_ == buf_.size(); }
-
  private:
+  // `len` bytes from the cursor, then CRLF. Views are never empty (Buffer
+  // drops empty views), so the cursor is always inside a view or at the end.
+  std::string_view take_line(std::size_t len) {
+    std::string_view out;
+    const auto first = views_[at_.view].bytes();
+    if (at_.offset + len <= first.size()) {
+      out = {reinterpret_cast<const char*>(first.data()) + at_.offset, len};
+    } else {
+      scratch_.resize(len);
+      buf_.copy_to(pos_, {reinterpret_cast<std::byte*>(scratch_.data()), len});
+      out = scratch_;
+    }
+    at_ = skip(at_, len + kCrlf.size());
+    pos_ += len + kCrlf.size();
+    return out;
+  }
+
+  // True if a byte follows position `p` (a byte of the buffer) and is LF.
+  bool lf_after(Buffer::Position p) const {
+    if (p.offset + 1 < views_[p.view].size()) {
+      return views_[p.view].bytes()[p.offset + 1] == std::byte{'\n'};
+    }
+    return p.view + 1 < views_.size() &&
+           views_[p.view + 1].bytes()[0] == std::byte{'\n'};
+  }
+
+  // `p` moved forward by `n` bytes, normalized so that it lies inside a view
+  // or is the end position {views_.size(), 0}.
+  Buffer::Position skip(Buffer::Position p, std::size_t n) const {
+    while (p.view < views_.size() &&
+           p.offset + n >= views_[p.view].size()) {
+      n -= views_[p.view].size() - p.offset;
+      ++p.view;
+      p.offset = 0;
+    }
+    p.offset += n;
+    return p;
+  }
+
   const Buffer& buf_;
+  const std::vector<BufView>& views_;
+  Buffer::Position at_;
+  std::size_t pos_ = 0;  // logical offset of at_
   std::string scratch_;
-  std::size_t cursor_ = 0;
 };
 
-std::vector<std::string_view> split_ws(std::string_view s) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && s[i] == ' ') ++i;
-    std::size_t j = i;
-    while (j < s.size() && s[j] != ' ') ++j;
-    if (j > i) out.push_back(s.substr(i, j - i));
-    i = j;
+// Pops the next space-delimited token off the front of `s`; empty when none
+// remain. Runs of spaces separate like one.
+std::string_view next_token(std::string_view& s) {
+  const std::size_t b = s.find_first_not_of(' ');
+  if (b == std::string_view::npos) {
+    s = {};
+    return {};
   }
-  return out;
+  const std::size_t e = std::min(s.find(' ', b), s.size());
+  const std::string_view tok = s.substr(b, e - b);
+  s.remove_prefix(e);
+  return tok;
 }
+
+// The tokens of one line as views into it, in a fixed array. `count` is the
+// line's true token count, so a line with more tokens than the array holds
+// still fails every arity check. Multi-get keys, the one unbounded list, are
+// walked with next_token instead.
+struct Tokens {
+  static constexpr std::size_t kMax = 6;  // cas <key> <flg> <exp> <n> <id>
+
+  explicit Tokens(std::string_view line) {
+    for (auto t = next_token(line); !t.empty(); t = next_token(line)) {
+      if (count < kMax) tok[count] = t;
+      ++count;
+    }
+  }
+  std::string_view operator[](std::size_t i) const { return tok[i]; }
+
+  std::array<std::string_view, kMax> tok{};
+  std::size_t count = 0;
+};
 
 template <typename T>
 Expected<T> parse_num(std::string_view s) {
@@ -89,24 +157,86 @@ Expected<T> parse_num(std::string_view s) {
   return v;
 }
 
-void put_line(ByteBuf& out, std::string_view s) {
-  out.put_raw(s);
-  out.put_raw(kCrlf);
+// Appends "<word> <key>[ <n>...]\r\n" with one put_raw: every header line of
+// the protocol has this shape. Numbers are formatted with std::to_chars.
+void put_header(ByteBuf& out, std::string_view word, std::string_view key,
+                std::initializer_list<std::uint64_t> nums = {}) {
+  constexpr std::size_t kNumMax = 1 + 20;  // ' ' + digits of a uint64
+  const std::size_t cap = word.size() + 1 + key.size() +
+                          nums.size() * kNumMax + kCrlf.size();
+  std::array<char, 384> stack;
+  std::string heap;
+  char* buf = stack.data();
+  if (cap > stack.size()) {
+    heap.resize(cap);
+    buf = heap.data();
+  }
+  char* p = std::copy(word.begin(), word.end(), buf);
+  *p++ = ' ';
+  p = std::copy(key.begin(), key.end(), p);
+  for (const std::uint64_t v : nums) {
+    *p++ = ' ';
+    p = std::to_chars(p, buf + cap, v).ptr;
+  }
+  p = std::copy(kCrlf.begin(), kCrlf.end(), p);
+  out.put_raw(std::string_view(buf, static_cast<std::size_t>(p - buf)));
 }
 
-}  // namespace
-
-namespace {
-ByteBuf encode_multikey(const char* verb, std::span<const std::string> keys) {
+// A message of one constant line; `text` ends with its CRLF.
+ByteBuf fixed_line(std::string_view text) {
   ByteBuf out;
-  std::string line = verb;
+  out.put_raw(text);
+  return out;
+}
+
+ByteBuf encode_multikey(std::string_view verb,
+                        std::span<const std::string> keys) {
+  std::size_t len = verb.size() + kCrlf.size();
+  for (const auto& k : keys) len += 1 + k.size();
+  std::string line;
+  line.reserve(len);
+  line += verb;
   for (const auto& k : keys) {
     line += ' ';
     line += k;
   }
-  put_line(out, line);
+  line += kCrlf;
+  ByteBuf out;
+  out.put_raw(line);
   return out;
 }
+
+// Walks a get/gets reply up to END, handing each VALUE's key (valid only
+// during the call) and value to `on_value`. The one parser behind both forms
+// of parse_get_response.
+template <typename OnValue>
+Expected<void> scan_values(const Buffer& in, OnValue&& on_value) {
+  Scanner sc(in);
+  while (true) {
+    auto line = sc.line();
+    if (!line) return line.error();
+    if (*line == "END") return {};
+    const Tokens tok(*line);
+    if ((tok.count != 4 && tok.count != 5) || tok[0] != "VALUE") {
+      return Errc::kProto;
+    }
+    auto flags = parse_num<std::uint32_t>(tok[2]);
+    auto nbytes = parse_num<std::size_t>(tok[3]);
+    if (!flags || !nbytes) return Errc::kProto;
+    Value v;
+    if (tok.count == 5) {  // gets carries the cas id
+      auto cas_id = parse_num<std::uint64_t>(tok[4]);
+      if (!cas_id) return Errc::kProto;
+      v.cas = *cas_id;
+    }
+    auto data = sc.block(*nbytes);
+    if (!data) return data.error();
+    v.flags = *flags;
+    v.data = std::move(*data);
+    on_value(tok[1], std::move(v));
+  }
+}
+
 }  // namespace
 
 ByteBuf encode_get(std::span<const std::string> keys) {
@@ -120,11 +250,7 @@ ByteBuf encode_gets(std::span<const std::string> keys) {
 ByteBuf encode_store(StoreVerb verb, std::string_view key, std::uint32_t flags,
                      std::uint32_t exptime_s, const Buffer& data) {
   ByteBuf out;
-  char head[320];
-  std::snprintf(head, sizeof head, "%s %.*s %u %u %zu", verb_name(verb),
-                static_cast<int>(key.size()), key.data(), flags, exptime_s,
-                data.size());
-  put_line(out, head);
+  put_header(out, verb_name(verb), key, {flags, exptime_s, data.size()});
   out.put_buffer(data);
   out.put_raw(kCrlf);
   return out;
@@ -134,11 +260,7 @@ ByteBuf encode_cas(std::string_view key, std::uint32_t flags,
                    std::uint32_t exptime_s, const Buffer& data,
                    std::uint64_t cas_id) {
   ByteBuf out;
-  char head[360];
-  std::snprintf(head, sizeof head, "cas %.*s %u %u %zu %llu",
-                static_cast<int>(key.size()), key.data(), flags, exptime_s,
-                data.size(), static_cast<unsigned long long>(cas_id));
-  put_line(out, head);
+  put_header(out, "cas", key, {flags, exptime_s, data.size(), cas_id});
   out.put_buffer(data);
   out.put_raw(kCrlf);
   return out;
@@ -146,66 +268,61 @@ ByteBuf encode_cas(std::string_view key, std::uint32_t flags,
 
 ByteBuf encode_incr(std::string_view key, std::uint64_t delta) {
   ByteBuf out;
-  put_line(out, "incr " + std::string(key) + " " + std::to_string(delta));
+  put_header(out, "incr", key, {delta});
   return out;
 }
 
 ByteBuf encode_decr(std::string_view key, std::uint64_t delta) {
   ByteBuf out;
-  put_line(out, "decr " + std::string(key) + " " + std::to_string(delta));
+  put_header(out, "decr", key, {delta});
   return out;
 }
 
 ByteBuf encode_delete(std::string_view key) {
   ByteBuf out;
-  put_line(out, std::string("delete ") + std::string(key));
+  put_header(out, "delete", key);
   return out;
 }
 
-ByteBuf encode_flush_all() {
-  ByteBuf out;
-  put_line(out, "flush_all");
-  return out;
-}
+ByteBuf encode_flush_all() { return fixed_line("flush_all\r\n"); }
 
-ByteBuf encode_flush_clean() {
-  ByteBuf out;
-  put_line(out, "flush_all clean");
-  return out;
-}
+ByteBuf encode_flush_clean() { return fixed_line("flush_all clean\r\n"); }
 
-ByteBuf encode_stats() {
-  ByteBuf out;
-  put_line(out, "stats");
-  return out;
-}
+ByteBuf encode_stats() { return fixed_line("stats\r\n"); }
 
 Expected<GetResult> parse_get_response(ByteBuf& in) {
-  Scanner sc(in.buffer());
   GetResult result;
-  while (true) {
-    auto line = sc.line();
-    if (!line) return line.error();
-    if (*line == "END") return result;
-    auto tok = split_ws(*line);
-    if ((tok.size() != 4 && tok.size() != 5) || tok[0] != "VALUE") {
-      return Errc::kProto;
+  auto r = scan_values(in.buffer(), [&](std::string_view key, Value&& v) {
+    result.emplace(std::string(key), std::move(v));
+  });
+  if (!r) return r.error();
+  return result;
+}
+
+Expected<std::size_t> parse_get_response(
+    ByteBuf& in, std::span<const std::string> keys,
+    std::span<std::optional<Value>> slots) {
+  std::size_t next = 0;  // one past the previous match
+  std::size_t filled = 0;
+  auto r = scan_values(in.buffer(), [&](std::string_view key, Value&& v) {
+    std::size_t j = next;
+    while (j < keys.size() && keys[j] != key) ++j;
+    if (j < keys.size()) {
+      next = j + 1;
+    } else {  // out of request order: the first slot holding this key
+      j = 0;
+      while (j < next && keys[j] != key) ++j;
+      if (j == next) return;  // a key the request did not ask for
     }
-    auto flags = parse_num<std::uint32_t>(tok[2]);
-    auto nbytes = parse_num<std::size_t>(tok[3]);
-    if (!flags || !nbytes) return Errc::kProto;
-    Value v;
-    if (tok.size() == 5) {  // gets carries the cas id
-      auto cas_id = parse_num<std::uint64_t>(tok[4]);
-      if (!cas_id) return Errc::kProto;
-      v.cas = *cas_id;
-    }
-    auto data = sc.block(*nbytes);
-    if (!data) return data.error();
-    v.flags = *flags;
-    v.data = std::move(*data);
-    result.emplace(std::string(tok[1]), std::move(v));
+    if (slots[j]) return;
+    slots[j].emplace(std::move(v));
+    ++filled;
+  });
+  if (!r) {
+    std::fill(slots.begin(), slots.end(), std::nullopt);
+    return r.error();
   }
+  return filled;
 }
 
 Expected<StoreReply> parse_store_response(ByteBuf& in) {
@@ -215,6 +332,7 @@ Expected<StoreReply> parse_store_response(ByteBuf& in) {
   if (*line == "STORED") return StoreReply::kStored;
   if (*line == "NOT_STORED") return StoreReply::kNotStored;
   if (line->starts_with("SERVER_ERROR")) return StoreReply::kServerError;
+  if (line->starts_with("CLIENT_ERROR")) return StoreReply::kClientError;
   return Errc::kProto;
 }
 
@@ -254,48 +372,46 @@ Expected<std::map<std::string, std::string>> parse_stats_response(
     auto line = sc.line();
     if (!line) return line.error();
     if (*line == "END") return out;
-    auto tok = split_ws(*line);
-    if (tok.size() != 3 || tok[0] != "STAT") return Errc::kProto;
+    const Tokens tok(*line);
+    if (tok.count != 3 || tok[0] != "STAT") return Errc::kProto;
     out.emplace(std::string(tok[1]), std::string(tok[2]));
   }
 }
 
 namespace {
 
-ByteBuf error_reply() {
-  ByteBuf out;
-  put_line(out, "ERROR");
-  return out;
-}
+ByteBuf error_reply() { return fixed_line("ERROR\r\n"); }
 
-ByteBuf do_get(McCache& cache, const std::vector<std::string_view>& tok,
-               SimTime now, bool with_cas) {
+// `keys` is the request line after the verb. Every key is looked up in the
+// same walk that counts them.
+ByteBuf do_get(McCache& cache, std::string_view keys, SimTime now,
+               bool with_cas, std::size_t* keys_touched) {
   ByteBuf out;
-  for (std::size_t i = 1; i < tok.size(); ++i) {
-    auto v = cache.get(tok[i], now);
-    if (!v) continue;  // miss: the key simply isn't echoed back
-    char head[360];
+  std::size_t n = 0;
+  for (auto key = next_token(keys); !key.empty(); key = next_token(keys)) {
+    ++n;
+    const Value* v = cache.get_ref(key, now);
+    if (v == nullptr) continue;  // miss: the key simply isn't echoed back
     if (with_cas) {
-      std::snprintf(head, sizeof head, "VALUE %.*s %u %zu %llu",
-                    static_cast<int>(tok[i].size()), tok[i].data(), v->flags,
-                    v->data.size(),
-                    static_cast<unsigned long long>(v->cas));
+      put_header(out, "VALUE", key, {v->flags, v->data.size(), v->cas});
     } else {
-      std::snprintf(head, sizeof head, "VALUE %.*s %u %zu",
-                    static_cast<int>(tok[i].size()), tok[i].data(), v->flags,
-                    v->data.size());
+      put_header(out, "VALUE", key, {v->flags, v->data.size()});
     }
-    put_line(out, head);
     out.put_buffer(v->data);
     out.put_raw(kCrlf);
   }
-  put_line(out, "END");
+  if (n == 0) return error_reply();
+  if (keys_touched != nullptr) *keys_touched = n;
+  out.put_raw("END\r\n");
   return out;
 }
 
-ByteBuf do_cas(McCache& cache, const std::vector<std::string_view>& tok,
-               Scanner& sc, SimTime now) {
-  if (tok.size() != 6) return error_reply();
+SimTime expiry(std::uint32_t exptime_s, SimTime now) {
+  return exptime_s == 0 ? 0 : now + static_cast<SimTime>(exptime_s) * kSecond;
+}
+
+ByteBuf do_cas(McCache& cache, const Tokens& tok, Scanner& sc, SimTime now) {
+  if (tok.count != 6) return error_reply();
   auto flags = parse_num<std::uint32_t>(tok[2]);
   auto exptime = parse_num<std::uint32_t>(tok[3]);
   auto nbytes = parse_num<std::size_t>(tok[4]);
@@ -303,53 +419,42 @@ ByteBuf do_cas(McCache& cache, const std::vector<std::string_view>& tok,
   if (!flags || !exptime || !nbytes || !cas_id) return error_reply();
   auto data = sc.block(*nbytes);
   if (!data) return error_reply();
-  const SimTime expire_at =
-      *exptime == 0 ? 0 : now + static_cast<SimTime>(*exptime) * kSecond;
-  auto r = cache.cas(tok[1], *flags, expire_at, std::move(*data), *cas_id, now);
-  ByteBuf out;
-  if (r) {
-    put_line(out, "STORED");
-  } else if (r.error() == Errc::kBusy) {
-    put_line(out, "EXISTS");
-  } else if (r.error() == Errc::kNoEnt) {
-    put_line(out, "NOT_FOUND");
-  } else {
-    put_line(out, "SERVER_ERROR out of memory storing object");
-  }
-  return out;
+  auto r = cache.cas(tok[1], *flags, expiry(*exptime, now), std::move(*data),
+                     *cas_id, now);
+  if (r) return fixed_line("STORED\r\n");
+  if (r.error() == Errc::kBusy) return fixed_line("EXISTS\r\n");
+  if (r.error() == Errc::kNoEnt) return fixed_line("NOT_FOUND\r\n");
+  return fixed_line("SERVER_ERROR out of memory storing object\r\n");
 }
 
-ByteBuf do_arith(McCache& cache, const std::vector<std::string_view>& tok,
-                 bool up, SimTime now) {
-  if (tok.size() != 3) return error_reply();
+ByteBuf do_arith(McCache& cache, const Tokens& tok, bool up, SimTime now) {
+  if (tok.count != 3) return error_reply();
   auto delta = parse_num<std::uint64_t>(tok[2]);
   if (!delta) return error_reply();
   auto r = up ? cache.incr(tok[1], *delta, now)
               : cache.decr(tok[1], *delta, now);
-  ByteBuf out;
   if (r) {
-    put_line(out, std::to_string(*r));
-  } else if (r.error() == Errc::kNoEnt) {
-    put_line(out, "NOT_FOUND");
-  } else {
-    put_line(out,
-             "CLIENT_ERROR cannot increment or decrement non-numeric value");
+    std::array<char, 24> text;
+    char* p = std::to_chars(text.data(), text.data() + text.size(), *r).ptr;
+    p = std::copy(kCrlf.begin(), kCrlf.end(), p);
+    return fixed_line(
+        {text.data(), static_cast<std::size_t>(p - text.data())});
   }
-  return out;
+  if (r.error() == Errc::kNoEnt) return fixed_line("NOT_FOUND\r\n");
+  return fixed_line(
+      "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n");
 }
 
-ByteBuf do_store(McCache& cache, StoreVerb verb,
-                 const std::vector<std::string_view>& tok, Scanner& sc,
-                 SimTime now) {
-  if (tok.size() != 5) return error_reply();
+ByteBuf do_store(McCache& cache, StoreVerb verb, const Tokens& tok,
+                 Scanner& sc, SimTime now) {
+  if (tok.count != 5) return error_reply();
   auto flags = parse_num<std::uint32_t>(tok[2]);
   auto exptime = parse_num<std::uint32_t>(tok[3]);
   auto nbytes = parse_num<std::size_t>(tok[4]);
   if (!flags || !exptime || !nbytes) return error_reply();
   auto data = sc.block(*nbytes);
   if (!data) return error_reply();
-  const SimTime expire_at =
-      *exptime == 0 ? 0 : now + static_cast<SimTime>(*exptime) * kSecond;
+  const SimTime expire_at = expiry(*exptime, now);
 
   Expected<void> r = Errc::kInval;
   switch (verb) {
@@ -370,98 +475,80 @@ ByteBuf do_store(McCache& cache, StoreVerb verb,
       break;
   }
 
-  ByteBuf out;
-  if (r) {
-    put_line(out, "STORED");
-  } else if (r.error() == Errc::kNotStored) {
-    put_line(out, "NOT_STORED");
-  } else if (r.error() == Errc::kTooBig) {
-    put_line(out, "SERVER_ERROR object too large for cache");
-  } else if (r.error() == Errc::kKeyTooLong) {
-    put_line(out, "CLIENT_ERROR bad command line format");
-  } else {
-    put_line(out, "SERVER_ERROR out of memory storing object");
+  if (r) return fixed_line("STORED\r\n");
+  switch (r.error()) {
+    case Errc::kNotStored: return fixed_line("NOT_STORED\r\n");
+    case Errc::kTooBig:
+      return fixed_line("SERVER_ERROR object too large for cache\r\n");
+    case Errc::kKeyTooLong:
+      return fixed_line("CLIENT_ERROR bad command line format\r\n");
+    default:
+      return fixed_line("SERVER_ERROR out of memory storing object\r\n");
   }
-  return out;
 }
 
-ByteBuf do_delete(McCache& cache, const std::vector<std::string_view>& tok) {
-  if (tok.size() != 2) return error_reply();
-  ByteBuf out;
-  put_line(out, cache.del(tok[1]) ? "DELETED" : "NOT_FOUND");
-  return out;
+ByteBuf do_delete(McCache& cache, const Tokens& tok) {
+  if (tok.count != 2) return error_reply();
+  return fixed_line(cache.del(tok[1]) ? "DELETED\r\n" : "NOT_FOUND\r\n");
 }
 
 ByteBuf do_stats(const McCache& cache) {
   const CacheStats& s = cache.stats();
   ByteBuf out;
-  char line[96];
-  const auto stat = [&](const char* name, std::uint64_t v) {
-    std::snprintf(line, sizeof line, "STAT %s %" PRIu64, name, v);
-    put_line(out, line);
-  };
-  stat("cmd_get", s.cmd_get);
-  stat("cmd_set", s.cmd_set);
-  stat("get_hits", s.get_hits);
-  stat("get_misses", s.get_misses);
-  stat("evictions", s.evictions);
-  stat("expired_unfetched", s.expired_unfetched);
-  stat("curr_items", s.curr_items);
-  stat("bytes", s.bytes);
-  stat("limit_maxbytes", cache.slabs().memory_limit());
-  put_line(out, "END");
+  put_header(out, "STAT", "cmd_get", {s.cmd_get});
+  put_header(out, "STAT", "cmd_set", {s.cmd_set});
+  put_header(out, "STAT", "get_hits", {s.get_hits});
+  put_header(out, "STAT", "get_misses", {s.get_misses});
+  put_header(out, "STAT", "evictions", {s.evictions});
+  put_header(out, "STAT", "expired_unfetched", {s.expired_unfetched});
+  put_header(out, "STAT", "curr_items", {s.curr_items});
+  put_header(out, "STAT", "bytes", {s.bytes});
+  put_header(out, "STAT", "limit_maxbytes", {cache.slabs().memory_limit()});
+  out.put_raw("END\r\n");
   return out;
+}
+
+std::optional<StoreVerb> store_verb(std::string_view cmd) {
+  if (cmd == "set") return StoreVerb::kSet;
+  if (cmd == "add") return StoreVerb::kAdd;
+  if (cmd == "replace") return StoreVerb::kReplace;
+  if (cmd == "append") return StoreVerb::kAppend;
+  if (cmd == "prepend") return StoreVerb::kPrepend;
+  return std::nullopt;
 }
 
 }  // namespace
 
-std::size_t count_request_keys(const ByteBuf& request) {
-  Scanner sc(request.buffer());
-  auto first = sc.line();
-  if (!first) return 1;
-  const auto tok = split_ws(*first);
-  if (tok.size() >= 2 && (tok[0] == "get" || tok[0] == "gets")) {
-    return tok.size() - 1;
-  }
-  return 1;
-}
-
-ByteBuf handle_request(McCache& cache, ByteBuf request, SimTime now) {
+ByteBuf handle_request(McCache& cache, ByteBuf request, SimTime now,
+                       std::size_t* keys_touched) {
+  if (keys_touched != nullptr) *keys_touched = 1;
   Scanner sc(request.buffer());
   auto first = sc.line();
   if (!first) return error_reply();
-  const auto tok = split_ws(*first);
-  if (tok.empty()) return error_reply();
-
-  const std::string_view cmd = tok[0];
+  std::string_view rest = *first;
+  const std::string_view cmd = next_token(rest);
   if (cmd == "get" || cmd == "gets") {
-    if (tok.size() < 2) return error_reply();
-    return do_get(cache, tok, now, /*with_cas=*/cmd == "gets");
+    return do_get(cache, rest, now, /*with_cas=*/cmd == "gets", keys_touched);
+  }
+
+  const Tokens tok(*first);
+  if (const auto verb = store_verb(cmd)) {
+    return do_store(cache, *verb, tok, sc, now);
   }
   if (cmd == "cas") return do_cas(cache, tok, sc, now);
   if (cmd == "incr") return do_arith(cache, tok, /*up=*/true, now);
   if (cmd == "decr") return do_arith(cache, tok, /*up=*/false, now);
-  if (cmd == "set") return do_store(cache, StoreVerb::kSet, tok, sc, now);
-  if (cmd == "add") return do_store(cache, StoreVerb::kAdd, tok, sc, now);
-  if (cmd == "replace")
-    return do_store(cache, StoreVerb::kReplace, tok, sc, now);
-  if (cmd == "append")
-    return do_store(cache, StoreVerb::kAppend, tok, sc, now);
-  if (cmd == "prepend")
-    return do_store(cache, StoreVerb::kPrepend, tok, sc, now);
   if (cmd == "delete") return do_delete(cache, tok);
   if (cmd == "stats") return do_stats(cache);
   if (cmd == "flush_all") {
     // "flush_all clean" spares items flagged write-back dirty: the rejoin
     // purge must never destroy the only surviving replica of acked bytes.
-    if (tok.size() >= 2 && tok[1] == "clean") {
+    if (tok.count >= 2 && tok[1] == "clean") {
       cache.flush_clean();
     } else {
       cache.flush_all();
     }
-    ByteBuf out;
-    put_line(out, "OK");
-    return out;
+    return fixed_line("OK\r\n");
   }
   return error_reply();
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -52,7 +53,20 @@ ByteBuf encode_stats();
 using GetResult = std::map<std::string, Value>;
 Expected<GetResult> parse_get_response(ByteBuf& in);
 
-enum class StoreReply { kStored, kNotStored, kServerError };
+// The same parse, aligned with the request: `keys` are the keys the get
+// asked for and slots[i] (empty on entry) receives keys[i]'s value. The
+// daemon answers hits in request order, so each VALUE is matched by
+// scanning forward from the previous match; one out of order falls back to
+// the first slot holding its key, and a second VALUE for a filled slot is
+// dropped (the first wins, as in the map form). Returns the number of slots
+// filled; on a parse error every slot is left empty.
+Expected<std::size_t> parse_get_response(ByteBuf& in,
+                                         std::span<const std::string> keys,
+                                         std::span<std::optional<Value>> slots);
+
+// kClientError is the daemon rejecting the command line itself, which for a
+// well-formed store means the key exceeds kMaxKeyLen.
+enum class StoreReply { kStored, kNotStored, kServerError, kClientError };
 Expected<StoreReply> parse_store_response(ByteBuf& in);
 
 // cas outcomes: stored, lost the race (EXISTS), or the key vanished.
@@ -72,12 +86,12 @@ Expected<std::map<std::string, std::string>> parse_stats_response(ByteBuf& in);
 
 // Parse one request off `request`, execute it against `cache` and encode the
 // response. `now` drives lazy expiration. Malformed input yields the
-// protocol's "ERROR\r\n", never an exception.
-ByteBuf handle_request(McCache& cache, ByteBuf request, SimTime now);
-
-// Number of keys a request makes the daemon touch (every key of a multi-get
-// is hashed and LRU-bumped; storage/delete ops touch one). Used by the
-// daemon's service-time model.
-std::size_t count_request_keys(const ByteBuf& request);
+// protocol's "ERROR\r\n", never an exception. If `keys_touched` is given it
+// receives the number of keys the request made the daemon touch, taken from
+// the same parse: every key of a multi-get is hashed and LRU-bumped; every
+// other request, malformed ones included, counts as one. The daemon's
+// service-time model charges per key.
+ByteBuf handle_request(McCache& cache, ByteBuf request, SimTime now,
+                       std::size_t* keys_touched = nullptr);
 
 }  // namespace imca::memcache

@@ -43,8 +43,9 @@ void McServer::schedule_crash(SimTime at, std::optional<SimTime> restart_at) {
 sim::Task<ByteBuf> McServer::handle(ByteBuf request, net::NodeId) {
   sim::EventLoop& loop = rpc_.fabric().loop();
   const std::uint64_t in_bytes = request.size();
-  const std::size_t keys = count_request_keys(request);
-  ByteBuf response = handle_request(cache_, std::move(request), loop.now());
+  std::size_t keys = 1;
+  ByteBuf response =
+      handle_request(cache_, std::move(request), loop.now(), &keys);
   const SimDuration service =
       params_.base_service + keys * params_.per_key_service +
       transfer_time(in_bytes + response.size(), params_.copy_bps);

@@ -275,6 +275,19 @@ TEST_F(McClientTest, ValueTooBigSurfaces) {
   }(*client_));
 }
 
+TEST_F(McClientTest, KeyTooLongSurfaces) {
+  // The daemon refuses a key over 250 bytes with CLIENT_ERROR; the client
+  // reports that as kKeyTooLong, not as a protocol error.
+  run([](McClient& c) -> sim::Task<void> {
+    auto r = co_await c.set(std::string(memcache::kMaxKeyLen + 1, 'k'),
+                            to_buffer("v"));
+    EXPECT_EQ(r.error(), Errc::kKeyTooLong);
+    auto ok = co_await c.set(std::string(memcache::kMaxKeyLen, 'k'),
+                             to_buffer("v"));
+    EXPECT_TRUE(ok.has_value());
+  }(*client_));
+}
+
 TEST_F(McClientTest, ModuloSelectorSpreadsBlocksOfOneFile) {
   McClient modulo_client(rpc_, client_node_, server_ids_,
                          std::make_unique<ModuloSelector>());

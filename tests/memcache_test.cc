@@ -4,6 +4,7 @@
 // the simulated RPC fabric.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "memcache/cache.h"
@@ -314,6 +315,69 @@ TEST(Protocol, MalformedInputYieldsError) {
   expect_error("set k 0 0 5\r\nab\r\n");   // short data block
   expect_error("set k 0 0 x\r\nabcde\r\n");  // non-numeric byte count
   expect_error("delete\r\n");              // missing key
+}
+
+TEST(Protocol, WrappedByteCountIsRejected) {
+  // n + 2 wraps to 0 for n = 2^64 - 2: the data-block bound must be checked
+  // without forming it, in both directions of the wire.
+  McCache c(64 * kMiB);
+  ByteBuf req;
+  req.put_raw("set k 0 0 18446744073709551614\r\nabc\r\n");
+  auto resp = handle_request(c, std::move(req), 0);
+  EXPECT_EQ(to_string(resp.buffer()), "ERROR\r\n");
+  EXPECT_EQ(c.item_count(), 0u);
+
+  ByteBuf reply;
+  reply.put_raw("VALUE k 0 18446744073709551614\r\nEND\r\n");
+  EXPECT_EQ(parse_get_response(reply).error(), Errc::kProto);
+  const std::string keys[] = {"k"};
+  std::optional<Value> slot[1];
+  ByteBuf again;
+  again.put_raw("VALUE k 0 18446744073709551614\r\nEND\r\n");
+  EXPECT_EQ(parse_get_response(again, keys, slot).error(), Errc::kProto);
+  EXPECT_FALSE(slot[0].has_value());
+}
+
+TEST(Protocol, KeyCountComesFromTheSameParse) {
+  McCache c(64 * kMiB);
+  const auto keys_of = [&](std::string_view raw) {
+    ByteBuf req;
+    req.put_raw(raw);
+    std::size_t keys = 0;
+    (void)handle_request(c, std::move(req), 0, &keys);
+    return keys;
+  };
+  EXPECT_EQ(keys_of("get a b  c\r\n"), 3u);  // misses count: each is hashed
+  EXPECT_EQ(keys_of("gets a\r\n"), 1u);
+  EXPECT_EQ(keys_of("set a 0 0 1\r\nx\r\n"), 1u);
+  EXPECT_EQ(keys_of("get\r\n"), 1u);     // malformed requests count one
+  EXPECT_EQ(keys_of("get a b"), 1u);       // no terminator
+  EXPECT_EQ(keys_of("bogus a b\r\n"), 1u);
+}
+
+TEST(Protocol, SlotAlignedParseFollowsRequestOrder) {
+  McCache c(64 * kMiB);
+  (void)handle_request(c, encode_store(StoreVerb::kSet, "a", 1, 0, bytes("A")), 0);
+  (void)handle_request(c, encode_store(StoreVerb::kSet, "c", 3, 0, bytes("C")), 0);
+  const std::string keys[] = {"a", "b", "c"};
+  auto resp = handle_request(c, encode_get(keys), 1);
+  std::optional<Value> slots[3];
+  EXPECT_EQ(parse_get_response(resp, keys, slots).value(), 2u);
+  ASSERT_TRUE(slots[0] && slots[2]);
+  EXPECT_EQ(to_string(slots[0]->data), "A");
+  EXPECT_FALSE(slots[1].has_value());
+  EXPECT_EQ(slots[2]->flags, 3u);
+
+  // Out of order and repeated VALUEs: each lands in its key's slot, and the
+  // first VALUE for a slot wins, as in the map form.
+  ByteBuf odd;
+  odd.put_raw("VALUE c 0 1\r\nX\r\nVALUE a 0 1\r\nY\r\n"
+              "VALUE a 0 1\r\nZ\r\nVALUE q 0 1\r\nQ\r\nEND\r\n");
+  std::optional<Value> got[3];
+  EXPECT_EQ(parse_get_response(odd, keys, got).value(), 2u);
+  ASSERT_TRUE(got[0] && got[2]);
+  EXPECT_EQ(to_string(got[0]->data), "Y");
+  EXPECT_EQ(to_string(got[2]->data), "X");
 }
 
 TEST(Protocol, FlushAllClears) {
