@@ -29,6 +29,15 @@ constexpr double to_micros(SimDuration d) noexcept {
   return static_cast<double>(d) / static_cast<double>(kMicro);
 }
 
+// Capped exponential backoff: the wait before retry `k` (0-based) is
+// base * 2^k, at most `cap`. The shift stops at 16 doublings, which is past
+// every cap in use and cannot overflow.
+constexpr SimDuration backoff_delay(SimDuration base, std::uint64_t k,
+                                    SimDuration cap) noexcept {
+  const SimDuration raw = base << (k < 16 ? k : 16);
+  return raw < cap ? raw : cap;
+}
+
 // --- sizes (bytes) ---
 inline constexpr std::uint64_t kKiB = 1024;
 inline constexpr std::uint64_t kMiB = 1024 * kKiB;

@@ -48,8 +48,7 @@ GlusterClient::GlusterClient(net::RpcSystem& rpc, net::NodeId self,
                      : static_cast<ServerHealth*>(groups_.front());
     stack_.push_back(std::move(subvols.front()));
   } else {
-    auto dht = std::make_unique<DistributeXlator>(std::move(subvols),
-                                                  params_.distribute);
+    auto dht = std::make_unique<DistributeXlator>(std::move(subvols));
     dht_ = dht.get();
     health_ = dht.get();
     stack_.push_back(std::move(dht));

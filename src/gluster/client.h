@@ -29,9 +29,8 @@ struct GlusterClientParams {
   // Deadline/retry/replay policy for the terminal translator (defaults are
   // the seed's single-attempt behaviour).
   ProtocolClientParams protocol = {};
-  // Cluster-xlator knobs, used only by the topology constructor.
+  // Replicate-xlator knobs, used only by the topology constructor.
   ReplicateParams replicate = {};
-  DistributeParams distribute = {};
 };
 
 // An N x K brick grid: `bricks` holds the server node of every brick in

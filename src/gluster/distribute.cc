@@ -13,6 +13,8 @@ namespace {
 std::uint64_t ring_point(std::string_view s) noexcept {
   return splitmix64(fnv1a64(s));
 }
+
+constexpr std::size_t kVnodes = 128;  // ring points per subvolume
 }  // namespace
 
 void DistributeXlator::attach(std::unique_ptr<Xlator> xl) {
@@ -21,7 +23,7 @@ void DistributeXlator::attach(std::unique_ptr<Xlator> xl) {
   sv.health = dynamic_cast<ServerHealth*>(xl.get());
   sv.xl = std::move(xl);
   const std::string base = "dht-" + std::to_string(sv.id) + "#";
-  for (std::size_t j = 0; j < params_.vnodes; ++j) {
+  for (std::size_t j = 0; j < kVnodes; ++j) {
     ring_[ring_point(base + std::to_string(j))] = sv.id;
   }
   subvols_.push_back(std::move(sv));
@@ -213,29 +215,6 @@ sim::Task<Expected<void>> DistributeXlator::rename(std::string from,
   }
 
   ++stats_.cross_renames;
-  if (params_.legacy_rename) {
-    // The pre-fix sequence, kept for the crash-window regression test: a
-    // crash between unlink(to) and create(to) loses the target; a crash
-    // between write(to) and unlink(from) leaves the file under both names.
-    auto attr = co_await subvols_[src].xl->stat(from);
-    if (!attr) co_return attr.error();
-    auto data = co_await subvols_[src].xl->read(from, 0, attr->size);
-    if (!data) co_return data.error();
-    (void)co_await subvols_[dst].xl->unlink(to);
-    auto created = co_await subvols_[dst].xl->create(to, attr->mode);
-    if (!created) co_return created.error();
-    if (!data->empty()) {
-      auto w = co_await subvols_[dst].xl->write(to, 0, std::move(*data));
-      if (!w) co_return w.error();
-    }
-    auto u = co_await subvols_[src].xl->unlink(from);
-    if (u) {
-      live_paths_.erase(from);
-      live_paths_.insert(to);
-    }
-    co_return u;
-  }
-
   // Crash-safe order: read source, stage + atomically commit the target,
   // and only then retire the source name.
   auto attr = co_await subvols_[src].xl->stat(from);

@@ -3,8 +3,8 @@
 // "GlusterFS in its default configuration does not stripe the data, but
 // instead distributes the namespace across all the servers" (paper §2.1).
 // Each path hashes to exactly one subvolume; all fops for that path go
-// there. Subvolumes are placed on a consistent-hash ring (`vnodes` points
-// per subvolume), so `add_brick`/`remove_brick` move only ~1/(N+1) of the
+// there. Subvolumes are placed on a consistent-hash ring (128 points per
+// subvolume), so `add_brick`/`remove_brick` move only ~1/(N+1) of the
 // namespace instead of reshuffling everything the way `hash % N` would.
 //
 // Cross-subvolume rename is the DHT's hard case: the data must move. The
@@ -13,9 +13,7 @@
 // only then unlinks the source. If that final unlink cannot be delivered,
 // the rename is still committed: the leftover source name is recorded as a
 // pending unlink, hidden from every fop, and physically reaped on the next
-// touch (replay-window idempotence at the DHT layer). `legacy_rename`
-// preserves the pre-fix sequence — unlink(to) before create(to) — so the
-// crash-window regression test can demonstrate both of its failure modes.
+// touch (replay-window idempotence at the DHT layer).
 //
 // A subvolume is any xlator: a ProtocolClient for plain N-brick distribute,
 // or a ReplicateXlator for the distribute-over-replicate N x K brick grids
@@ -32,11 +30,6 @@
 #include "gluster/xlator.h"
 
 namespace imca::gluster {
-
-struct DistributeParams {
-  std::size_t vnodes = 128;    // ring points per subvolume
-  bool legacy_rename = false;  // pre-fix non-atomic cross-brick rename
-};
 
 struct DistributeStats {
   std::uint64_t cross_renames = 0;       // renames that crossed subvolumes
@@ -57,9 +50,7 @@ class DistributeXlator final : public Xlator, public ServerHealth {
   // Takes ownership of one subvolume xlator per brick (ProtocolClient or a
   // whole replicate group).
   template <typename X>
-  explicit DistributeXlator(std::vector<std::unique_ptr<X>> subvols,
-                            DistributeParams params = {})
-      : params_(params) {
+  explicit DistributeXlator(std::vector<std::unique_ptr<X>> subvols) {
     for (auto& s : subvols) attach(std::move(s));
   }
 
@@ -131,7 +122,6 @@ class DistributeXlator final : public Xlator, public ServerHealth {
   // Reap an owed source unlink. True when the path is no longer owed.
   sim::Task<bool> sweep_pending(std::string path);
 
-  DistributeParams params_;
   std::vector<Subvol> subvols_;
   std::uint32_t next_id_ = 0;
   // vnode point -> subvol id. Ordered: ring walks must be deterministic.

@@ -1,9 +1,6 @@
 #include "gluster/protocol_client.h"
 
 #include <algorithm>
-#include <memory>
-
-#include "sim/sync.h"
 
 namespace imca::gluster {
 
@@ -45,32 +42,14 @@ void ProtocolClient::note_elapsed(SimTime start) {
 
 sim::Task<Expected<FopReply>> ProtocolClient::attempt(FopRequest req,
                                                       SimDuration timeout) {
+  ByteBuf encoded = req.encode();
   Expected<ByteBuf> wire = Errc::kTimedOut;
   if (timeout == 0) {
-    wire = co_await rpc_.call(self_, server_, net::kPortGluster, req.encode());
+    wire = co_await rpc_.call(self_, server_, net::kPortGluster,
+                              std::move(encoded));
   } else {
-    // Race the RPC against the attempt deadline (the McClient idiom). The
-    // RPC wrapper is detached: if the deadline wins, the wrapper keeps
-    // running in the background (every fault resolves in bounded sim time,
-    // so its frame always completes before the loop drains) and its late
-    // result is discarded.
-    struct Race {
-      explicit Race(sim::EventLoop& l) : done(l) {}
-      sim::Event done;
-      std::optional<Expected<ByteBuf>> result;
-    };
-    auto race = std::make_shared<Race>(loop());
-    loop().spawn([](ProtocolClient* c, ByteBuf encoded,
-                    std::shared_ptr<Race> r) -> sim::Task<void> {
-      auto resp = co_await c->rpc_.call(c->self_, c->server_,
-                                        net::kPortGluster, std::move(encoded));
-      if (!r->done.is_set()) r->result.emplace(std::move(resp));
-      r->done.set();
-    }(this, req.encode(), race));
-    sim::arm_timeout(loop(), std::shared_ptr<sim::Event>(race, &race->done),
-                     timeout);
-    co_await race->done.wait();
-    if (race->result) wire = std::move(*race->result);
+    wire = co_await rpc_.call_within(timeout, self_, server_,
+                                     net::kPortGluster, std::move(encoded));
   }
   if (!wire) co_return wire.error();
   auto reply = FopReply::decode(*wire);
@@ -149,9 +128,8 @@ sim::Task<Expected<FopReply>> ProtocolClient::roundtrip(FopRequest req) {
     // Capped exponential backoff, never past the deadline: total elapsed
     // stays within op_deadline + one backoff step, the bound the fault
     // matrix asserts.
-    const std::uint32_t shift = std::min<std::uint32_t>(attempts - 1, 20);
-    const SimDuration backoff = std::min<SimDuration>(
-        params_.backoff_base << shift, params_.backoff_cap);
+    const SimDuration backoff =
+        backoff_delay(params_.backoff_base, attempts - 1, params_.backoff_cap);
     const SimTime after = loop().now();
     if (after >= deadline) continue;  // loop head records exhaustion
     co_await loop().sleep(std::min<SimDuration>(backoff, deadline - after));

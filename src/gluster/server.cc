@@ -170,11 +170,12 @@ sim::Task<FopReply> GlusterServer::process(FopRequest req, SimTime arrival) {
     rep.errc = Errc::kBusy;
     co_return rep;
   }
-  if (params_.shed_expired && req.ttl > 0 &&
-      rpc_.fabric().loop().now() > arrival + req.ttl) {
+  if (req.ttl > 0 && rpc_.fabric().loop().now() > arrival + req.ttl) {
     // The client's deadline for this attempt passed while we queued on the
-    // CPU; it has already timed out and moved on. kBusy is safe to send for
-    // mutations: the op was NOT applied, so the retry is not a duplicate.
+    // CPU; it has already timed out and moved on, and doing the work anyway
+    // only steals time from requests that can still meet theirs. kBusy is
+    // safe to send for mutations: the op was NOT applied, so the retry is
+    // not a duplicate.
     ++stats_.sheds_expired;
     rep.errc = Errc::kBusy;
     co_return rep;

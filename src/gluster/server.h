@@ -50,10 +50,6 @@ struct GlusterServerParams {
   std::size_t admission_limit = 0;
   // Queue bound in front of the io-threads pool (see IoThreadsXlator).
   std::size_t io_queue_limit = 0;
-  // Drop requests whose client deadline budget (FopRequest::ttl) already
-  // expired while they queued — the client has given up; doing the work
-  // anyway only steals time from requests that can still meet theirs.
-  bool shed_expired = true;
   // --- server-side write-behind (off in the seed stack) ---
   bool write_behind = false;
   WriteBehindParams wb = {};

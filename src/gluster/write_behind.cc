@@ -1,7 +1,5 @@
 #include "gluster/write_behind.h"
 
-#include <cassert>
-
 namespace imca::gluster {
 
 sim::Task<Expected<void>> WriteBehindXlator::flush() {
@@ -29,7 +27,7 @@ sim::Task<Expected<void>> WriteBehindXlator::flush() {
     err = r.error();
     if (err != Errc::kBusy || attempt + 1 >= kFlushAttempts) break;
     ++flush_retries_;
-    if (loop_ != nullptr) co_await loop_->sleep(kFlushRetryBackoff);
+    co_await loop_.sleep(kFlushRetryBackoff);
   }
   ++flush_errors_;
   // Terminal failure: the error goes to the current caller only, and the
@@ -53,15 +51,14 @@ Errc WriteBehindXlator::take_stuck_error(const std::string& path) {
 
 void WriteBehindXlator::arm_deadline_flush() {
   if (params_.flush_deadline == 0 || deadline_armed_ || buf_.empty()) return;
-  assert(loop_ != nullptr && "flush_deadline needs the loop constructor");
   deadline_armed_ = true;
   const std::uint64_t run = run_id_;
   // The loop owns the spawned frame, not this xlator: it can outlive us by
   // up to flush_deadline. Take the loop pointer by value and check the
   // liveness token after every suspension before touching members.
-  loop_->spawn([](WriteBehindXlator* wb, sim::EventLoop* loop,
-                  SimDuration deadline, std::weak_ptr<const bool> alive,
-                  std::uint64_t r) -> sim::Task<void> {
+  loop_.spawn([](WriteBehindXlator* wb, sim::EventLoop* loop,
+                 SimDuration deadline, std::weak_ptr<const bool> alive,
+                 std::uint64_t r) -> sim::Task<void> {
     co_await loop->sleep(deadline);
     if (alive.expired()) co_return;  // xlator torn down while we slept
     if (wb->run_id_ != r || wb->buf_.empty()) co_return;  // already flushed
@@ -74,7 +71,7 @@ void WriteBehindXlator::arm_deadline_flush() {
       // to the path; the next op on it pays (GlusterFS fd-error semantics).
       wb->stuck_errors_[path] = ok.error();
     }
-  }(this, loop_, params_.flush_deadline,
+  }(this, &loop_, params_.flush_deadline,
     std::weak_ptr<const bool>(alive_), run));
 }
 

@@ -8,19 +8,27 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/units.h"
+#include "memcache/cache.h"
 #include "memcache/slab.h"
 
 namespace imca::core {
 
 class BlockMapper {
  public:
+  // Largest block whose item still fits memcached's ceiling: the payload
+  // plus the item header plus up to 300 B of key.
+  static constexpr std::uint64_t kMaxBlockSize =
+      memcache::kMaxItemTotal - memcache::kItemOverhead - 300;
+
   explicit BlockMapper(std::uint64_t block_size) : block_size_(block_size) {
     assert(block_size > 0);
-    assert(block_size + memcache::kItemOverhead + 300 <=
-               memcache::kMaxItemTotal &&
+    assert(block_size <= kMaxBlockSize &&
            "block + key + overhead must fit a memcached item");
   }
 
@@ -64,5 +72,26 @@ class BlockMapper {
  private:
   std::uint64_t block_size_;
 };
+
+// The paper's all-or-nothing read (§4.3.1) over a multi-get of the blocks
+// covering [offset, offset+len): slot i holds block i or nullopt. Blocks
+// are taken in order and a short block ends the file, so absent blocks
+// after it are EOF; an absent block before that (after a full one) is a
+// miss. Returns the requested bytes as views of the cached segments, or
+// nullopt on a miss. Moves the values out of `blocks`.
+inline std::optional<Buffer> assemble_cached(
+    const BlockMapper& mapper, std::uint64_t offset, std::uint64_t len,
+    std::span<std::optional<memcache::Value>> blocks) {
+  Buffer assembled;
+  for (auto& block : blocks) {
+    if (!block) return std::nullopt;
+    const std::size_t block_len = block->data.size();
+    assembled.append(std::move(block->data));  // splice, no copy
+    if (block_len < mapper.block_size()) break;  // short block = EOF
+  }
+  const std::uint64_t skip = offset - mapper.align_down(offset);
+  if (assembled.size() <= skip) return Buffer{};  // EOF
+  return assembled.slice(skip, len);
+}
 
 }  // namespace imca::core

@@ -14,7 +14,7 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 }  // namespace
 
 CmCacheXlator::Brownout CmCacheXlator::brownout_state() const {
-  if (health_ == nullptr || !health_->server_down() || !cfg_.brownout) {
+  if (health_ == nullptr || !health_->server_down()) {
     return Brownout::kOff;
   }
   const SimTime now = mcds_->loop().now();
@@ -25,7 +25,7 @@ CmCacheXlator::Brownout CmCacheXlator::brownout_state() const {
 
 sim::Task<Expected<store::Attr>> CmCacheXlator::stat(std::string path) {
   auto attr = co_await stat_base(path);
-  if (attr && wb_ && wb_->enabled()) {
+  if (attr && wb_) {
     // Absorbed-but-unflushed extents may extend the file past what the brick
     // (or the cached stat item) reports: raise the size to the dirty floor
     // so pollers observe acked growth (read-your-writes for stat).
@@ -65,7 +65,7 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read(std::string path,
                                                 std::uint64_t len) {
   if (len == 0) co_return Buffer{};
 
-  if (wb_ && wb_->enabled()) {
+  if (wb_) {
     // Read-your-writes across clients: the shared dirty index is consulted
     // before any cache block or brick byte. Engaged = some dirty extent
     // overlaps the range and the overlay is the complete answer.
@@ -109,7 +109,7 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read(std::string path,
 sim::Task<Expected<std::uint64_t>> CmCacheXlator::write(
     std::string path, std::uint64_t offset, Buffer data) {
   bump_epoch(path);  // before forwarding: no repair captured earlier may land
-  if (wb_ && wb_->enabled()) {
+  if (wb_) {
     const std::uint64_t n = data.size();
     // absorb() acks from the MCD tier (payload + index on >= wb_quorum
     // daemons) or returns false after draining the path, in which case the
@@ -125,7 +125,7 @@ sim::Task<Expected<void>> CmCacheXlator::unlink(std::string path) {
   // lifted to the shared tier): dirty extents must reach the brick before
   // the name disappears, or a flush could recreate the file. A barrier
   // timeout fails the op — never silently reordered.
-  if (wb_ && wb_->enabled()) {
+  if (wb_) {
     auto drained = co_await wb_->sync_path(path);
     if (!drained) co_return drained.error();
   }
@@ -135,7 +135,7 @@ sim::Task<Expected<void>> CmCacheXlator::unlink(std::string path) {
 sim::Task<Expected<void>> CmCacheXlator::truncate(std::string path,
                                                   std::uint64_t size) {
   bump_epoch(path);
-  if (wb_ && wb_->enabled()) {
+  if (wb_) {
     // Same barrier as unlink: a dirty extent flushing after the truncate
     // would resurrect truncated bytes.
     auto drained = co_await wb_->sync_path(path);
@@ -148,7 +148,7 @@ sim::Task<Expected<void>> CmCacheXlator::rename(std::string from,
                                                 std::string to) {
   bump_epoch(from);
   bump_epoch(to);
-  if (wb_ && wb_->enabled()) {
+  if (wb_) {
     // Extents are keyed by path: they must land under the old name before
     // it moves (and the target's before it is replaced).
     auto drained = co_await wb_->sync_path(from);
@@ -157,12 +157,12 @@ sim::Task<Expected<void>> CmCacheXlator::rename(std::string from,
     if (!drained) co_return drained.error();
   }
   auto renamed = co_await child_->rename(from, to);
-  if (renamed && wb_ && wb_->enabled()) wb_->note_rename(from, to);
+  if (renamed && wb_) wb_->note_rename(from, to);
   co_return renamed;
 }
 
 sim::Task<Expected<void>> CmCacheXlator::fsync(std::string path) {
-  if (wb_ && wb_->enabled()) {
+  if (wb_) {
     auto drained = co_await wb_->sync_path(path);
     if (!drained) co_return drained.error();
   }
@@ -172,7 +172,7 @@ sim::Task<Expected<void>> CmCacheXlator::fsync(std::string path) {
 sim::Task<Expected<void>> CmCacheXlator::close(std::string path) {
   // close-to-open consistency: the writer's dirty extents are on the brick
   // before close returns, so the next open anywhere reads them back.
-  if (wb_ && wb_->enabled()) {
+  if (wb_) {
     auto drained = co_await wb_->sync_path(path);
     if (!drained) co_return drained.error();
   }
@@ -192,41 +192,18 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_forward_on_miss(
   }
   stats_.blocks_requested += blocks.size();
 
-  auto got = co_await mcds_->multi_get(keys, hints);
-  stats_.blocks_hit += got.size();
+  auto got = co_await mcds_->multi_get(std::move(keys), hints);
+  for (const auto& v : got) stats_.blocks_hit += v.has_value();
 
-  // A block may legitimately be absent because it lies at/after EOF; those
-  // blocks only matter if an *earlier* block was full (data continues). We
-  // require: every block present up to the first short block; everything
-  // after a short block is EOF territory.
-  Buffer assembled;
-  bool complete = true;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto it = got.find(keys[i]);
-    if (it == got.end()) {
-      // Missing block: only acceptable as EOF, i.e. the previous block was
-      // short. For the first block a miss is always a real miss.
-      if (i == 0 || assembled.size() == i * mapper_.block_size()) {
-        complete = false;  // data should exist here but the cache lacks it
-      }
-      break;
-    }
-    const std::size_t block_len = it->second.data.size();
-    assembled.append(std::move(it->second.data));  // splice, no copy
-    if (block_len < mapper_.block_size()) break;  // short block = EOF
-  }
-
-  if (!complete) {
+  auto cached = assemble_cached(mapper_, offset, len, got);
+  if (!cached) {
     // At least one needed block missed: the whole read goes to the server
     // (and SMCache will repopulate the daemons on the way back).
     ++stats_.reads_forwarded;
     co_return co_await child_->read(path, offset, len);
   }
-
   ++stats_.reads_from_cache;
-  const std::uint64_t skip = offset - mapper_.align_down(offset);
-  if (assembled.size() <= skip) co_return Buffer{};  // EOF
-  co_return assembled.slice(skip, len);  // view of the cached segments
+  co_return std::move(*cached);  // views of the cached segments
 }
 
 sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
@@ -259,15 +236,13 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
   // 1. Join the per-block single-flights. Blocks another read is already
   //    resolving are awaited (step 5), not re-fetched; all other blocks are
   //    owned by this read, which must publish their results.
-  if (cfg_.coalesce_reads) {
-    for (auto& s : slots) {
-      auto [flight, leader] = inflight_.join(s.key);
-      if (leader) {
-        s.leading = std::move(flight);
-      } else {
-        s.waiting = std::move(flight);
-        ++stats_.coalesced_waiters;
-      }
+  for (auto& s : slots) {
+    auto [flight, leader] = inflight_.join(s.key);
+    if (leader) {
+      s.leading = std::move(flight);
+    } else {
+      s.waiting = std::move(flight);
+      ++stats_.coalesced_waiters;
     }
   }
 
@@ -283,7 +258,7 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
   }
   std::size_t cached_hits = 0;
   if (!get_keys.empty()) {
-    auto got = co_await mcds_->multi_get_ordered(std::move(get_keys), get_hints);
+    auto got = co_await mcds_->multi_get(std::move(get_keys), get_hints);
     for (std::size_t j = 0; j < got.size(); ++j) {
       if (!got[j]) continue;
       auto& s = slots[get_slots[j]];
@@ -377,16 +352,14 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
   //    becomes a cached false EOF marker. The repair carries the path's
   //    write epoch from before the server fetch: if the file is mutated
   //    while the repair is parked, the stale bytes are withheld.
-  if (cfg_.client_read_repair) {
-    std::vector<Repair> repairs;
-    for (const auto& s : slots) {
-      if (s.from_server && s.bytes && !s.bytes->empty()) {
-        repairs.push_back(Repair{s.key, s.block, *s.bytes});  // shared views
-      }
+  std::vector<Repair> repairs;
+  for (const auto& s : slots) {
+    if (s.from_server && s.bytes && !s.bytes->empty()) {
+      repairs.push_back(Repair{s.key, s.block, *s.bytes});  // shared views
     }
-    if (!repairs.empty()) {
-      mcds_->loop().spawn(repair_blocks(path, read_epoch, std::move(repairs)));
-    }
+  }
+  if (!repairs.empty()) {
+    mcds_->loop().spawn(repair_blocks(path, read_epoch, std::move(repairs)));
   }
 
   // 7. Collect blocks other reads were already fetching.

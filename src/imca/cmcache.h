@@ -18,12 +18,12 @@
 //      missing blocks, issued concurrently) and spliced with cached blocks;
 //   2. read-repairs — server-fetched blocks are pushed back into the MCD
 //      array fire-and-forget, so one miss warms the cache without waiting
-//      for SMCache's server-side publish (cfg.client_read_repair);
+//      for SMCache's server-side publish;
 //   3. single-flights — concurrent fetches of the same <path>:<block>
-//      collapse into one MCD fetch + one server range-read
-//      (cfg.coalesce_reads).
+//      collapse into one MCD fetch + one server range-read.
 // cfg.partial_hit_reads = false restores the paper's forward-on-any-miss
-// behaviour (the ablation baseline).
+// behaviour (the ablation baseline), whose all-or-nothing block assembly
+// is assemble_cached (block_mapper.h).
 #pragma once
 
 #include <cstdint>
@@ -171,7 +171,7 @@ class CmCacheXlator final : public gluster::Xlator {
 
   // How this op should treat the cache given the file server's health.
   enum class Brownout {
-    kOff,     // server up (or no health view / knob off): normal behaviour
+    kOff,     // server up (or no health view): normal behaviour
     kServe,   // server down, within the staleness bound: cache may answer
     kBypass,  // server down too long: skip the cache, surface the outage
   };

@@ -42,10 +42,6 @@ struct ImcaConfig {
   // authority for the file.
   bool replica_bricks = false;
 
-  // Upper bound on MCD daemons a deployment may use (sizes the consistent
-  // hash ring).
-  std::size_t max_mcds = 16;
-
   // --- miss-path handling (DESIGN.md "Miss-path handling") ---
 
   // Assemble partial hits: when some covering blocks hit and some miss,
@@ -54,16 +50,6 @@ struct ImcaConfig {
   // discards the hits and forwards the whole read — the §4.4 penalty that
   // makes a cold read cost more than plain GlusterFS.
   bool partial_hit_reads = true;
-
-  // Client-side read-repair: push server-fetched blocks back into the MCD
-  // array from the client (fire-and-forget sets), so a single miss warms the
-  // cache without waiting for SMCache's server-side publish.
-  bool client_read_repair = true;
-
-  // Single-flight coalescing: concurrent fetches of the same <path>:<block>
-  // collapse into one MCD fetch + one server range-read; late arrivals wait
-  // for the in-flight result instead of repeating the work.
-  bool coalesce_reads = true;
 
   // Reach the cache bank over native IB verbs/RDMA instead of TCP over
   // IPoIB — the paper's future work: "how network mechanisms like Remote
@@ -76,31 +62,21 @@ struct ImcaConfig {
 
   // Per-attempt MCD deadline. 0 disables the whole failover machinery (no
   // deadline race, no retries, no rejoin probes) — the seed behaviour, where
-  // only clean refusals mark a daemon dead.
+  // only clean refusals mark a daemon dead. The retry budgets live in
+  // make_mcclient_params below.
   SimDuration mcd_op_timeout = 0;
-  // Attempts per cache read before the key degrades to a miss.
-  std::size_t mcd_get_attempts = 2;
-  // Attempts per SMCache publish/purge before the writer gives up. 64 with
-  // 50%-lossy faults leaves ~2^-64 odds of an unclean give-up.
-  std::size_t mcd_mutation_attempts = 64;
-  SimDuration mcd_backoff_base = 200 * kMicro;
-  SimDuration mcd_backoff_cap = 5 * kMilli;
-  // Eject an MCD after this many consecutive unclean failures.
-  std::size_t mcd_eject_after = 3;
   // Probe ejected MCDs for rejoin (flush-first) this often.
   SimDuration mcd_retry_dead_interval = 50 * kMilli;
 
   // --- file-server brownout (DESIGN.md §5f "Server failure model") ---
 
   // While the GlusterFS server is ejected (ProtocolClient's ServerHealth
-  // view says down), serve stats and fully-cached reads from the MCD array
-  // instead of failing — but only within the staleness bound below. Takes
-  // effect only when a ServerHealth is wired (CmCacheXlator::
-  // set_server_health); without one, behaviour is unchanged.
-  bool brownout = true;
-  // How long after the server went down cached answers may still be served.
-  // Beyond this, CMCache bypasses the cache so the caller sees the outage
-  // instead of unboundedly stale data.
+  // view says down), CMCache serves stats and fully-cached reads from the
+  // MCD array instead of failing, for at most this long after the server
+  // went down; beyond it the cache steps aside so the caller sees the
+  // outage instead of unboundedly stale data. Brownout needs a ServerHealth
+  // wired (CmCacheXlator::set_server_health); without one, behaviour is
+  // unchanged.
   SimDuration brownout_max_staleness = 2000 * kMilli;
 
   // --- durable write-back into the MCD tier (DESIGN.md §5j) ---
@@ -121,20 +97,10 @@ struct ImcaConfig {
   // Per-client bound on absorbed-but-unflushed bytes; beyond it writes shed
   // to write-through (backpressure, accounted).
   std::uint64_t wb_dirty_limit = 8 * kMiB;
-  // Flusher retry schedule for brick writes and index/payload cleanup. The
-  // per-pass attempts ride out transient kBusy/crash windows; a pass that
-  // still fails re-queues the path.
-  std::size_t wb_flush_attempts = 6;
-  SimDuration wb_flush_backoff = 1 * kMilli;
   // Coalescing window: how long the background flusher lets a path's dirty
   // extents settle before its first brick pass (0 = flush immediately).
   // Barriers (fsync/close/unlink/...) drain inline and ignore it.
   SimDuration wb_flush_delay = 0;
-  // Barrier patience: how many poll rounds (with wb_flush_backoff spacing,
-  // doubling up to 16x) an fsync/close/dependent-op waits for *other*
-  // writers' dirty extents on the path to drain before giving up with
-  // kTimedOut. Bounded so a wedged peer cannot hang a barrier forever.
-  std::size_t wb_barrier_rounds = 4000;
 };
 
 // Which side of the IMCa protocol a client serves. The reader (CMCache)
@@ -154,11 +120,15 @@ inline mcclient::McClientParams make_mcclient_params(
   }
   params.op_timeout = cfg.mcd_op_timeout;
   if (cfg.mcd_op_timeout > 0) {
-    params.get_attempts = cfg.mcd_get_attempts;
-    params.mutation_attempts = cfg.mcd_mutation_attempts;
-    params.backoff_base = cfg.mcd_backoff_base;
-    params.backoff_cap = cfg.mcd_backoff_cap;
-    params.eject_after = cfg.mcd_eject_after;
+    // A cache read retries once before its key degrades to a miss. A
+    // publish/purge gets 64 attempts: with 50%-lossy faults that leaves
+    // ~2^-64 odds of an unclean give-up. Backoff (200 us doubling to 5 ms)
+    // and ejection (after 3 unclean failures) keep McClientParams'
+    // defaults.
+    constexpr std::size_t kGetAttempts = 2;
+    constexpr std::size_t kMutationAttempts = 64;
+    params.get_attempts = kGetAttempts;
+    params.mutation_attempts = kMutationAttempts;
     params.retry_dead_interval = cfg.mcd_retry_dead_interval;
     if (role == McRole::kWriter) {
       params.reliable_mutations = true;
@@ -182,7 +152,8 @@ inline std::unique_ptr<mcclient::ServerSelector> make_selector(
     case HashScheme::kModulo:
       return std::make_unique<mcclient::ModuloSelector>();
     case HashScheme::kConsistent:
-      return std::make_unique<mcclient::ConsistentSelector>(cfg.max_mcds);
+      // The ring is sized for up to 16 daemons.
+      return std::make_unique<mcclient::ConsistentSelector>(16);
   }
   return std::make_unique<mcclient::Crc32Selector>();
 }

@@ -15,6 +15,18 @@ namespace {
 // contention is tiny; the budget rides out a burst plus transient faults.
 constexpr unsigned kCasAttempts = 16;
 
+// Flusher retry schedule for brick writes: the per-pass attempts ride out
+// transient kBusy/crash windows, and a pass that still fails re-queues the
+// path. Retries, re-queues and barrier polls all wait kFlushBackoff
+// doubling up to kFlushBackoffCap.
+constexpr std::size_t kFlushAttempts = 6;
+constexpr SimDuration kFlushBackoff = 1 * kMilli;
+constexpr SimDuration kFlushBackoffCap = 16 * kFlushBackoff;
+// Barrier patience: poll rounds an fsync/close/dependent op waits for
+// *other* writers' dirty extents on the path to drain before giving up with
+// kTimedOut, so a wedged peer cannot hang a barrier forever.
+constexpr std::size_t kBarrierRounds = 4000;
+
 }  // namespace
 
 WritebackTier::WritebackTier(std::unique_ptr<mcclient::McClient> mcds,
@@ -24,10 +36,8 @@ WritebackTier::WritebackTier(std::unique_ptr<mcclient::McClient> mcds,
       cfg_(cfg),
       loop_(mcds_->loop()),
       jobs_(loop_) {
-  if (cfg_.writeback) {
-    worker_ = worker_loop();
-    loop_.start(worker_);
-  }
+  worker_ = worker_loop();
+  loop_.start(worker_);
 }
 
 // ~worker_ (member destruction) cancels the flusher at its suspension point
@@ -228,7 +238,7 @@ sim::Task<std::optional<Buffer>> WritebackTier::fetch_payload(std::string path,
 
 sim::Task<bool> WritebackTier::absorb(std::string path, std::uint64_t offset,
                                       Buffer data) {
-  if (!cfg_.writeback || child_ == nullptr || data.empty()) co_return false;
+  if (child_ == nullptr || data.empty()) co_return false;
   const Fanout f = fanout(path);
   if (f.k < cfg_.wb_quorum) {
     // Deployment smaller than the ack rule: permanent write-through.
@@ -413,14 +423,11 @@ sim::Task<bool> WritebackTier::flush_path_locked(std::string path) {
     // and the replay window applies it exactly once across retries.
     Errc err = Errc::kOk;
     bool written = false;
-    const std::size_t attempts = std::max<std::size_t>(1, cfg_.wb_flush_attempts);
-    for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
+    for (std::size_t attempt = 0; attempt < kFlushAttempts; ++attempt) {
       if (attempt > 0) {
         ++stats_.flush_retries;
-        const SimDuration backoff = std::min<SimDuration>(
-            cfg_.wb_flush_backoff << std::min<std::size_t>(attempt - 1, 4),
-            cfg_.wb_flush_backoff * 16);
-        co_await loop_.sleep(backoff);
+        co_await loop_.sleep(
+            backoff_delay(kFlushBackoff, attempt - 1, kFlushBackoffCap));
       }
       auto wrote = co_await (*child_)->write(path, ext.offset, *payload);
       if (wrote) {
@@ -471,9 +478,8 @@ sim::Task<void> WritebackTier::worker_loop() {
     // doubling backoff so a long outage doesn't hot-loop the worker.
     ++stats_.flush_requeues;
     std::size_t& streak = requeue_streak_[path];
-    const SimDuration backoff = std::min<SimDuration>(
-        cfg_.wb_flush_backoff << std::min<std::size_t>(streak, 4),
-        cfg_.wb_flush_backoff * 16);
+    const SimDuration backoff =
+        backoff_delay(kFlushBackoff, streak, kFlushBackoffCap);
     ++streak;
     co_await loop_.sleep(backoff);
     jobs_.send(std::move(path));
@@ -490,11 +496,8 @@ void WritebackTier::note_rename(const std::string& from,
 }
 
 sim::Task<Expected<void>> WritebackTier::sync_path(std::string path) {
-  if (!cfg_.writeback) co_return Expected<void>{};
   const Fanout f = fanout(path);
-  SimDuration backoff = cfg_.wb_flush_backoff;
-  const std::size_t rounds = std::max<std::size_t>(1, cfg_.wb_barrier_rounds);
-  for (std::size_t round = 0; round < rounds; ++round) {
+  for (std::size_t round = 0; round < kBarrierRounds; ++round) {
     sim::SimMutex& mu = path_lock(path);
     co_await mu.lock();
     // sync_path() is awaited by the barrier caller, which owns the tier —
@@ -522,15 +525,13 @@ sim::Task<Expected<void>> WritebackTier::sync_path(std::string path) {
       }
       if (!waiting) co_return Expected<void>{};
     }
-    co_await loop_.sleep(backoff);
-    backoff = std::min<SimDuration>(backoff * 2, cfg_.wb_flush_backoff * 16);
+    co_await loop_.sleep(backoff_delay(kFlushBackoff, round, kFlushBackoffCap));
   }
   ++stats_.barrier_timeouts;
   co_return Errc::kTimedOut;
 }
 
 sim::Task<Expected<void>> WritebackTier::sync_all() {
-  if (!cfg_.writeback) co_return Expected<void>{};
   std::vector<std::string> paths;
   paths.reserve(pending_.size());
   for (const auto& [path, dq] : pending_) {
@@ -547,7 +548,7 @@ sim::Task<Expected<void>> WritebackTier::sync_all() {
 
 sim::Task<std::optional<Expected<Buffer>>> WritebackTier::overlay_read(
     std::string path, std::uint64_t offset, std::uint64_t len) {
-  if (!cfg_.writeback || len == 0 || child_ == nullptr) co_return std::nullopt;
+  if (len == 0 || child_ == nullptr) co_return std::nullopt;
   const Fanout f = fanout(path);
   auto merged = co_await read_index(path, f);
   const std::uint64_t end = offset + len;
@@ -619,7 +620,6 @@ sim::Task<std::optional<Expected<Buffer>>> WritebackTier::overlay_read(
 
 sim::Task<std::optional<std::uint64_t>> WritebackTier::dirty_size_floor(
     std::string path) {
-  if (!cfg_.writeback) co_return std::nullopt;
   const Fanout f = fanout(path);
   auto merged = co_await read_index(path, f);
   std::uint64_t floor = 0;

@@ -94,7 +94,8 @@ struct WritebackStats {
 
 class WritebackTier {
  public:
-  // `mcds` must be a writer-role client (reliable mutations + delete
+  // Built only when cfg.writeback is set: the tier's existence is the
+  // switch. `mcds` must be a writer-role client (reliable mutations + delete
   // bypass); `writer_id` must be unique per client in the deployment.
   WritebackTier(std::unique_ptr<mcclient::McClient> mcds,
                 std::uint64_t writer_id, ImcaConfig cfg);
@@ -109,8 +110,6 @@ class WritebackTier {
     child_ = child_slot;
   }
 
-  bool enabled() const noexcept { return cfg_.writeback; }
-
   // Try to absorb the write as a dirty extent. true = acked from the cache
   // tier (data is on >= wb_quorum daemons and queued for flush). false =
   // the caller must write through; the path was already drained here so the
@@ -118,8 +117,8 @@ class WritebackTier {
   sim::Task<bool> absorb(std::string path, std::uint64_t offset, Buffer data);
 
   // Barrier: drain every dirty extent on `path` — flush our own, wait for
-  // foreign owners — before a dependent op proceeds. kTimedOut after
-  // wb_barrier_rounds polls (a wedged peer cannot hang the barrier forever).
+  // foreign owners — before a dependent op proceeds. kTimedOut after a
+  // bounded number of polls (a wedged peer cannot hang the barrier forever).
   sim::Task<Expected<void>> sync_path(std::string path);
   // Barrier over every path this client has pending extents on.
   sim::Task<Expected<void>> sync_all();

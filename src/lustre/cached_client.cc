@@ -115,26 +115,10 @@ sim::Task<Expected<Buffer>> CachedLustreClient::read(fsapi::OpenFile file,
     keys.push_back(data_key(*path, mapper_.start_of(b)));
     hints.push_back(b);
   }
-  auto got = co_await bank_->multi_get(keys, hints);
-
-  Buffer assembled;
-  bool complete = true;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto it = got.find(keys[i]);
-    if (it == got.end()) {
-      if (assembled.size() == i * mapper_.block_size()) complete = false;
-      break;
-    }
-    const std::size_t block_len = it->second.data.size();
-    assembled.append(std::move(it->second.data));  // splice, no copy
-    if (block_len < mapper_.block_size()) break;  // EOF block
-  }
-
-  if (complete) {
+  auto got = co_await bank_->multi_get(std::move(keys), hints);
+  if (auto cached = core::assemble_cached(mapper_, offset, len, got)) {
     ++stats_.reads_from_bank;
-    const std::uint64_t skip = offset - mapper_.align_down(offset);
-    if (assembled.size() <= skip) co_return Buffer{};
-    co_return assembled.slice(skip, len);
+    co_return std::move(*cached);
   }
 
   // Miss: fetch the aligned covering region through Lustre and publish it

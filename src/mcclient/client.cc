@@ -8,7 +8,6 @@
 
 namespace imca::mcclient {
 
-using memcache::GetResult;
 using memcache::StoreReply;
 using memcache::StoreVerb;
 using memcache::Value;
@@ -25,6 +24,14 @@ Expected<void> store_outcome(Expected<StoreReply> parsed) {
     case StoreReply::kClientError: return Errc::kKeyTooLong;
   }
   return Errc::kProto;
+}
+
+// The routed verbs' view of a failed call: a dead daemon (clean refusal or
+// reset) holds nothing, so the op reads as kNoEnt; anything else surfaces.
+Expected<void> dead_as_no_ent(Expected<void> r) {
+  if (!r && (r.error() == Errc::kConnRefused || r.error() == Errc::kConnReset))
+    return Errc::kNoEnt;
+  return r;
 }
 
 }  // namespace
@@ -49,12 +56,6 @@ bool McClient::reply_intact(const ByteBuf& resp, ReplyShape shape) {
   return resp.ends_with(shape == ReplyShape::kTerminated ? "END\r\n" : "\r\n");
 }
 
-SimDuration McClient::backoff_delay(std::size_t retry_index) const {
-  const SimDuration raw =
-      params_.backoff_base << std::min<std::size_t>(retry_index, 16);
-  return std::min(raw, params_.backoff_cap);
-}
-
 void McClient::mark_dead(std::size_t server) {
   dead_[server] = true;
   unclean_streak_[server] = 0;
@@ -71,31 +72,9 @@ sim::Task<Expected<ByteBuf>> McClient::call_once(std::size_t server,
     co_return co_await rpc_.call(self_, servers_[server], net::kPortMemcached,
                                  std::move(request), t);
   }
-
-  // Race the RPC against the deadline. The RPC wrapper is detached: if the
-  // deadline wins, the wrapper keeps running in the background (every fault
-  // resolves in bounded sim time, so its frame always completes before the
-  // loop drains) and its late result is discarded.
-  struct Race {
-    explicit Race(sim::EventLoop& l) : done(l) {}
-    sim::Event done;
-    std::optional<Expected<ByteBuf>> result;
-  };
-  auto race = std::make_shared<Race>(loop());
-  loop().spawn([](McClient* c, std::size_t srv, ByteBuf req,
-                  const net::TransportParams* tp,
-                  std::shared_ptr<Race> r) -> sim::Task<void> {
-    auto resp = co_await c->rpc_.call(c->self_, c->servers_[srv],
-                                      net::kPortMemcached, std::move(req), tp);
-    if (!r->done.is_set()) r->result.emplace(std::move(resp));
-    r->done.set();
-  }(this, server, std::move(request), t, race));
-  sim::arm_timeout(loop(), std::shared_ptr<sim::Event>(race, &race->done),
-                   params_.op_timeout);
-
-  co_await race->done.wait();
-  if (race->result) co_return std::move(*race->result);
-  co_return Errc::kTimedOut;
+  co_return co_await rpc_.call_within(params_.op_timeout, self_,
+                                      servers_[server], net::kPortMemcached,
+                                      std::move(request), t);
 }
 
 sim::Task<bool> McClient::try_rejoin(std::size_t server) {
@@ -153,7 +132,8 @@ sim::Task<Expected<ByteBuf>> McClient::call(std::size_t server,
   for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       ++stats_.retries;
-      co_await loop().sleep(backoff_delay(attempt - 1));
+      co_await loop().sleep(
+          backoff_delay(params_.backoff_base, attempt - 1, params_.backoff_cap));
     }
     ByteBuf wire = request;  // the RPC consumes its argument; retries re-copy
     // call() is awaited end-to-end by the front-end, which owns the
@@ -266,40 +246,7 @@ McClient::KeyGroups McClient::group_by_server(
   return g;
 }
 
-sim::Task<GetResult> McClient::multi_get(std::vector<std::string> keys,
-                                         std::span<const std::uint64_t> hints) {
-  assert(hints.empty() || hints.size() == keys.size());
-  const std::size_t n = keys.size();
-  auto groups = group_by_server(std::move(keys), hints);
-  stats_.gets += n;
-  co_await rpc_.fabric().node(self_).cpu().use(n * params_.per_key_cpu);
-
-  // One batched get per daemon, issued concurrently (libmemcache writes all
-  // requests before draining any response). Each batch runs through the full
-  // failover path, so a daemon dying mid-batch costs at most the per-op
-  // deadline schedule instead of stalling the whole read.
-  GetResult merged;
-  std::vector<sim::Task<void>> calls;
-  for (std::size_t s = 0; s < groups.keys.size(); ++s) {
-    if (groups.keys[s].empty()) continue;
-    calls.push_back([](McClient& c, std::size_t srv,
-                       std::vector<std::string> keys_for_server,
-                       GetResult& out) -> sim::Task<void> {
-      auto resp = co_await c.call(srv, memcache::encode_get(keys_for_server),
-                                  OpKind::kGet, ReplyShape::kTerminated);
-      if (!resp) co_return;  // whole group misses
-      auto parsed = memcache::parse_get_response(*resp);
-      if (!parsed) co_return;
-      out.merge(*parsed);
-    }(*this, s, std::move(groups.keys[s]), merged));
-  }
-  co_await sim::when_all(rpc_.fabric().loop(), std::move(calls));
-  stats_.hits += merged.size();
-  stats_.misses += n - merged.size();
-  co_return merged;
-}
-
-sim::Task<std::vector<std::optional<Value>>> McClient::multi_get_ordered(
+sim::Task<std::vector<std::optional<Value>>> McClient::multi_get(
     std::vector<std::string> keys, std::span<const std::uint64_t> hints) {
   assert(hints.empty() || hints.size() == keys.size());
   const std::size_t n = keys.size();
@@ -342,23 +289,16 @@ sim::Task<std::vector<std::optional<Value>>> McClient::multi_get_ordered(
   co_return out;
 }
 
-sim::Task<Expected<void>> McClient::store(StoreVerb verb, std::string key,
-                                          Buffer data,
-                                          std::optional<std::uint64_t> hint,
-                                          std::uint32_t flags,
-                                          std::uint32_t exptime_s) {
+sim::Task<Expected<void>> McClient::store_at(StoreVerb verb,
+                                             std::size_t server,
+                                             std::string key, Buffer data,
+                                             std::uint32_t flags,
+                                             std::uint32_t exptime_s) {
   ++stats_.sets;
-  const std::size_t server = route(key, hint);
-  auto resp =
-      co_await call(server,
-                    memcache::encode_store(verb, key, flags, exptime_s, data),
-                    OpKind::kMutation, ReplyShape::kLine);
-  if (!resp) {
-    // Dead daemon: the value is merely uncached.
-    if (resp.error() == Errc::kConnRefused || resp.error() == Errc::kConnReset)
-      co_return Errc::kNoEnt;
-    co_return resp.error();
-  }
+  ByteBuf request = memcache::encode_store(verb, key, flags, exptime_s, data);
+  auto resp = co_await call(server, std::move(request), OpKind::kMutation,
+                            ReplyShape::kLine);
+  if (!resp) co_return resp.error();
   co_return store_outcome(memcache::parse_store_response(*resp));
 }
 
@@ -366,89 +306,33 @@ sim::Task<Expected<void>> McClient::set(std::string key, Buffer data,
                                         std::optional<std::uint64_t> hint,
                                         std::uint32_t flags,
                                         std::uint32_t exptime_s) {
-  co_return co_await store(StoreVerb::kSet, std::move(key), std::move(data),
-                           hint, flags, exptime_s);
+  const std::size_t server = route(key, hint);
+  auto r = co_await store_at(StoreVerb::kSet, server, std::move(key),
+                             std::move(data), flags, exptime_s);
+  co_return dead_as_no_ent(std::move(r));
 }
 
 sim::Task<Expected<void>> McClient::add(std::string key, Buffer data,
                                         std::optional<std::uint64_t> hint,
                                         std::uint32_t flags,
                                         std::uint32_t exptime_s) {
-  co_return co_await store(StoreVerb::kAdd, std::move(key), std::move(data),
-                           hint, flags, exptime_s);
-}
-
-sim::Task<Expected<Value>> McClient::gets(std::string key,
-                                          std::optional<std::uint64_t> hint) {
-  ++stats_.gets;
-  co_await rpc_.fabric().node(self_).cpu().use(params_.per_key_cpu);
   const std::size_t server = route(key, hint);
-  auto v = co_await fetch_one(server, std::move(key), /*with_cas=*/true);
-  if (!v) co_return Errc::kNoEnt;
-  co_return v;
-}
-
-sim::Task<Expected<void>> McClient::cas(std::string key, Buffer data,
-                                        std::uint64_t cas_id,
-                                        std::optional<std::uint64_t> hint) {
-  ++stats_.sets;
-  const std::size_t server = route(key, hint);
-  auto resp = co_await call(server, memcache::encode_cas(key, 0, 0, data, cas_id),
-                            OpKind::kMutation, ReplyShape::kLine);
-  if (!resp) co_return Errc::kNoEnt;
-  auto parsed = memcache::parse_cas_response(*resp);
-  if (!parsed) co_return parsed.error();
-  switch (*parsed) {
-    case memcache::CasReply::kStored:
-      co_return Expected<void>{};
-    case memcache::CasReply::kExists:
-      co_return Errc::kBusy;
-    case memcache::CasReply::kNotFound:
-      co_return Errc::kNoEnt;
-  }
-  co_return Errc::kProto;
-}
-
-sim::Task<Expected<std::uint64_t>> McClient::incr(
-    std::string key, std::uint64_t delta, std::optional<std::uint64_t> hint) {
-  const std::size_t server = route(key, hint);
-  auto resp = co_await call(server, memcache::encode_incr(key, delta),
-                            OpKind::kMutation, ReplyShape::kLine);
-  if (!resp) co_return Errc::kNoEnt;
-  co_return memcache::parse_arith_response(*resp);
-}
-
-sim::Task<Expected<std::uint64_t>> McClient::decr(
-    std::string key, std::uint64_t delta, std::optional<std::uint64_t> hint) {
-  const std::size_t server = route(key, hint);
-  auto resp = co_await call(server, memcache::encode_decr(key, delta),
-                            OpKind::kMutation, ReplyShape::kLine);
-  if (!resp) co_return Errc::kNoEnt;
-  co_return memcache::parse_arith_response(*resp);
+  auto r = co_await store_at(StoreVerb::kAdd, server, std::move(key),
+                             std::move(data), flags, exptime_s);
+  co_return dead_as_no_ent(std::move(r));
 }
 
 sim::Task<Expected<void>> McClient::del(std::string key,
                                         std::optional<std::uint64_t> hint) {
-  ++stats_.deletes;
   const std::size_t server = route(key, hint);
-  auto resp = co_await call(server, memcache::encode_delete(key),
-                            OpKind::kDelete, ReplyShape::kLine);
-  if (!resp) {
-    if (resp.error() == Errc::kConnRefused || resp.error() == Errc::kConnReset)
-      co_return Errc::kNoEnt;  // dead daemon: nothing cached to purge
-    co_return resp.error();
-  }
-  auto parsed = memcache::parse_delete_response(*resp);
-  if (!parsed) co_return parsed.error();
-  co_return Expected<void>{};  // DELETED and NOT_FOUND both fine for purges
+  auto r = co_await del_at(server, std::move(key));
+  co_return dead_as_no_ent(std::move(r));
 }
 
 sim::Task<Expected<memcache::Value>> McClient::get_at(std::size_t server,
                                                       std::string key) {
   ++stats_.gets;
   co_await rpc_.fabric().node(self_).cpu().use(params_.per_key_cpu);
-  // A failed call keeps its error: the caller tells a miss from a down
-  // daemon.
   co_return co_await fetch_one(server, std::move(key), /*with_cas=*/false);
 }
 
@@ -459,33 +343,13 @@ sim::Task<Expected<memcache::Value>> McClient::gets_at(std::size_t server,
   co_return co_await fetch_one(server, std::move(key), /*with_cas=*/true);
 }
 
-sim::Task<Expected<void>> McClient::set_at(std::size_t server, std::string key,
-                                           Buffer data, std::uint32_t flags) {
-  ++stats_.sets;
-  auto resp = co_await call(
-      server, memcache::encode_store(StoreVerb::kSet, key, flags, 0, data),
-      OpKind::kMutation, ReplyShape::kLine);
-  if (!resp) co_return resp.error();
-  co_return store_outcome(memcache::parse_store_response(*resp));
-}
-
-sim::Task<Expected<void>> McClient::add_at(std::size_t server, std::string key,
-                                           Buffer data, std::uint32_t flags) {
-  ++stats_.sets;
-  auto resp = co_await call(
-      server, memcache::encode_store(StoreVerb::kAdd, key, flags, 0, data),
-      OpKind::kMutation, ReplyShape::kLine);
-  if (!resp) co_return resp.error();
-  co_return store_outcome(memcache::parse_store_response(*resp));
-}
-
 sim::Task<Expected<void>> McClient::cas_at(std::size_t server, std::string key,
                                            Buffer data, std::uint64_t cas_id,
                                            std::uint32_t flags) {
   ++stats_.sets;
-  auto resp =
-      co_await call(server, memcache::encode_cas(key, flags, 0, data, cas_id),
-                    OpKind::kMutation, ReplyShape::kLine);
+  ByteBuf request = memcache::encode_cas(key, flags, 0, data, cas_id);
+  auto resp = co_await call(server, std::move(request), OpKind::kMutation,
+                            ReplyShape::kLine);
   if (!resp) co_return resp.error();
   auto parsed = memcache::parse_cas_response(*resp);
   if (!parsed) co_return parsed.error();
@@ -503,34 +367,13 @@ sim::Task<Expected<void>> McClient::cas_at(std::size_t server, std::string key,
 sim::Task<Expected<void>> McClient::del_at(std::size_t server,
                                            std::string key) {
   ++stats_.deletes;
-  auto resp = co_await call(server, memcache::encode_delete(key),
-                            OpKind::kDelete, ReplyShape::kLine);
+  ByteBuf request = memcache::encode_delete(key);
+  auto resp = co_await call(server, std::move(request), OpKind::kDelete,
+                            ReplyShape::kLine);
   if (!resp) co_return resp.error();
   auto parsed = memcache::parse_delete_response(*resp);
   if (!parsed) co_return parsed.error();
-  co_return Expected<void>{};  // DELETED and NOT_FOUND both fine
-}
-
-sim::Task<Expected<std::map<std::string, std::string>>>
-McClient::server_stats(std::size_t server_index) {
-  auto resp = co_await call(server_index, memcache::encode_stats(),
-                            OpKind::kGet, ReplyShape::kTerminated);
-  if (!resp) co_return resp.error();
-  co_return memcache::parse_stats_response(*resp);
-}
-
-sim::Task<void> McClient::flush_all() {
-  // One flush per daemon, issued concurrently: the wall-clock cost is one
-  // round trip to the slowest daemon, not a serial sweep of the whole bank.
-  std::vector<sim::Task<void>> calls;
-  calls.reserve(servers_.size());
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    calls.push_back([](McClient& c, std::size_t srv) -> sim::Task<void> {
-      (void)co_await c.call(srv, memcache::encode_flush_all(), OpKind::kFlush,
-                            ReplyShape::kLine);
-    }(*this, s));
-  }
-  co_await sim::when_all(rpc_.fabric().loop(), std::move(calls));
+  co_return Expected<void>{};  // DELETED and NOT_FOUND both fine for purges
 }
 
 }  // namespace imca::mcclient

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -121,18 +120,12 @@ class McClient {
       std::string key, std::optional<std::uint64_t> hint = std::nullopt);
 
   // Fetch several keys, grouped into one multi-get per daemon (libmemcache
-  // batches this way). Keys absent from the result missed.
-  sim::Task<memcache::GetResult> multi_get(
-      std::vector<std::string> keys,
-      std::span<const std::uint64_t> hints = {});
-
-  // Like multi_get, but the result is aligned with the input: slot i holds
-  // keys[i]'s value, or nullopt on a miss. Callers that need to know which
-  // keys missed (CMCache's partial-hit read path) get that for free: each
-  // reply is parsed straight into its daemon's slots, with no per-key map
-  // and the values moved, not copied. A key listed twice is sent twice and
-  // each copy takes one of the daemon's answers in turn.
-  sim::Task<std::vector<std::optional<memcache::Value>>> multi_get_ordered(
+  // batches this way). The result is aligned with the input: slot i holds
+  // keys[i]'s value, or nullopt on a miss. Each reply is parsed straight
+  // into its daemon's slots, with no per-key map and the values moved, not
+  // copied. A key listed twice is sent twice and each copy takes one of the
+  // daemon's answers in turn.
+  sim::Task<std::vector<std::optional<memcache::Value>>> multi_get(
       std::vector<std::string> keys,
       std::span<const std::uint64_t> hints = {});
 
@@ -152,25 +145,8 @@ class McClient {
                                 std::uint32_t flags = 0,
                                 std::uint32_t exptime_s = 0);
 
-  // Fetch with the item's cas id (the protocol's gets).
-  sim::Task<Expected<memcache::Value>> gets(
-      std::string key, std::optional<std::uint64_t> hint = std::nullopt);
-
-  // Compare-and-swap against a cas id from gets(). kBusy if another writer
-  // got there first, kNoEnt if the item vanished.
-  sim::Task<Expected<void>> cas(std::string key, Buffer data,
-                                std::uint64_t cas_id,
-                                std::optional<std::uint64_t> hint = std::nullopt);
-
-  // Atomic counters (memcached incr/decr); returns the new value.
-  sim::Task<Expected<std::uint64_t>> incr(
-      std::string key, std::uint64_t delta,
-      std::optional<std::uint64_t> hint = std::nullopt);
-  sim::Task<Expected<std::uint64_t>> decr(
-      std::string key, std::uint64_t delta,
-      std::optional<std::uint64_t> hint = std::nullopt);
-
-  // Remove a key (used by SMCache purge hooks). Missing keys are fine.
+  // Remove a key (used by SMCache purge hooks). Missing keys are fine; a
+  // dead daemon reads as kNoEnt (nothing cached there to purge).
   sim::Task<Expected<void>> del(std::string key,
                                 std::optional<std::uint64_t> hint = std::nullopt);
 
@@ -179,7 +155,10 @@ class McClient {
   // The write-back tier stores the same key on K *distinct* daemons, which
   // key hashing cannot guarantee; these variants address a daemon by index
   // (replica r of a key lives at (primary_of(key) + r) % server_count())
-  // and otherwise run the full failover path of their routed twins.
+  // and run the same failover path as the routed verbs. A failed call keeps
+  // its error, so the caller can tell a miss from a down daemon. The
+  // optimistic index update is gets_at, modify, cas_at: kBusy if another
+  // writer got there first, kNoEnt if the item vanished.
   std::size_t primary_of(std::string_view key) const {
     return route(key, std::nullopt);
   }
@@ -188,21 +167,19 @@ class McClient {
   sim::Task<Expected<memcache::Value>> gets_at(std::size_t server,
                                                std::string key);
   sim::Task<Expected<void>> set_at(std::size_t server, std::string key,
-                                   Buffer data, std::uint32_t flags = 0);
+                                   Buffer data, std::uint32_t flags = 0) {
+    return store_at(memcache::StoreVerb::kSet, server, std::move(key),
+                    std::move(data), flags, 0);
+  }
   sim::Task<Expected<void>> add_at(std::size_t server, std::string key,
-                                   Buffer data, std::uint32_t flags = 0);
+                                   Buffer data, std::uint32_t flags = 0) {
+    return store_at(memcache::StoreVerb::kAdd, server, std::move(key),
+                    std::move(data), flags, 0);
+  }
   sim::Task<Expected<void>> cas_at(std::size_t server, std::string key,
                                    Buffer data, std::uint64_t cas_id,
                                    std::uint32_t flags = 0);
   sim::Task<Expected<void>> del_at(std::size_t server, std::string key);
-
-  // Per-daemon "stats" (the paper reads MCD miss/eviction counters).
-  sim::Task<Expected<std::map<std::string, std::string>>> server_stats(
-      std::size_t server_index);
-
-  // Drop every item on every live daemon (one concurrent RPC per daemon).
-  // Dead daemons are skipped, so a crashed MCD can't stall the sweep.
-  sim::Task<void> flush_all();
 
   // The event loop this client's fabric runs on; translators built over the
   // client use it to spawn fire-and-forget work (read-repair sets) and to
@@ -220,13 +197,12 @@ class McClient {
     kGet,       // degrade to a miss; ejection applies
     kMutation,  // retried-until-clean in writer mode
     kDelete,    // like kMutation, plus the ejection bypass
-    kFlush,     // best-effort sweep; never retried
   };
   // Wire framing of an intact reply, so torn (short-read) replies can be
   // classified as retryable before the protocol parser sees them.
   enum class ReplyShape : std::uint8_t {
-    kTerminated,  // ends with "END\r\n" (get / gets / stats)
-    kLine,        // ends with "\r\n"    (store / delete / arith / flush)
+    kTerminated,  // ends with "END\r\n" (get / gets)
+    kLine,        // ends with "\r\n"    (store / cas / delete / flush)
   };
 
   std::size_t route(std::string_view key,
@@ -259,13 +235,14 @@ class McClient {
   sim::Task<Expected<ByteBuf>> call_once(std::size_t server, ByteBuf request);
   // Purge-then-mark-alive. Every dead->alive transition funnels through here.
   sim::Task<bool> try_rejoin(std::size_t server);
-  sim::Task<Expected<void>> store(memcache::StoreVerb verb, std::string key,
-                                  Buffer data,
-                                  std::optional<std::uint64_t> hint,
-                                  std::uint32_t flags, std::uint32_t exptime_s);
+  // The store core of set/add and their pinned twins: the daemon's reply,
+  // or the failed call's error unchanged.
+  sim::Task<Expected<void>> store_at(memcache::StoreVerb verb,
+                                     std::size_t server, std::string key,
+                                     Buffer data, std::uint32_t flags,
+                                     std::uint32_t exptime_s);
 
   void mark_dead(std::size_t server);
-  SimDuration backoff_delay(std::size_t retry_index) const;
   static bool reply_intact(const ByteBuf& resp, ReplyShape shape);
 
   net::RpcSystem& rpc_;

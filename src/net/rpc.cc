@@ -1,5 +1,10 @@
 #include "net/rpc.h"
 
+#include <memory>
+#include <optional>
+
+#include "sim/sync.h"
+
 namespace imca::net {
 
 void RpcSystem::listen(NodeId node, Port port, Handler handler) {
@@ -76,6 +81,32 @@ sim::Task<Expected<ByteBuf>> RpcSystem::call(NodeId src, NodeId dst, Port port,
 
   co_await fabric_.transfer_via(t, dst, src, response.size());
   co_return response;
+}
+
+sim::Task<Expected<ByteBuf>> RpcSystem::call_within(
+    SimDuration timeout, NodeId src, NodeId dst, Port port, ByteBuf request,
+    const TransportParams* transport) {
+  struct Race {
+    explicit Race(sim::EventLoop& l) : done(l) {}
+    sim::Event done;
+    std::optional<Expected<ByteBuf>> result;
+  };
+  sim::EventLoop& loop = fabric_.loop();
+  auto race = std::make_shared<Race>(loop);
+  // Spawn the call first, then arm the deadline: ties between the two at
+  // one timestamp resolve in the order they were queued here.
+  loop.spawn([](RpcSystem* rpc, NodeId s, NodeId d, Port p, ByteBuf req,
+                const TransportParams* t,
+                std::shared_ptr<Race> r) -> sim::Task<void> {
+    auto resp = co_await rpc->call(s, d, p, std::move(req), t);
+    if (!r->done.is_set()) r->result.emplace(std::move(resp));
+    r->done.set();
+  }(this, src, dst, port, std::move(request), transport, race));
+  sim::arm_timeout(loop, std::shared_ptr<sim::Event>(race, &race->done),
+                   timeout);
+  co_await race->done.wait();
+  if (race->result) co_return std::move(*race->result);
+  co_return Errc::kTimedOut;
 }
 
 }  // namespace imca::net

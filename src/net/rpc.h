@@ -64,6 +64,14 @@ class RpcSystem {
                                     ByteBuf request,
                                     const TransportParams* transport = nullptr);
 
+  // call() raced against a deadline: kTimedOut once `timeout` (> 0) passes
+  // first. The call runs detached and a late result is dropped; every fault
+  // resolves in bounded sim time, so its frame completes before the loop
+  // drains.
+  sim::Task<Expected<ByteBuf>> call_within(
+      SimDuration timeout, NodeId src, NodeId dst, Port port, ByteBuf request,
+      const TransportParams* transport = nullptr);
+
   Fabric& fabric() noexcept { return fabric_; }
 
   std::uint64_t calls_made() const noexcept { return calls_; }

@@ -259,7 +259,7 @@ Task<void> when_all(EventLoop& loop, std::vector<Task<void>> tasks);
 
 // Set `event` after `delay`, from a detached process. The shared_ptr keeps
 // the event alive even if every waiter has long since raced past it — the
-// building block for deadline-vs-completion races (McClient per-op timeouts).
+// building block for deadline-vs-completion races (RpcSystem::call_within).
 void arm_timeout(EventLoop& loop, std::shared_ptr<Event> event,
                  SimDuration delay);
 

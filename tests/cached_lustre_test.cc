@@ -168,6 +168,32 @@ TEST(CachedLustre, UnlinkPurgesBank) {
   }(rig));
 }
 
+TEST(CachedLustre, ShortTailBlockEndsFileInBank) {
+  Rig rig(1);
+  rig.run([](Rig& r) -> Task<void> {
+    auto& fs = *r.cached[0];
+    auto f = co_await fs.create("/c/tail");
+    // Two full 2 KiB blocks and a 5-byte tail; the write publishes all three.
+    std::vector<std::byte> pattern(4 * kKiB + 5);
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      pattern[i] = static_cast<std::byte>((i * 7 + 1) & 0xFF);
+    }
+    const Buffer payload = Buffer::take(std::move(pattern));
+    EXPECT_TRUE((co_await fs.write(*f, 0, payload)).has_value());
+
+    // Covering blocks 0..7: the short block 2 ends the file, so the absent
+    // blocks after it are EOF, not misses.
+    auto whole = co_await fs.read(*f, 0, 16 * kKiB);
+    EXPECT_TRUE(whole.has_value());
+    if (whole) { EXPECT_EQ(*whole, payload); }
+    auto tail = co_await fs.read(*f, 4 * kKiB + 2, 1000);
+    EXPECT_TRUE(tail.has_value());
+    if (tail) { EXPECT_EQ(*tail, payload.slice(4 * kKiB + 2)); }
+  }(rig));
+  EXPECT_EQ(rig.cached[0]->stats().reads_from_bank, 2u);
+  EXPECT_EQ(rig.cached[0]->stats().reads_from_lustre, 0u);
+}
+
 TEST(CachedLustre, BankFailureFallsBackToLustre) {
   Rig rig(1, /*n_mcds=*/2);
   rig.run([](Rig& r) -> Task<void> {

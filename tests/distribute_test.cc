@@ -70,13 +70,13 @@ class DistributeTest : public ::testing::Test {
     }
   }
 
-  void build(gluster::DistributeParams dp = {}) {
+  void build() {
     std::vector<std::unique_ptr<gluster::ProtocolClient>> subvols;
     for (std::size_t i = 0; i < kBricks; ++i) {
       subvols.push_back(std::make_unique<gluster::ProtocolClient>(
           rpc_, kClientNode, i));
     }
-    dht_ = std::make_unique<gluster::DistributeXlator>(std::move(subvols), dp);
+    dht_ = std::make_unique<gluster::DistributeXlator>(std::move(subvols));
   }
 
   std::unique_ptr<gluster::ProtocolClient> spare_conn() {
@@ -173,50 +173,13 @@ TEST_F(DistributeTest, RemoveBrickMigratesExactlyItsFiles) {
   }(*this, &owners));
 }
 
-// The crash-window regression pair. Both runs kill the destination brick at
-// its first rename-driven mutation and both renames fail — the invariant
-// under test is what the failure leaves behind. A rename that reports
-// failure must leave the replace target either old or new, never destroyed.
-
-TEST_F(DistributeTest, LegacyRenameCrashWindowDestroysReplaceTarget) {
-  gluster::DistributeParams dp;
-  dp.legacy_rename = true;
-  build(dp);
-  run([](DistributeTest& t) -> Task<void> {
-    auto& dht = *t.dht_;
-    const std::string from = "/r/src";
-    std::string to;
-    for (std::size_t i = 0;; ++i) {
-      to = "/r/dst" + std::to_string(i);
-      if (dht.subvol_of(to) != dht.subvol_of(from)) break;
-    }
-    EXPECT_TRUE((co_await dht.create(from, 0644)).has_value());
-    EXPECT_TRUE((co_await dht.write(from, 0, to_buffer("payload"))).has_value());
-    EXPECT_TRUE((co_await dht.create(to, 0644)).has_value());
-    EXPECT_TRUE((co_await dht.write(to, 0, to_buffer("precious"))).has_value());
-
-    gluster::GlusterServer* dst = t.servers_[dht.subvol_of(to)].get();
-    t.loop_.spawn(crash_on_first_mutation(&t.loop_, dst, dst, to));
-    auto r = co_await dht.rename(from, to);
-    EXPECT_FALSE(r.has_value());  // destination died mid-sequence
-
-    dst->restart();
-    // The pre-fix sequence unlinked `to` before staging anything: the
-    // replace target is simply gone although the rename reported failure.
-    auto st = co_await dht.stat(to);
-    EXPECT_FALSE(st.has_value());
-    if (!st) { EXPECT_EQ(st.error(), Errc::kNoEnt); }
-    // The source survives — the window it exercises is target-side.
-    auto src = co_await dht.read(from, 0, 7);
-    EXPECT_TRUE(src.has_value());
-    if (src) { EXPECT_EQ(to_string(*src), "payload"); }
-  }(*this));
-  EXPECT_EQ(dht_->stats().cross_renames, 1u);
-  EXPECT_EQ(dht_->stats().stage_commits, 0u);
-}
+// The crash-window regression: the run kills the destination brick at its
+// first rename-driven mutation, so the rename fails mid-sequence. A rename
+// that reports failure must leave the replace target either old or new,
+// never destroyed.
 
 TEST_F(DistributeTest, StagedRenameCrashWindowLeavesTargetIntact) {
-  build();  // default: crash-safe staged rename
+  build();
   run([](DistributeTest& t) -> Task<void> {
     auto& dht = *t.dht_;
     const std::string from = "/r/src";

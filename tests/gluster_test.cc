@@ -218,7 +218,8 @@ TEST_F(GlusterTest, ReadAheadNeverServesStaleAfterWrite) {
 // --- write-behind translator ---
 
 TEST_F(GlusterTest, WriteBehindAggregatesSequentialWrites) {
-  client_->push_translator(std::make_unique<WriteBehindXlator>(64 * kKiB));
+  client_->push_translator(std::make_unique<WriteBehindXlator>(
+      loop_, WriteBehindParams{.flush_threshold = 64 * kKiB}));
   auto* wb = static_cast<WriteBehindXlator*>(&client_->top());
   run([](GlusterClient& fs) -> Task<void> {
     auto f = co_await fs.create("/wb");
@@ -236,7 +237,8 @@ TEST_F(GlusterTest, WriteBehindAggregatesSequentialWrites) {
 }
 
 TEST_F(GlusterTest, WriteBehindFlushesBeforeRead) {
-  client_->push_translator(std::make_unique<WriteBehindXlator>(1 * kMiB));
+  client_->push_translator(std::make_unique<WriteBehindXlator>(
+      loop_, WriteBehindParams{.flush_threshold = 1 * kMiB}));
   run([](GlusterClient& fs) -> Task<void> {
     auto f = co_await fs.create("/wbr");
     (void)co_await fs.write(*f, 0, to_buffer("buffered"));

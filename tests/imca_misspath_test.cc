@@ -179,23 +179,6 @@ TEST(MissPath, ReadRepairWarmsBankWithoutSmcache) {
   EXPECT_EQ(d.cmcache->stats().range_fetches, 1u);
 }
 
-TEST(MissPath, ReadRepairOffLeavesBankCold) {
-  ImcaConfig cfg;
-  cfg.client_read_repair = false;
-  Rig d(2, cfg, /*with_smcache=*/false);
-  d.run([](Rig& dd) -> Task<void> {
-    auto f = co_await dd.client->create("/norr");
-    (void)co_await dd.client->write(*f, 0, Rig::pattern(4 * kBs));
-    (void)co_await dd.client->read(*f, 0, 4 * kBs);
-    co_await dd.loop.sleep(1 * kMilli);
-    (void)co_await dd.client->read(*f, 0, 4 * kBs);
-  }(d));
-  // Without repair (and without SMCache) every read re-fetches.
-  EXPECT_EQ(d.cmcache->stats().blocks_repaired, 0u);
-  EXPECT_EQ(d.cmcache->stats().range_fetches, 2u);
-  EXPECT_EQ(d.cmcache->stats().reads_from_cache, 0u);
-}
-
 // --- degraded bank ---
 
 TEST(MissPath, DeadDaemonMidReadDegradesToRangeFetch) {
@@ -246,30 +229,6 @@ TEST(MissPath, SingleFlightSharesOneFetchAmongWaiters) {
   EXPECT_EQ(s.coalesced_waiters, 3u * 2u);  // 3 late readers x 2 blocks
 }
 
-TEST(MissPath, CoalesceOffFetchesIndependently) {
-  ImcaConfig cfg;
-  cfg.coalesce_reads = false;
-  Rig d(2, cfg);
-  d.run([](Rig& dd) -> Task<void> {
-    auto f = co_await dd.client->create("/nosf");
-    const auto payload = Rig::pattern(2 * kBs);
-    (void)co_await dd.client->write(*f, 0, payload);
-    for (auto& m : dd.mcds) m->cache().flush_all();
-    std::vector<Task<void>> readers;
-    for (int i = 0; i < 3; ++i) {
-      readers.push_back([](Rig& rr, fsapi::OpenFile fd,
-                           Buffer want) -> Task<void> {
-        auto r = co_await rr.client->read(fd, 0, 2 * kBs);
-        EXPECT_TRUE(r.has_value());
-        if (r) { EXPECT_EQ(*r, want); }
-      }(dd, *f, payload));
-    }
-    co_await sim::when_all(dd.loop, std::move(readers));
-  }(d));
-  EXPECT_EQ(d.cmcache->stats().coalesced_waiters, 0u);
-  EXPECT_EQ(d.cmcache->stats().range_fetches, 3u);
-}
-
 // --- the paper baseline knob ---
 
 TEST(MissPath, PartialHitOffRestoresForwardOnAnyMiss) {
@@ -287,6 +246,36 @@ TEST(MissPath, PartialHitOffRestoresForwardOnAnyMiss) {
   EXPECT_EQ(d.cmcache->stats().reads_forwarded, 1u);
   EXPECT_EQ(d.cmcache->stats().reads_partial, 0u);
   EXPECT_EQ(d.cmcache->stats().range_fetches, 0u);
+}
+
+TEST(MissPath, PartialHitOffServesShortTailFromBank) {
+  ImcaConfig cfg;
+  cfg.partial_hit_reads = false;
+  Rig d(2, cfg);
+  d.run([](Rig& dd) -> Task<void> {
+    auto f = co_await dd.client->create("/tail");
+    // 2 full blocks + 5 trailing bytes; SMCache publishes all three.
+    const auto payload = Rig::pattern(2 * kBs + 5);
+    (void)co_await dd.client->write(*f, 0, payload);
+    const auto fops_before = dd.server->fops_served();
+
+    // Covering blocks 0..7: the short block 2 ends the file, so the absent
+    // blocks 3..7 are EOF, not misses.
+    auto r = co_await dd.client->read(*f, 0, 8 * kBs);
+    EXPECT_TRUE(r.has_value());
+    if (r) { EXPECT_EQ(*r, payload); }
+    // Starting inside the short block and running past EOF.
+    auto tail = co_await dd.client->read(*f, 2 * kBs + 2, kBs);
+    EXPECT_TRUE(tail.has_value());
+    if (tail) { EXPECT_EQ(*tail, payload.slice(2 * kBs + 2)); }
+    // Starting exactly at EOF: empty, and still no server fop.
+    auto empty = co_await dd.client->read(*f, 2 * kBs + 5, 100);
+    EXPECT_TRUE(empty.has_value());
+    if (empty) { EXPECT_TRUE(empty->empty()); }
+    EXPECT_EQ(dd.server->fops_served(), fops_before);
+  }(d));
+  EXPECT_EQ(d.cmcache->stats().reads_from_cache, 3u);
+  EXPECT_EQ(d.cmcache->stats().reads_forwarded, 0u);
 }
 
 }  // namespace

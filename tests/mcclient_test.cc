@@ -1,5 +1,5 @@
 // Unit tests for the libmemcache-style client: selector strategies, routing,
-// multi-get batching, dead-daemon failover and per-daemon stats.
+// multi-get batching, dead-daemon failover and protocol limits.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -153,9 +153,9 @@ TEST_F(McClientTest, MultiGetBatchesPerDaemon) {
     EXPECT_EQ(got.size(), 12u);
     // All 12 keys arrive in at most one call per daemon.
     EXPECT_LE(rpc.calls_made() - calls_before, 3u);
-    for (int i = 0; i < 12; ++i) {
-      EXPECT_EQ(to_string(got.at("k" + std::to_string(i)).data),
-                std::to_string(i));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i].has_value());
+      if (got[i]) { EXPECT_EQ(to_string(got[i]->data), std::to_string(i)); }
     }
   }(*client_, rpc_));
 }
@@ -168,8 +168,10 @@ TEST_F(McClientTest, MultiGetReportsPartialMisses) {
     keys.emplace_back("absent1");
     keys.emplace_back("absent2");
     auto got = co_await c.multi_get(std::move(keys));
-    EXPECT_EQ(got.size(), 1u);
-    EXPECT_TRUE(got.contains("present"));
+    EXPECT_EQ(got.size(), 3u);
+    EXPECT_TRUE(got[0].has_value());
+    EXPECT_FALSE(got[1].has_value());
+    EXPECT_FALSE(got[2].has_value());
   }(*client_));
   EXPECT_EQ(client_->stats().misses, 2u);
 }
@@ -202,60 +204,14 @@ TEST_F(McClientTest, DeadDaemonBecomesMissNotError) {
   EXPECT_GT(client_->stats().dead_server_ops, 0u);
 }
 
-TEST_F(McClientTest, ServerStatsReadable) {
-  run([](McClient& c) -> sim::Task<void> {
-    (void)co_await c.set("x", to_buffer("y"));
-    bool found = false;
-    for (std::size_t s = 0; s < c.server_count(); ++s) {
-      auto stats = co_await c.server_stats(s);
-      EXPECT_TRUE(stats.has_value());
-      if (stats && stats->at("curr_items") == "1") found = true;
-    }
-    EXPECT_TRUE(found);
-  }(*client_));
-}
-
-TEST_F(McClientTest, FlushAllEmptiesEveryDaemon) {
-  run([](McClient& c) -> sim::Task<void> {
-    for (int i = 0; i < 30; ++i) {
-      (void)co_await c.set("k" + std::to_string(i), to_buffer("v"));
-    }
-    co_await c.flush_all();
-  }(*client_));
-  for (const auto& s : servers_) {
-    EXPECT_EQ(s->cache().item_count(), 0u);
-  }
-}
-
-TEST_F(McClientTest, FlushAllIsConcurrent) {
-  // A client restricted to one daemon measures the single-flush round trip;
-  // flushing all three daemons concurrently must cost well under three of
-  // them (the wall-clock is one round trip to the slowest daemon).
-  McClient one(rpc_, client_node_, {server_ids_[0]},
-               std::make_unique<Crc32Selector>());
-  SimDuration one_rt = 0;
-  SimDuration three_rt = 0;
-  run([](McClient& single, McClient& all, sim::EventLoop& loop,
-         SimDuration& out_one_rt, SimDuration& out_three_rt) -> sim::Task<void> {
-    const SimTime t0 = loop.now();
-    co_await single.flush_all();
-    out_one_rt = loop.now() - t0;
-    const SimTime t1 = loop.now();
-    co_await all.flush_all();
-    out_three_rt = loop.now() - t1;
-  }(one, *client_, loop_, one_rt, three_rt));
-  EXPECT_GT(one_rt, 0);
-  EXPECT_LT(three_rt, 2 * one_rt);
-}
-
 TEST_F(McClientTest, MultiGetOrderedExposesMisses) {
   run([](McClient& c, net::RpcSystem& rpc) -> sim::Task<void> {
     (void)co_await c.set("ka", to_buffer("A"));
     (void)co_await c.set("kc", to_buffer("C"));
     const auto calls_before = rpc.calls_made();
     std::vector<std::string> keys{"ka", "missing1", "kc", "missing2"};
-    auto got = co_await c.multi_get_ordered(std::move(keys));
-    // Still one batched call per daemon, like multi_get.
+    auto got = co_await c.multi_get(std::move(keys));
+    // Still one batched call per daemon.
     EXPECT_LE(rpc.calls_made() - calls_before, 3u);
     EXPECT_EQ(got.size(), 4u);
     EXPECT_TRUE(got[0].has_value());

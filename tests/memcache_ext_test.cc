@@ -157,32 +157,27 @@ TEST(ClientExt, CasLoopImplementsAtomicUpdate) {
   mcclient::McClient client(rpc, cnode, {0},
                             std::make_unique<mcclient::Crc32Selector>());
 
+  // The write-back index's update over the wire: gets_at -> modify -> cas_at
+  // on a pinned daemon.
   loop.spawn([](mcclient::McClient& c) -> sim::Task<void> {
-    (void)co_await c.set("doc", to_buffer("v0"));
-    // Optimistic update: gets -> modify -> cas.
-    auto v = co_await c.gets("doc");
+    EXPECT_TRUE((co_await c.set_at(0, "doc", to_buffer("v0"))).has_value());
+    auto v = co_await c.gets_at(0, "doc");
     EXPECT_TRUE(v.has_value());
     if (v) {
-      auto r = co_await c.cas("doc", to_buffer("v1"), v->cas);
+      auto r = co_await c.cas_at(0, "doc", to_buffer("v1"), v->cas);
       EXPECT_TRUE(r.has_value());
     }
     // A second cas with the stale id must lose.
     if (v) {
-      auto r = co_await c.cas("doc", to_buffer("v2"), v->cas);
+      auto r = co_await c.cas_at(0, "doc", to_buffer("v2"), v->cas);
       EXPECT_EQ(r.error(), Errc::kBusy);
     }
-    auto final_v = co_await c.get("doc");
+    // A cas on a vanished item reports kNoEnt.
+    auto gone = co_await c.cas_at(0, "ghost", to_buffer("x"), 1);
+    EXPECT_EQ(gone.error(), Errc::kNoEnt);
+    auto final_v = co_await c.get_at(0, "doc");
     EXPECT_TRUE(final_v.has_value());
     if (final_v) { EXPECT_EQ(to_string(final_v->data), "v1"); }
-
-    // Counters.
-    (void)co_await c.set("hits", to_buffer("0"));
-    for (int i = 0; i < 5; ++i) {
-      (void)co_await c.incr("hits", 2);
-    }
-    auto n = co_await c.decr("hits", 3);
-    EXPECT_TRUE(n.has_value());
-    if (n) { EXPECT_EQ(*n, 7u); }
   }(client));
   loop.run();
 }

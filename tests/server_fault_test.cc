@@ -410,7 +410,6 @@ TEST(ServerBrownout, CacheServesWithinBoundThenStepsAside) {
   cluster::GlusterTestbedConfig cfg;
   cfg.n_mcds = 1;
   cfg.smcache = true;
-  cfg.imca.brownout = true;
   cfg.imca.brownout_max_staleness = 100 * kMilli;
   // The attempt timeout must clear a ~12 ms cold-disk access or the healthy
   // warm-up ops would spuriously time out; the refusal probes after the

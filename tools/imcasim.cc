@@ -19,6 +19,7 @@
 #include "cluster/testbed.h"
 #include "common/buffer.h"
 #include "common/table.h"
+#include "imca/block_mapper.h"
 #include "workload/iozone.h"
 #include "workload/latency_bench.h"
 #include "workload/stat_bench.h"
@@ -41,8 +42,6 @@ struct Options {
   bool threaded = false;          // SMCache worker thread
   bool rdma_cache = false;        // verbs path to the MCDs
   bool no_partial_hit = false;    // paper baseline: forward on any miss
-  bool no_read_repair = false;    // don't push fetched blocks to the MCDs
-  bool no_coalesce = false;       // don't single-flight concurrent fetches
   bool cold = false;              // lustre: unmount before reads
   std::uint64_t max_record = 64 * kKiB;
   std::size_t records = 128;
@@ -98,13 +97,11 @@ struct Options {
       "  --replicas=K      AFR replicas per group (imca/gluster; default 1;\n"
       "                    the grid runs N*K brick servers)\n"
       "  --ds=N            data servers (lustre; default 1)\n"
-      "  --block=BYTES     IMCa block size (default 2048)\n"
+      "  --block=BYTES     IMCa block size, 1..%llu (default 2048)\n"
       "  --hash=crc32|modulo|consistent     key->MCD placement\n"
       "  --threaded        SMCache worker-thread updates\n"
       "  --rdma-cache      reach the MCDs over native verbs\n"
       "  --no-partial-hit  forward whole reads on any block miss (paper)\n"
-      "  --no-read-repair  disable client-side read-repair of missed blocks\n"
-      "  --no-coalesce     disable single-flight read coalescing\n"
       "  --cold            lustre: drop client caches before reads\n"
       "  --max-record=BYTES  latency sweep ceiling (default 65536)\n"
       "  --records=N         records per size (default 128)\n"
@@ -140,11 +137,12 @@ struct Options {
       "                      replication, epoch-ordered background flush\n"
       "                      (imca; arms the 2 ms MCD deadline by default)\n"
       "  --wb-replicas=K     dirty copies per absorbed write (default 2)\n"
-      "  --wb-quorum=K       MCD acks required before a write acks\n"
+      "  --wb-quorum=K       MCD acks required before a write acks, >= 1\n"
       "                      (default 2; short of it, writes degrade to\n"
       "                      write-through and are counted)\n"
       "  --wb-flush-delay=MS coalescing window before a path's first flush\n"
-      "                      pass (barriers bypass it; default 0)\n");
+      "                      pass (barriers bypass it; default 0)\n",
+      static_cast<unsigned long long>(core::BlockMapper::kMaxBlockSize));
   std::exit(code);
 }
 
@@ -164,8 +162,6 @@ Options parse(int argc, char** argv) {
     if (!std::strcmp(a, "--threaded")) { o.threaded = true; continue; }
     if (!std::strcmp(a, "--rdma-cache")) { o.rdma_cache = true; continue; }
     if (!std::strcmp(a, "--no-partial-hit")) { o.no_partial_hit = true; continue; }
-    if (!std::strcmp(a, "--no-read-repair")) { o.no_read_repair = true; continue; }
-    if (!std::strcmp(a, "--no-coalesce")) { o.no_coalesce = true; continue; }
     if (!std::strcmp(a, "--writeback")) { o.writeback = true; continue; }
     if (!std::strcmp(a, "--cold")) { o.cold = true; continue; }
     if (!std::strcmp(a, "--csv")) { o.csv = true; continue; }
@@ -279,6 +275,23 @@ Options parse(int argc, char** argv) {
     }
   }
   if (o.clients == 0) usage(2);
+  if (o.ds == 0) {
+    std::fprintf(stderr, "--ds wants a value >= 1\n");
+    usage(2);
+  }
+  if (o.block == 0 || o.block > core::BlockMapper::kMaxBlockSize) {
+    // A block plus its key and item header must fit one memcached item.
+    std::fprintf(
+        stderr, "--block wants 1..%llu bytes\n",
+        static_cast<unsigned long long>(core::BlockMapper::kMaxBlockSize));
+    usage(2);
+  }
+  if (o.wb_quorum == 0) {
+    // Write-back acks once this many daemons stored the write; 0 would ack
+    // a write that no daemon holds.
+    std::fprintf(stderr, "--wb-quorum wants a value >= 1\n");
+    usage(2);
+  }
   return o;
 }
 
@@ -341,8 +354,6 @@ Rig build(const Options& o) {
     cfg.imca.threaded_updates = o.threaded;
     cfg.imca.rdma_cache_path = o.rdma_cache;
     cfg.imca.partial_hit_reads = !o.no_partial_hit;
-    cfg.imca.client_read_repair = !o.no_read_repair;
-    cfg.imca.coalesce_reads = !o.no_coalesce;
     if (o.writeback) {
       if (o.system != "imca" || o.mcds == 0) {
         std::fprintf(stderr, "--writeback needs --system=imca with MCDs\n");
