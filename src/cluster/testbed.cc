@@ -76,16 +76,9 @@ GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
   for (std::size_t c = 0; c < cfg_.n_clients; ++c) {
     const auto n =
         fabric_.add_node("client" + std::to_string(c), kCoresPerNode).id();
-    if (n_servers == 1) {
-      clients_.push_back(std::make_unique<gluster::GlusterClient>(
-          rpc_, n, brick_nodes_.front(), cfg_.client));
-    } else {
-      gluster::GlusterTopology topo;
-      topo.bricks = brick_nodes_;
-      topo.replicas = replicas;
-      clients_.push_back(std::make_unique<gluster::GlusterClient>(
-          rpc_, n, topo, cfg_.client));
-    }
+    clients_.push_back(std::make_unique<gluster::GlusterClient>(
+        rpc_, n, gluster::GlusterTopology{brick_nodes_, replicas},
+        cfg_.client));
     if (!mcds_.empty()) {
       auto cm = std::make_unique<core::CmCacheXlator>(
           std::make_unique<mcclient::McClient>(
@@ -188,7 +181,7 @@ memcache::CacheStats GlusterTestbed::mcd_totals() const {
 LustreTestbed::LustreTestbed(LustreTestbedConfig cfg)
     : cfg_(std::move(cfg)), fabric_(loop_, cfg_.transport), rpc_(fabric_) {
   const auto mds_node = fabric_.add_node("mds", kCoresPerNode).id();
-  mds_ = std::make_unique<lustre::MetadataServer>(rpc_, mds_node, cfg_.mds);
+  mds_ = std::make_unique<lustre::MetadataServer>(rpc_, mds_node);
 
   std::vector<lustre::DataServer*> ds_ptrs;
   for (std::size_t i = 0; i < cfg_.n_ds; ++i) {

@@ -46,9 +46,9 @@ struct GlusterTestbedConfig {
   std::uint64_t mcd_memory = kMcdMemoryBytes;
   net::TransportParams transport = net::ipoib_rc();
   gluster::GlusterServerParams server;
-  // Mount parameters for every client (fuse cost + protocol/client
-  // deadline/retry policy; defaults are the seed's single-attempt mode).
-  gluster::GlusterClientParams client;
+  // Every client's protocol/client deadline/retry/replay policy, one per
+  // brick connection (defaults are the seed's single-attempt mode).
+  gluster::ProtocolClientParams client;
   // Deterministic fault plan: probabilistic wire faults on every MCD's
   // memcached port and/or the brick's GlusterFS port, plus scheduled
   // crash/restart windows on either tier. Inert when inactive (default).
@@ -138,7 +138,6 @@ struct LustreTestbedConfig {
   std::size_t n_ds = 1;  // the paper's 1DS / 4DS
   net::TransportParams transport = net::ipoib_rc();
   lustre::DsParams ds;
-  lustre::MdsParams mds;
   lustre::LustreClientParams client;
 };
 

@@ -66,21 +66,12 @@ void ByteBuf::put_string(std::string_view s) {
   put_raw(s);
 }
 
-void ByteBuf::put_bytes(std::span<const std::byte> b) {
-  put_u32(static_cast<std::uint32_t>(b.size()));
-  put_raw(b);
-}
-
 void ByteBuf::put_bytes(const Buffer& b) {
   put_u32(static_cast<std::uint32_t>(b.size()));
   put_buffer(b);
 }
 
 void ByteBuf::put_raw(std::string_view s) { append(s.data(), s.size()); }
-
-void ByteBuf::put_raw(std::span<const std::byte> b) {
-  append(b.data(), b.size());
-}
 
 void ByteBuf::put_buffer(const Buffer& b) {
   if (b.empty()) return;
@@ -172,9 +163,5 @@ std::vector<std::byte> to_bytes(std::string_view s) {
 Buffer to_buffer(std::string_view s) { return Buffer::of_string(s); }
 
 std::string to_string(const Buffer& b) { return b.gather_string(); }
-
-std::string to_string(std::span<const std::byte> b) {
-  return {reinterpret_cast<const char*>(b.data()), b.size()};
-}
 
 }  // namespace imca

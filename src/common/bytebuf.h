@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,13 +50,10 @@ class ByteBuf {
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
   // Length-prefixed string (u32 length + bytes).
   void put_string(std::string_view s);
-  // Length-prefixed blob (copies: the bytes come from mutable memory).
-  void put_bytes(std::span<const std::byte> b);
   // Length-prefixed blob, spliced in without copying.
   void put_bytes(const Buffer& b);
   // Raw bytes, no length prefix (protocol text, small headers; copies).
   void put_raw(std::string_view s);
-  void put_raw(std::span<const std::byte> b);
   // Raw payload, spliced in without copying.
   void put_buffer(const Buffer& b);
 
@@ -102,7 +98,6 @@ class ByteBuf {
 // the copy ledger). Layers between the edges pass Buffer views instead.
 std::vector<std::byte> to_bytes(std::string_view s);
 Buffer to_buffer(std::string_view s);
-std::string to_string(std::span<const std::byte> b);
 std::string to_string(const Buffer& b);
 
 }  // namespace imca

@@ -6,19 +6,9 @@
 namespace imca::gluster {
 
 GlusterClient::GlusterClient(net::RpcSystem& rpc, net::NodeId self,
-                             net::NodeId server, GlusterClientParams params)
-    : rpc_(rpc), self_(self), params_(params) {
-  auto pc =
-      std::make_unique<ProtocolClient>(rpc, self, server, params_.protocol);
-  pcs_.push_back(pc.get());
-  health_ = pc.get();
-  stack_.push_back(std::move(pc));
-}
-
-GlusterClient::GlusterClient(net::RpcSystem& rpc, net::NodeId self,
                              const GlusterTopology& topology,
-                             GlusterClientParams params)
-    : rpc_(rpc), self_(self), params_(params) {
+                             ProtocolClientParams params)
+    : rpc_(rpc), self_(self) {
   const std::size_t k = topology.replicas == 0 ? 1 : topology.replicas;
   assert(!topology.bricks.empty() && topology.bricks.size() % k == 0);
   const std::size_t n_groups = topology.bricks.size() / k;
@@ -30,14 +20,14 @@ GlusterClient::GlusterClient(net::RpcSystem& rpc, net::NodeId self,
     std::vector<std::unique_ptr<ProtocolClient>> conns;
     for (std::size_t r = 0; r < k; ++r) {
       conns.push_back(std::make_unique<ProtocolClient>(
-          rpc, self, topology.bricks[g * k + r], params_.protocol));
+          rpc, self, topology.bricks[g * k + r], params));
       pcs_.push_back(conns.back().get());
     }
     if (k == 1) {
       subvols.push_back(std::move(conns.front()));
     } else {
-      auto rep = std::make_unique<ReplicateXlator>(
-          rpc.fabric().loop(), std::move(conns), params_.replicate);
+      auto rep = std::make_unique<ReplicateXlator>(rpc.fabric().loop(),
+                                                   std::move(conns));
       groups_.push_back(rep.get());
       subvols.push_back(std::move(rep));
     }
@@ -98,7 +88,7 @@ void GlusterClient::push_translator(std::unique_ptr<Xlator> xlator) {
 }
 
 sim::Task<void> GlusterClient::fuse_charge() {
-  co_await rpc_.fabric().node(self_).cpu().use(2 * params_.fuse_crossing);
+  co_await rpc_.fabric().node(self_).cpu().use(2 * kFuseCrossing);
 }
 
 Expected<std::string> GlusterClient::path_of(fsapi::OpenFile file) const {

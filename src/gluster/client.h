@@ -24,20 +24,14 @@
 
 namespace imca::gluster {
 
-struct GlusterClientParams {
-  SimDuration fuse_crossing = 7 * kMicro;  // one kernel<->user switch + copy
-  // Deadline/retry/replay policy for the terminal translator (defaults are
-  // the seed's single-attempt behaviour).
-  ProtocolClientParams protocol = {};
-  // Replicate-xlator knobs, used only by the topology constructor.
-  ReplicateParams replicate = {};
-};
+// One kernel<->user switch + copy.
+inline constexpr SimDuration kFuseCrossing = 7 * kMicro;
 
 // An N x K brick grid: `bricks` holds the server node of every brick in
 // row-major order (group g, replica r at index g*replicas + r), and the
 // mount composes distribute-over-replicate on top of one ProtocolClient per
-// brick. {one node, replicas=1} degenerates to the classic single-brick
-// mount.
+// brick. {one node, replicas=1} is the classic single-brick mount: one
+// ProtocolClient, which is also the health view.
 struct GlusterTopology {
   std::vector<net::NodeId> bricks;
   std::size_t replicas = 1;
@@ -45,15 +39,15 @@ struct GlusterTopology {
 
 class GlusterClient final : public fsapi::FileSystemClient {
  public:
-  GlusterClient(net::RpcSystem& rpc, net::NodeId self, net::NodeId server,
-                GlusterClientParams params = {});
-  // Mount an N x K brick grid (distribute over replicate).
+  // Mount an N x K brick grid (distribute over replicate). `params` is the
+  // deadline/retry/replay policy of every brick's protocol/client (defaults
+  // are the seed's single-attempt behaviour).
   GlusterClient(net::RpcSystem& rpc, net::NodeId self,
                 const GlusterTopology& topology,
-                GlusterClientParams params = {});
+                ProtocolClientParams params = {});
 
-  // Insert a translator above the current stack top (e.g. CMCache,
-  // read-ahead). Must precede the first fop.
+  // Insert a translator above the current stack top (e.g. CMCache). Must
+  // precede the first fop.
   void push_translator(std::unique_ptr<Xlator> xlator);
 
   // --- FileSystemClient ---
@@ -116,7 +110,6 @@ class GlusterClient final : public fsapi::FileSystemClient {
 
   net::RpcSystem& rpc_;
   net::NodeId self_;
-  GlusterClientParams params_;
   std::vector<std::unique_ptr<Xlator>> stack_;  // [0]=bottom cluster xlator
   // Non-owning views into the bottom of the stack (owned via stack_[0]).
   std::vector<ProtocolClient*> pcs_;       // one per brick, row-major

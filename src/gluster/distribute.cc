@@ -18,33 +18,20 @@ constexpr std::size_t kVnodes = 128;  // ring points per subvolume
 }  // namespace
 
 void DistributeXlator::attach(std::unique_ptr<Xlator> xl) {
-  Subvol sv;
-  sv.id = next_id_++;
-  sv.health = dynamic_cast<ServerHealth*>(xl.get());
-  sv.xl = std::move(xl);
-  const std::string base = "dht-" + std::to_string(sv.id) + "#";
+  const std::size_t index = subvols_.size();
+  const std::string base = "dht-" + std::to_string(index) + "#";
   for (std::size_t j = 0; j < kVnodes; ++j) {
-    ring_[ring_point(base + std::to_string(j))] = sv.id;
+    ring_[ring_point(base + std::to_string(j))] = index;
   }
-  subvols_.push_back(std::move(sv));
-}
-
-std::size_t DistributeXlator::index_of_id(std::uint32_t id) const {
-  for (std::size_t i = 0; i < subvols_.size(); ++i) {
-    if (subvols_[i].id == id) return i;
-  }
-  return subvols_.size();
-}
-
-std::size_t DistributeXlator::owner_index(std::uint64_t point) const {
-  assert(!ring_.empty());
-  auto it = ring_.lower_bound(point);
-  if (it == ring_.end()) it = ring_.begin();  // wrap around
-  return index_of_id(it->second);
+  ServerHealth* health = dynamic_cast<ServerHealth*>(xl.get());
+  subvols_.push_back(Subvol{std::move(xl), health});
 }
 
 std::size_t DistributeXlator::subvol_of(const std::string& path) const {
-  return owner_index(ring_point(path));
+  assert(!ring_.empty());
+  auto it = ring_.lower_bound(ring_point(path));
+  if (it == ring_.end()) it = ring_.begin();  // wrap around
+  return it->second;
 }
 
 // Brownout health (see ReplicateXlator::server_down for the contract): the
@@ -71,14 +58,7 @@ SimTime DistributeXlator::server_down_since() const {
 sim::Task<bool> DistributeXlator::sweep_pending(std::string path) {
   auto it = pending_unlinks_.find(path);
   if (it == pending_unlinks_.end()) co_return true;
-  const std::size_t idx = index_of_id(it->second);
-  if (idx == subvols_.size()) {
-    // The owing subvolume left the ring; the stale file went with it.
-    pending_unlinks_.erase(path);
-    ++stats_.pending_unlink_replays;
-    co_return true;
-  }
-  auto r = co_await subvols_[idx].xl->unlink(path);
+  auto r = co_await subvols_[it->second].xl->unlink(path);
   if (r || r.error() == Errc::kNoEnt) {
     pending_unlinks_.erase(path);
     ++stats_.pending_unlink_replays;
@@ -96,8 +76,9 @@ sim::Task<Expected<store::Attr>> DistributeXlator::create(std::string path,
     // owner; it must be reaped before the name can be reused.
     if (!co_await sweep_pending(path)) co_return Errc::kBusy;
   }
+  // Bind the result before returning it: built with GCC 12, `co_return
+  // co_await` after the co_await in the condition above never resumes.
   auto r = co_await owner(path).create(path, mode);
-  if (r) live_paths_.insert(path);
   co_return r;
 }
 
@@ -106,9 +87,7 @@ sim::Task<Expected<store::Attr>> DistributeXlator::open(std::string path) {
     (void)co_await sweep_pending(path);
     co_return Errc::kNoEnt;
   }
-  auto r = co_await owner(path).open(path);
-  if (r) live_paths_.insert(path);
-  co_return r;
+  co_return co_await owner(path).open(path);
 }
 
 sim::Task<Expected<void>> DistributeXlator::close(std::string path) {
@@ -149,9 +128,7 @@ sim::Task<Expected<void>> DistributeXlator::unlink(std::string path) {
     (void)co_await sweep_pending(path);
     co_return Errc::kNoEnt;  // logically gone already
   }
-  auto r = co_await owner(path).unlink(path);
-  if (r) live_paths_.erase(path);
-  co_return r;
+  co_return co_await owner(path).unlink(path);
 }
 
 sim::Task<Expected<void>> DistributeXlator::truncate(std::string path,
@@ -206,11 +183,7 @@ sim::Task<Expected<void>> DistributeXlator::rename(std::string from,
   const std::size_t src = subvol_of(from);
   const std::size_t dst = subvol_of(to);
   if (src == dst) {
-    auto r = co_await subvols_[src].xl->rename(from, to);
-    if (r) {
-      live_paths_.erase(from);
-      live_paths_.insert(to);
-    }
+    auto r = co_await subvols_[src].xl->rename(from, to);  // see create()
     co_return r;
   }
 
@@ -229,88 +202,14 @@ sim::Task<Expected<void>> DistributeXlator::rename(std::string from,
       co_await stage_commit(subvols_[dst].xl.get(), to, attr->mode,
                             std::move(data));
   if (!commit) co_return commit.error();
-  live_paths_.insert(to);
   auto u = co_await subvols_[src].xl->unlink(from);
-  live_paths_.erase(from);
   if (!u && u.error() != Errc::kNoEnt) {
     // The rename IS committed (`to` swapped in atomically); only the old
     // name's cleanup is owed. Hide it and reap it on the next touch.
-    pending_unlinks_[from] = subvols_[src].id;
+    pending_unlinks_[from] = src;
     ++stats_.pending_unlinks;
   }
   co_return Expected<void>{};
-}
-
-// --- rebalance -------------------------------------------------------------
-
-sim::Task<Expected<std::uint64_t>> DistributeXlator::migrate_path(
-    Xlator* src, Xlator* dst, std::string path) {
-  auto attr = co_await src->stat(path);
-  if (!attr) {
-    if (attr.error() == Errc::kNoEnt) co_return 0;  // nothing to move
-    co_return attr.error();
-  }
-  Buffer data;
-  if (attr->size > 0) {
-    auto r = co_await src->read(path, 0, attr->size);
-    if (!r) co_return r.error();
-    data = std::move(*r);
-  }
-  auto commit = co_await stage_commit(dst, path, attr->mode, std::move(data));
-  if (!commit) co_return commit.error();
-  auto u = co_await src->unlink(path);
-  if (!u && u.error() != Errc::kNoEnt) co_return u.error();
-  co_return attr->size;
-}
-
-sim::Task<Expected<RebalanceReport>> DistributeXlator::add_brick(
-    std::unique_ptr<Xlator> sv) {
-  // Owners under the old ring, before the new points land.
-  std::map<std::string, std::size_t> old_owner;
-  for (const auto& p : live_paths_) old_owner[p] = subvol_of(p);
-  attach(std::move(sv));
-
-  RebalanceReport rep;
-  for (const auto& [path, was] : old_owner) {
-    const std::size_t now = subvol_of(path);
-    if (now == was) continue;
-    auto moved = co_await migrate_path(subvols_[was].xl.get(),
-                                       subvols_[now].xl.get(), path);
-    if (!moved) co_return moved.error();
-    ++rep.moved;
-    rep.bytes += *moved;
-    ++stats_.rebalanced_paths;
-    stats_.rebalance_bytes += *moved;
-  }
-  co_return rep;
-}
-
-sim::Task<Expected<RebalanceReport>> DistributeXlator::remove_brick(
-    std::size_t index) {
-  assert(index < subvols_.size() && subvols_.size() > 1);
-  const std::uint32_t victim = subvols_[index].id;
-  std::vector<std::string> owned;
-  for (const auto& p : live_paths_) {
-    if (subvol_of(p) == index) owned.push_back(p);
-  }
-  // Retire the victim's ring points; every owned path now hashes elsewhere.
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    it = it->second == victim ? ring_.erase(it) : std::next(it);
-  }
-
-  RebalanceReport rep;
-  for (const auto& path : owned) {
-    const std::size_t now = subvol_of(path);
-    auto moved = co_await migrate_path(subvols_[index].xl.get(),
-                                       subvols_[now].xl.get(), path);
-    if (!moved) co_return moved.error();
-    ++rep.moved;
-    rep.bytes += *moved;
-    ++stats_.rebalanced_paths;
-    stats_.rebalance_bytes += *moved;
-  }
-  subvols_.erase(subvols_.begin() + static_cast<std::ptrdiff_t>(index));
-  co_return rep;
 }
 
 }  // namespace imca::gluster

@@ -3,9 +3,9 @@
 // "GlusterFS in its default configuration does not stripe the data, but
 // instead distributes the namespace across all the servers" (paper §2.1).
 // Each path hashes to exactly one subvolume; all fops for that path go
-// there. Subvolumes are placed on a consistent-hash ring (128 points per
-// subvolume), so `add_brick`/`remove_brick` move only ~1/(N+1) of the
-// namespace instead of reshuffling everything the way `hash % N` would.
+// there. Membership is fixed at mount time. Subvolumes are placed on a
+// consistent-hash ring (128 points per subvolume): the ring is the placement
+// function, and every brick-grid figure and transcript depends on it.
 //
 // Cross-subvolume rename is the DHT's hard case: the data must move. The
 // crash-safe sequence stages the bytes under a private name on the
@@ -22,7 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -36,13 +35,6 @@ struct DistributeStats {
   std::uint64_t stage_commits = 0;       // staged copies atomically swapped in
   std::uint64_t pending_unlinks = 0;     // source cleanups left owing
   std::uint64_t pending_unlink_replays = 0;  // cleanups reaped on later fops
-  std::uint64_t rebalanced_paths = 0;    // paths moved by add/remove_brick
-  std::uint64_t rebalance_bytes = 0;
-};
-
-struct RebalanceReport {
-  std::uint64_t moved = 0;
-  std::uint64_t bytes = 0;
 };
 
 class DistributeXlator final : public Xlator, public ServerHealth {
@@ -78,35 +70,19 @@ class DistributeXlator final : public Xlator, public ServerHealth {
   SimTime server_down_since() const override;
 
   std::size_t subvol_count() const noexcept { return subvols_.size(); }
-  // Current owner of `path` on the ring, as an index into subvol order.
+  // Owner of `path` on the ring, as an index into subvol order.
   std::size_t subvol_of(const std::string& path) const;
   Xlator& subvol(std::size_t i) { return *subvols_.at(i).xl; }
-
-  // Back-compat aliases (the pre-ring API).
-  std::size_t brick_count() const noexcept { return subvol_count(); }
-  std::size_t brick_of(const std::string& path) const {
-    return subvol_of(path);
-  }
-
-  // Online ring membership. Adding/removing a subvolume migrates every
-  // tracked path whose owner changed (staged copy + atomic swap + source
-  // unlink). Run quiesced: concurrent fops on a migrating path race the
-  // move. On error the ring keeps its new shape — re-run to finish.
-  sim::Task<Expected<RebalanceReport>> add_brick(std::unique_ptr<Xlator> sv);
-  sim::Task<Expected<RebalanceReport>> remove_brick(std::size_t index);
 
   const DistributeStats& stats() const noexcept { return stats_; }
 
  private:
   struct Subvol {
-    std::uint32_t id = 0;
     std::unique_ptr<Xlator> xl;
     ServerHealth* health = nullptr;  // null for plain in-process xlators
   };
 
   void attach(std::unique_ptr<Xlator> xl);
-  std::size_t index_of_id(std::uint32_t id) const;
-  std::size_t owner_index(std::uint64_t point) const;
   Xlator& owner(const std::string& path) { return *subvols_[subvol_of(path)].xl; }
   static std::string stage_of(const std::string& path) {
     // '\x01' cannot appear in user paths; staged names never collide.
@@ -115,22 +91,15 @@ class DistributeXlator final : public Xlator, public ServerHealth {
   // Copy (mode, data) to `path` on `dst` via stage + atomic swap.
   sim::Task<Expected<void>> stage_commit(Xlator* dst, std::string path,
                                          std::uint32_t mode, Buffer data);
-  // Move `path` from `src` to `dst` (rebalance step). Bytes moved, 0 if the
-  // path vanished from `src` in the meantime.
-  sim::Task<Expected<std::uint64_t>> migrate_path(Xlator* src, Xlator* dst,
-                                                  std::string path);
   // Reap an owed source unlink. True when the path is no longer owed.
   sim::Task<bool> sweep_pending(std::string path);
 
   std::vector<Subvol> subvols_;
-  std::uint32_t next_id_ = 0;
-  // vnode point -> subvol id. Ordered: ring walks must be deterministic.
-  std::map<std::uint64_t, std::uint32_t> ring_;
-  // Paths created/seen through this xlator — the rebalance work list.
-  std::set<std::string> live_paths_;
+  // vnode point -> subvol index. Ordered: ring walks must be deterministic.
+  std::map<std::uint64_t, std::size_t> ring_;
   // Renamed-away sources whose physical unlink is still owed: path -> the
-  // subvol id holding the stale file. Fops treat these names as absent.
-  std::map<std::string, std::uint32_t> pending_unlinks_;
+  // subvol index holding the stale file. Fops treat these names as absent.
+  std::map<std::string, std::size_t> pending_unlinks_;
   DistributeStats stats_;
 };
 

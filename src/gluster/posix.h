@@ -17,17 +17,18 @@
 
 namespace imca::gluster {
 
-struct PosixParams {
-  SimDuration meta_op_cpu = 120 * kMicro;  // create/stat/unlink dentry+inode
-  SimDuration data_op_cpu = 6 * kMicro;   // read/write fixed path cost
-  std::uint64_t copy_bps = 2 * kGiB;      // user<->page-cache memcpy rate
-};
+// create/stat/unlink dentry+inode.
+inline constexpr SimDuration kPosixMetaOpCpu = 120 * kMicro;
+// read/write fixed path cost.
+inline constexpr SimDuration kPosixDataOpCpu = 6 * kMicro;
+// user<->page-cache memcpy rate.
+inline constexpr std::uint64_t kPosixCopyBps = 2 * kGiB;
 
 class PosixXlator final : public Xlator {
  public:
   PosixXlator(sim::EventLoop& loop, net::Node& node, store::ObjectStore& os,
-              store::BlockDevice& dev, PosixParams params = {})
-      : loop_(loop), node_(node), os_(os), dev_(dev), params_(params) {}
+              store::BlockDevice& dev)
+      : loop_(loop), node_(node), os_(os), dev_(dev) {}
 
   sim::Task<Expected<store::Attr>> create(std::string path,
                                           std::uint32_t mode) override;
@@ -54,7 +55,6 @@ class PosixXlator final : public Xlator {
   net::Node& node_;
   store::ObjectStore& os_;
   store::BlockDevice& dev_;
-  PosixParams params_;
 };
 
 }  // namespace imca::gluster

@@ -61,12 +61,11 @@ sim::Task<void> leg_rename(ProtocolClient* child,
 }  // namespace
 
 ReplicateXlator::ReplicateXlator(
-    sim::EventLoop& loop, std::vector<std::unique_ptr<ProtocolClient>> replicas,
-    ReplicateParams params)
-    : loop_(loop), replicas_(std::move(replicas)), params_(params) {
+    sim::EventLoop& loop, std::vector<std::unique_ptr<ProtocolClient>> replicas)
+    : loop_(loop),
+      replicas_(std::move(replicas)),
+      quorum_(replicas_.size() / 2 + 1) {
   assert(!replicas_.empty());
-  quorum_ = params_.quorum != 0 ? params_.quorum : replicas_.size() / 2 + 1;
-  assert(quorum_ <= replicas_.size());
   dirty_.resize(replicas_.size());
   was_down_.assign(replicas_.size(), false);
   healing_.assign(replicas_.size(), false);

@@ -7,8 +7,8 @@
 // byte-equality. This translator renders the same contract on the simulated
 // stack (DESIGN.md §5i):
 //
-//   * Mutations fan out to all K children in parallel and commit iff at
-//     least `quorum` children acknowledge AND at least one of them held a
+//   * Mutations fan out to all K children in parallel and commit iff a
+//     majority (K/2 + 1) acknowledges AND at least one of them held a
 //     fresh (up-to-date) copy before the op. A committed mutation bumps the
 //     path's write epoch; children that acked from a fresh copy are fresh at
 //     the new epoch, everyone else is marked dirty.
@@ -42,11 +42,6 @@
 #include "sim/sync.h"
 
 namespace imca::gluster {
-
-struct ReplicateParams {
-  // Acks required to commit a mutation. 0 = majority (K/2 + 1).
-  std::size_t quorum = 0;
-};
 
 struct ReplicateStats {
   std::uint64_t mutations = 0;
@@ -84,8 +79,7 @@ class ReplicateXlator final : public Xlator, public ServerHealth {
   // Takes ownership of one protocol/client per replica. All children hold
   // the same namespace; `loop` drives the parallel fan-out and heal workers.
   ReplicateXlator(sim::EventLoop& loop,
-                  std::vector<std::unique_ptr<ProtocolClient>> replicas,
-                  ReplicateParams params = {});
+                  std::vector<std::unique_ptr<ProtocolClient>> replicas);
   ~ReplicateXlator() override;
 
   sim::Task<Expected<store::Attr>> create(std::string path,
@@ -180,8 +174,7 @@ class ReplicateXlator final : public Xlator, public ServerHealth {
 
   sim::EventLoop& loop_;
   std::vector<std::unique_ptr<ProtocolClient>> replicas_;
-  ReplicateParams params_;
-  std::size_t quorum_ = 0;
+  std::size_t quorum_ = 0;  // acks a mutation needs: the majority
   // path -> committed write epoch (monotone; heal uses it to detect races).
   std::map<std::string, std::uint64_t> epochs_;
   // Per child: paths whose latest committed mutation it missed.

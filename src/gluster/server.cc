@@ -3,17 +3,22 @@
 #include <cassert>
 
 namespace imca::gluster {
+namespace {
+
+// The paper's 8-disk array.
+constexpr std::size_t kBrickRaidMembers = 8;
+
+}  // namespace
 
 GlusterServer::GlusterServer(net::RpcSystem& rpc, net::NodeId node,
                              GlusterServerParams params)
     : rpc_(rpc),
       node_(node),
       params_(params),
-      dev_(rpc.fabric().loop(), params.raid_members, params.disk,
-           params.page_cache_bytes, "brick" + std::to_string(node)) {
+      dev_(rpc.fabric().loop(), kBrickRaidMembers, params.page_cache_bytes,
+           "brick" + std::to_string(node)) {
   stack_.push_back(std::make_unique<PosixXlator>(
-      rpc_.fabric().loop(), rpc_.fabric().node(node_), os_, dev_,
-      params_.posix));
+      rpc_.fabric().loop(), rpc_.fabric().node(node_), os_, dev_));
   auto io = std::make_unique<IoThreadsXlator>(
       rpc_.fabric().loop(), params_.io_threads, params_.io_queue_limit);
   io->set_child(stack_.back().get());
@@ -41,11 +46,6 @@ void GlusterServer::start() {
               [this](ByteBuf req, net::NodeId from) -> sim::Task<ByteBuf> {
                 return handle(std::move(req), from);
               });
-}
-
-void GlusterServer::stop() {
-  up_ = false;
-  rpc_.shutdown(node_, net::kPortGluster);
 }
 
 void GlusterServer::crash() {
@@ -110,7 +110,7 @@ sim::Task<ByteBuf> GlusterServer::handle(ByteBuf request, net::NodeId) {
   ++stats_.fops;
   const std::uint64_t epoch = boot_epoch_;
   const SimTime arrival = rpc_.fabric().loop().now();
-  co_await rpc_.fabric().node(node_).cpu().use(params_.fop_dispatch_cpu);
+  co_await rpc_.fabric().node(node_).cpu().use(kFopDispatchCpu);
   auto req = FopRequest::decode(request);
   FopReply reply;
   if (!req) {

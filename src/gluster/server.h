@@ -38,13 +38,12 @@
 
 namespace imca::gluster {
 
+// Userspace daemon CPU per fop.
+inline constexpr SimDuration kFopDispatchCpu = 110 * kMicro;
+
 struct GlusterServerParams {
-  SimDuration fop_dispatch_cpu = 110 * kMicro; // userspace daemon per fop
   std::size_t io_threads = 16;
-  std::size_t raid_members = 8;                // the paper's 8-disk array
-  store::DiskParams disk = {};
   std::uint64_t page_cache_bytes = 6 * kGiB;   // of the server's 8 GB
-  PosixParams posix = {};
   // --- admission control (0 = unbounded, the seed behaviour) ---
   // Fops allowed inside dispatch at once; beyond this the brick sheds kBusy.
   std::size_t admission_limit = 0;
@@ -85,7 +84,6 @@ class GlusterServer {
 
   // Register the brick on the fabric (port 24007).
   void start();
-  void stop();
 
   // Kill the brick process now: stop listening, drop the page cache and any
   // write-behind buffer, and invalidate in-flight replies (they become

@@ -9,8 +9,8 @@
 //
 // The default implementation of every fop forwards to the child, so a
 // translator overrides only what it cares about (CMCache overrides stat and
-// read; SMCache overrides open/read/write/close/unlink; read-ahead overrides
-// read; ...).
+// read; SMCache overrides open/read/write/close/unlink; write-behind
+// overrides write and the ops that must see its buffer; ...).
 #pragma once
 
 #include <cstdint>

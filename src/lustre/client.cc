@@ -4,6 +4,15 @@
 #include "sim/sync.h"
 
 namespace imca::lustre {
+namespace {
+
+// Kernel VFS path, no FUSE.
+constexpr SimDuration kClientOpCpu = 4 * kMicro;
+// Small-op wire sizes.
+constexpr std::uint64_t kRpcRequestBytes = 128;
+constexpr std::uint64_t kRpcReplyBytes = 160;
+
+}  // namespace
 
 LustreClient::LustreClient(net::RpcSystem& rpc, net::NodeId self,
                            MetadataServer& mds,
@@ -14,7 +23,6 @@ LustreClient::LustreClient(net::RpcSystem& rpc, net::NodeId self,
       mds_(mds),
       ds_(std::move(data_servers)),
       stripes_(ds_.size()),
-      params_(params),
       pages_(params.cache_bytes) {
   // Register the LDLM blocking callback: drop our pages when revoked. The
   // lambda only forwards to the named member coroutine (IMCA-CORO-LAMBDA).
@@ -40,7 +48,7 @@ std::uint64_t LustreClient::cache_key(const std::string& path) const {
 sim::Task<void> LustreClient::charge_rpc(net::NodeId peer,
                                          std::uint64_t req_bytes,
                                          std::uint64_t reply_bytes) {
-  co_await rpc_.fabric().node(self_).cpu().use(params_.op_cpu);
+  co_await rpc_.fabric().node(self_).cpu().use(kClientOpCpu);
   co_await rpc_.fabric().transfer(self_, peer, req_bytes);
   co_await rpc_.fabric().transfer(peer, self_, reply_bytes);
 }
@@ -53,8 +61,7 @@ sim::Task<Expected<void>> LustreClient::ensure_lock(std::string path,
     co_return Expected<void>{};  // lock already cached locally
   }
   // Lock RPC to the MDS (the enqueue round trip).
-  co_await charge_rpc(mds_.node(), params_.rpc_request_bytes,
-                      params_.rpc_reply_bytes);
+  co_await charge_rpc(mds_.node(), kRpcRequestBytes, kRpcReplyBytes);
   auto r = co_await mds_.lock(path, self_, mode);
   if (!r) co_return r;
   lock_cache_[path] = mode;
@@ -68,8 +75,7 @@ Expected<std::string> LustreClient::path_of(fsapi::OpenFile file) const {
 }
 
 sim::Task<Expected<fsapi::OpenFile>> LustreClient::create(std::string path) {
-  co_await charge_rpc(mds_.node(), params_.rpc_request_bytes,
-                      params_.rpc_reply_bytes);
+  co_await charge_rpc(mds_.node(), kRpcRequestBytes, kRpcReplyBytes);
   auto attr = co_await mds_.create(path);
   if (!attr) co_return attr.error();
   const std::uint64_t fd = next_fd_++;
@@ -78,8 +84,7 @@ sim::Task<Expected<fsapi::OpenFile>> LustreClient::create(std::string path) {
 }
 
 sim::Task<Expected<fsapi::OpenFile>> LustreClient::open(std::string path) {
-  co_await charge_rpc(mds_.node(), params_.rpc_request_bytes,
-                      params_.rpc_reply_bytes);
+  co_await charge_rpc(mds_.node(), kRpcRequestBytes, kRpcReplyBytes);
   auto attr = co_await mds_.stat(path);
   if (!attr) co_return attr.error();
   const std::uint64_t fd = next_fd_++;
@@ -90,7 +95,7 @@ sim::Task<Expected<fsapi::OpenFile>> LustreClient::open(std::string path) {
 sim::Task<Expected<void>> LustreClient::close(fsapi::OpenFile file) {
   auto path = path_of(file);
   if (!path) co_return path.error();
-  co_await rpc_.fabric().node(self_).cpu().use(params_.op_cpu);
+  co_await rpc_.fabric().node(self_).cpu().use(kClientOpCpu);
   fd_table_.erase(file.fd);
   // Locks and pages stay cached after close — that is the point of a
   // coherent client cache.
@@ -98,8 +103,7 @@ sim::Task<Expected<void>> LustreClient::close(fsapi::OpenFile file) {
 }
 
 sim::Task<Expected<store::Attr>> LustreClient::stat(std::string path) {
-  co_await charge_rpc(mds_.node(), params_.rpc_request_bytes,
-                      params_.rpc_reply_bytes);
+  co_await charge_rpc(mds_.node(), kRpcRequestBytes, kRpcReplyBytes);
   co_return co_await mds_.stat(path);
 }
 
@@ -124,7 +128,7 @@ sim::Task<Expected<Buffer>> LustreClient::read(fsapi::OpenFile file,
     // Warm read: local memory. Zero network; peek the coherent bytes.
     ++cache_hits_;
     co_await rpc_.fabric().node(self_).cpu().use(
-        params_.op_cpu + transfer_time(n, 4 * kGiB));
+        kClientOpCpu + transfer_time(n, 4 * kGiB));
     (void)pages_.access(key, offset, n);  // refresh LRU
   } else {
     ++cache_misses_;
@@ -135,7 +139,7 @@ sim::Task<Expected<Buffer>> LustreClient::read(fsapi::OpenFile file,
       fetches.push_back([](LustreClient& c, StripePiece piece,
                            std::string obj) -> sim::Task<void> {
         co_await c.rpc_.fabric().transfer(c.self_, c.ds_[piece.server]->node(),
-                                          c.params_.rpc_request_bytes);
+                                          kRpcRequestBytes);
         (void)co_await c.ds_[piece.server]->read(obj, piece.local_offset,
                                                  piece.length);
         co_await c.rpc_.fabric().transfer(c.ds_[piece.server]->node(), c.self_,
@@ -179,11 +183,11 @@ sim::Task<Expected<std::uint64_t>> LustreClient::write(fsapi::OpenFile file,
     stores.push_back([](LustreClient& c, StripePiece piece, std::string obj,
                         Buffer bytes) -> sim::Task<void> {
       co_await c.rpc_.fabric().transfer(c.self_, c.ds_[piece.server]->node(),
-                                        bytes.size() + c.params_.rpc_request_bytes);
+                                        bytes.size() + kRpcRequestBytes);
       (void)co_await c.ds_[piece.server]->write(obj, piece.local_offset,
                                                 std::move(bytes));
       co_await c.rpc_.fabric().transfer(c.ds_[piece.server]->node(), c.self_,
-                                        c.params_.rpc_reply_bytes);
+                                        kRpcReplyBytes);
       // NOLINTNEXTLINE(imca-coro-this): when_all joins every child below.
     }(*this, p, *path, std::move(slice)));
   }
@@ -191,15 +195,13 @@ sim::Task<Expected<std::uint64_t>> LustreClient::write(fsapi::OpenFile file,
   pages_.populate(cache_key(*path), offset, data.size());
 
   // Report the (possibly) new size to the MDS.
-  co_await charge_rpc(mds_.node(), params_.rpc_request_bytes,
-                      params_.rpc_reply_bytes);
+  co_await charge_rpc(mds_.node(), kRpcRequestBytes, kRpcReplyBytes);
   (void)co_await mds_.set_size(*path, offset + data.size());
   co_return data.size();
 }
 
 sim::Task<Expected<void>> LustreClient::unlink(std::string path) {
-  co_await charge_rpc(mds_.node(), params_.rpc_request_bytes,
-                      params_.rpc_reply_bytes);
+  co_await charge_rpc(mds_.node(), kRpcRequestBytes, kRpcReplyBytes);
   auto r = co_await mds_.unlink(path);
   if (!r) co_return r;
   for (auto* ds : ds_) {
@@ -222,15 +224,12 @@ sim::Task<Expected<void>> LustreClient::truncate(std::string path,
     for (std::uint64_t j = k; j * ss < size; j += ds_.size()) {
       local += std::min(size - j * ss, ss);
     }
-    co_await rpc_.fabric().transfer(self_, ds_[k]->node(),
-                                    params_.rpc_request_bytes);
+    co_await rpc_.fabric().transfer(self_, ds_[k]->node(), kRpcRequestBytes);
     (void)co_await ds_[k]->truncate_object(path, local);
-    co_await rpc_.fabric().transfer(ds_[k]->node(), self_,
-                                    params_.rpc_reply_bytes);
+    co_await rpc_.fabric().transfer(ds_[k]->node(), self_, kRpcReplyBytes);
   }
   pages_.invalidate(cache_key(path));
-  co_await charge_rpc(mds_.node(), params_.rpc_request_bytes,
-                      params_.rpc_reply_bytes);
+  co_await charge_rpc(mds_.node(), kRpcRequestBytes, kRpcReplyBytes);
   co_return co_await mds_.truncate(path, size);
 }
 
@@ -239,17 +238,14 @@ sim::Task<Expected<void>> LustreClient::rename(std::string from,
   if (auto l = co_await ensure_lock(from, LockMode::kWrite); !l) {
     co_return l.error();
   }
-  co_await charge_rpc(mds_.node(),
-                      params_.rpc_request_bytes + from.size() + to.size(),
-                      params_.rpc_reply_bytes);
+  co_await charge_rpc(mds_.node(), kRpcRequestBytes + from.size() + to.size(),
+                      kRpcReplyBytes);
   auto r = co_await mds_.rename(from, to);
   if (!r) co_return r;
   for (auto* ds : ds_) {
-    co_await rpc_.fabric().transfer(self_, ds->node(),
-                                    params_.rpc_request_bytes);
+    co_await rpc_.fabric().transfer(self_, ds->node(), kRpcRequestBytes);
     (void)co_await ds->rename_object(from, to);
-    co_await rpc_.fabric().transfer(ds->node(), self_,
-                                    params_.rpc_reply_bytes);
+    co_await rpc_.fabric().transfer(ds->node(), self_, kRpcReplyBytes);
   }
   pages_.invalidate(cache_key(from));
   pages_.invalidate(cache_key(to));

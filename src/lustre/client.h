@@ -37,10 +37,7 @@
 namespace imca::lustre {
 
 struct LustreClientParams {
-  SimDuration op_cpu = 4 * kMicro;          // kernel VFS path, no FUSE
   std::uint64_t cache_bytes = 2 * kGiB;     // client page cache
-  std::uint64_t rpc_request_bytes = 128;    // small-op wire sizes
-  std::uint64_t rpc_reply_bytes = 160;
 };
 
 class LustreClient final : public fsapi::FileSystemClient {
@@ -109,7 +106,6 @@ class LustreClient final : public fsapi::FileSystemClient {
   MetadataServer& mds_;
   std::vector<DataServer*> ds_;
   StripeMapper stripes_;
-  LustreClientParams params_;
 
   store::PageCache pages_;
   std::function<sim::Task<void>(std::string path, LockMode requested)>

@@ -1,19 +1,25 @@
 #include "lustre/data_server.h"
 
 namespace imca::lustre {
+namespace {
+
+// Kernel service path (no FUSE).
+constexpr SimDuration kDsOpCpu = 8 * kMicro;
+constexpr std::uint64_t kDsCopyBps = 2 * kGiB;
+
+}  // namespace
 
 DataServer::DataServer(net::RpcSystem& rpc, net::NodeId node, DsParams params)
     : rpc_(rpc),
       node_(node),
-      params_(params),
-      dev_(rpc.fabric().loop(), params.raid_members, params.disk,
-           params.page_cache_bytes, "ost" + std::to_string(node)) {}
+      dev_(rpc.fabric().loop(), params.raid_members, params.page_cache_bytes,
+           "ost" + std::to_string(node)) {}
 
 sim::Task<Expected<Buffer>> DataServer::read(std::string object,
                                              std::uint64_t offset,
                                              std::uint64_t len) {
   co_await rpc_.fabric().node(node_).cpu().use(
-      params_.op_cpu + transfer_time(len, params_.copy_bps));
+      kDsOpCpu + transfer_time(len, kDsCopyBps));
   auto attr = objects_.stat(object);
   if (!attr) co_return Buffer{};  // sparse object: zero bytes
   co_await dev_.read(attr->inode, offset, len);
@@ -25,7 +31,7 @@ sim::Task<Expected<Buffer>> DataServer::read(std::string object,
 sim::Task<Expected<std::uint64_t>> DataServer::write(
     std::string object, std::uint64_t offset, Buffer data) {
   co_await rpc_.fabric().node(node_).cpu().use(
-      params_.op_cpu + transfer_time(data.size(), params_.copy_bps));
+      kDsOpCpu + transfer_time(data.size(), kDsCopyBps));
   if (!objects_.exists(object)) {
     (void)objects_.create(object, rpc_.fabric().loop().now());
   }
@@ -38,7 +44,7 @@ sim::Task<Expected<std::uint64_t>> DataServer::write(
 }
 
 sim::Task<Expected<void>> DataServer::remove(std::string object) {
-  co_await rpc_.fabric().node(node_).cpu().use(params_.op_cpu);
+  co_await rpc_.fabric().node(node_).cpu().use(kDsOpCpu);
   if (objects_.exists(object)) {
     const auto attr = objects_.stat(object);
     dev_.invalidate(attr->inode);
@@ -49,7 +55,7 @@ sim::Task<Expected<void>> DataServer::remove(std::string object) {
 
 sim::Task<Expected<void>> DataServer::truncate_object(
     std::string object, std::uint64_t local_size) {
-  co_await rpc_.fabric().node(node_).cpu().use(params_.op_cpu);
+  co_await rpc_.fabric().node(node_).cpu().use(kDsOpCpu);
   if (!objects_.exists(object)) co_return Expected<void>{};  // sparse
   const auto attr = objects_.stat(object);
   if (local_size < attr->size) dev_.invalidate(attr->inode);
@@ -59,7 +65,7 @@ sim::Task<Expected<void>> DataServer::truncate_object(
 
 sim::Task<Expected<void>> DataServer::rename_object(std::string from,
                                                     std::string to) {
-  co_await rpc_.fabric().node(node_).cpu().use(params_.op_cpu);
+  co_await rpc_.fabric().node(node_).cpu().use(kDsOpCpu);
   if (!objects_.exists(from)) {
     // This DS held no stripes of the file; make sure no stale target stays.
     (void)objects_.unlink(to);

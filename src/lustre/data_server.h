@@ -17,10 +17,7 @@
 namespace imca::lustre {
 
 struct DsParams {
-  SimDuration op_cpu = 8 * kMicro;  // kernel service path (no FUSE)
-  std::uint64_t copy_bps = 2 * kGiB;
   std::size_t raid_members = 8;  // comparable storage to the GlusterFS brick
-  store::DiskParams disk = {};
   std::uint64_t page_cache_bytes = 6 * kGiB;
 };
 
@@ -47,7 +44,6 @@ class DataServer {
  private:
   net::RpcSystem& rpc_;
   net::NodeId node_;
-  DsParams params_;
   store::ObjectStore objects_;
   store::BlockDevice dev_;
 };

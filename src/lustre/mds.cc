@@ -1,18 +1,25 @@
 #include "lustre/mds.h"
 
 namespace imca::lustre {
+namespace {
 
-MetadataServer::MetadataServer(net::RpcSystem& rpc, net::NodeId node,
-                               MdsParams params)
+// Per metadata op / lock op.
+constexpr SimDuration kMdsOpCpu = 70 * kMicro;
+// The MDS has its own small array.
+constexpr std::size_t kMdsRaidMembers = 2;
+constexpr std::uint64_t kMdsPageCacheBytes = 4 * kGiB;
+
+}  // namespace
+
+MetadataServer::MetadataServer(net::RpcSystem& rpc, net::NodeId node)
     : rpc_(rpc),
       node_(node),
-      params_(params),
-      dev_(rpc.fabric().loop(), params.raid_members, params.disk,
-           params.page_cache_bytes, "mds" + std::to_string(node)),
+      dev_(rpc.fabric().loop(), kMdsRaidMembers, kMdsPageCacheBytes,
+           "mds" + std::to_string(node)),
       lock_mutex_(rpc.fabric().loop()) {}
 
 sim::Task<void> MetadataServer::charge_op() {
-  co_await rpc_.fabric().node(node_).cpu().use(params_.op_cpu);
+  co_await rpc_.fabric().node(node_).cpu().use(kMdsOpCpu);
 }
 
 sim::Task<Expected<store::Attr>> MetadataServer::create(

@@ -34,13 +34,6 @@ namespace imca::lustre {
 
 enum class LockMode : std::uint8_t { kNone = 0, kRead = 1, kWrite = 2 };
 
-struct MdsParams {
-  SimDuration op_cpu = 70 * kMicro;        // per metadata op / lock op
-  std::size_t raid_members = 2;            // MDS has its own small array
-  store::DiskParams disk = {};
-  std::uint64_t page_cache_bytes = 4 * kGiB;
-};
-
 class MetadataServer {
  public:
   // Client-side hook the MDS calls (after charging the callback round trip)
@@ -50,7 +43,7 @@ class MetadataServer {
   using RevokeFn = std::function<sim::Task<void>(std::string path,
                                                  LockMode requested)>;
 
-  MetadataServer(net::RpcSystem& rpc, net::NodeId node, MdsParams params = {});
+  MetadataServer(net::RpcSystem& rpc, net::NodeId node);
 
   net::NodeId node() const noexcept { return node_; }
   store::ObjectStore& namespace_store() noexcept { return ns_; }
@@ -91,7 +84,6 @@ class MetadataServer {
 
   net::RpcSystem& rpc_;
   net::NodeId node_;
-  MdsParams params_;
   store::ObjectStore ns_;  // attributes only; file bytes live on the DSs
   store::BlockDevice dev_;
   std::map<std::string, LockState> locks_;

@@ -116,35 +116,6 @@ Expected<void> McCache::add(std::string_view key, std::uint32_t flags,
   return store(key, flags, expire_at, std::move(data), now);
 }
 
-Expected<void> McCache::replace(std::string_view key, std::uint32_t flags,
-                                SimTime expire_at, Buffer data, SimTime now) {
-  ++stats_.cmd_set;
-  if (find_live(key, now) == items_.end()) return Errc::kNotStored;
-  return store(key, flags, expire_at, std::move(data), now);
-}
-
-Expected<void> McCache::append(std::string_view key, Buffer data,
-                               SimTime now) {
-  ++stats_.cmd_set;
-  auto it = find_live(key, now);
-  if (it == items_.end()) return Errc::kNotStored;
-  const Item& old = it->second;
-  Buffer merged = old.value.data;  // shares segments
-  merged.append(std::move(data));
-  return store(key, old.value.flags, old.expire_at, std::move(merged), now);
-}
-
-Expected<void> McCache::prepend(std::string_view key, Buffer data,
-                                SimTime now) {
-  ++stats_.cmd_set;
-  auto it = find_live(key, now);
-  if (it == items_.end()) return Errc::kNotStored;
-  const Item& old = it->second;
-  Buffer merged = std::move(data);
-  merged.append(old.value.data);
-  return store(key, old.value.flags, old.expire_at, std::move(merged), now);
-}
-
 const Value* McCache::get_ref(std::string_view key, SimTime now) {
   ++stats_.cmd_get;
   auto it = find_live(key, now);
@@ -175,42 +146,6 @@ Expected<void> McCache::cas(std::string_view key, std::uint32_t flags,
   if (it == items_.end()) return Errc::kNoEnt;  // NOT_FOUND
   if (it->second.value.cas != expected_cas) return Errc::kBusy;  // EXISTS
   return store(key, flags, expire_at, std::move(data), now);
-}
-
-Expected<std::uint64_t> McCache::arith(std::string_view key,
-                                       std::uint64_t delta, bool up,
-                                       SimTime now) {
-  ++stats_.cmd_set;
-  auto it = find_live(key, now);
-  if (it == items_.end()) return Errc::kNoEnt;
-  const Item& item = it->second;
-  // Parse the decimal-ASCII value in place, as memcached does.
-  std::uint64_t value = 0;
-  if (item.value.data.empty()) return Errc::kInval;
-  for (const auto b : item.value.data) {
-    const char c = static_cast<char>(b);
-    if (c < '0' || c > '9') return Errc::kInval;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (up) {
-    value += delta;  // wraps at 2^64, like memcached
-  } else {
-    value = delta > value ? 0 : value - delta;  // decr clamps at zero
-  }
-  auto r = store(key, item.value.flags, item.expire_at,
-                 Buffer::of_string(std::to_string(value)), now);
-  if (!r) return r.error();
-  return value;
-}
-
-Expected<std::uint64_t> McCache::incr(std::string_view key,
-                                      std::uint64_t delta, SimTime now) {
-  return arith(key, delta, /*up=*/true, now);
-}
-
-Expected<std::uint64_t> McCache::decr(std::string_view key,
-                                      std::uint64_t delta, SimTime now) {
-  return arith(key, delta, /*up=*/false, now);
 }
 
 Expected<void> McCache::del(std::string_view key) {

@@ -1,10 +1,10 @@
 // The memcached storage engine: hash table + per-slab-class LRU + lazy
 // expiration, with real bytes stored per item.
 //
-// Semantics follow memcached 1.2 (the daemon the paper deploys):
+// Semantics follow memcached 1.2 (the daemon the paper deploys), for the
+// commands IMCa sends:
 //   * keys are at most 250 bytes, items at most 1 MB including overhead;
-//   * set always stores; add only if absent; replace only if present;
-//   * append/prepend splice bytes onto an existing item;
+//   * set always stores; add only if absent; cas only on a matching id;
 //   * expired items are removed lazily, on the access that finds them;
 //   * when the memory limit is hit, the least-recently-used item *of the
 //     same slab class* is evicted to make room ("MCDs are self-managing",
@@ -69,15 +69,9 @@ class McCache {
                      SimTime expire_at, Buffer data,
                      SimTime now);
 
-  // Store only if the key is absent / present.
+  // Store only if the key is absent.
   Expected<void> add(std::string_view key, std::uint32_t flags,
                      SimTime expire_at, Buffer data, SimTime now);
-  Expected<void> replace(std::string_view key, std::uint32_t flags,
-                         SimTime expire_at, Buffer data, SimTime now);
-
-  // Splice bytes after / before an existing item's data.
-  Expected<void> append(std::string_view key, Buffer data, SimTime now);
-  Expected<void> prepend(std::string_view key, Buffer data, SimTime now);
 
   // Fetch; refreshes LRU position. kNoEnt on miss or lazy expiry.
   Expected<Value> get(std::string_view key, SimTime now);
@@ -93,17 +87,9 @@ class McCache {
                      SimTime expire_at, Buffer data,
                      std::uint64_t expected_cas, SimTime now);
 
-  // Arithmetic on a decimal-ASCII value (memcached's incr/decr). Returns the
-  // new value. kNoEnt if absent; kInval if the stored data is not a number.
-  // decr clamps at zero; incr wraps at 2^64, as memcached does.
-  Expected<std::uint64_t> incr(std::string_view key, std::uint64_t delta,
-                               SimTime now);
-  Expected<std::uint64_t> decr(std::string_view key, std::uint64_t delta,
-                               SimTime now);
-
   Expected<void> del(std::string_view key);
 
-  // Drop everything (memcached's flush_all).
+  // Drop everything: a crashed daemon restarts empty through this.
   void flush_all();
 
   // Drop every item except those whose flags carry `keep_mask` bits — the
@@ -148,8 +134,6 @@ class McCache {
 
   Expected<void> store(std::string_view key, std::uint32_t flags,
                        SimTime expire_at, Buffer data, SimTime now);
-  Expected<std::uint64_t> arith(std::string_view key, std::uint64_t delta,
-                                bool up, SimTime now);
   // The item under `key` if it exists and is not expired; an expired item
   // is reaped and reads as absent (end()).
   ItemMap::iterator find_live(std::string_view key, SimTime now);

@@ -15,9 +15,6 @@ std::string_view verb_name(StoreVerb v) {
   switch (v) {
     case StoreVerb::kSet: return "set";
     case StoreVerb::kAdd: return "add";
-    case StoreVerb::kReplace: return "replace";
-    case StoreVerb::kAppend: return "append";
-    case StoreVerb::kPrepend: return "prepend";
   }
   return "?";
 }
@@ -266,29 +263,13 @@ ByteBuf encode_cas(std::string_view key, std::uint32_t flags,
   return out;
 }
 
-ByteBuf encode_incr(std::string_view key, std::uint64_t delta) {
-  ByteBuf out;
-  put_header(out, "incr", key, {delta});
-  return out;
-}
-
-ByteBuf encode_decr(std::string_view key, std::uint64_t delta) {
-  ByteBuf out;
-  put_header(out, "decr", key, {delta});
-  return out;
-}
-
 ByteBuf encode_delete(std::string_view key) {
   ByteBuf out;
   put_header(out, "delete", key);
   return out;
 }
 
-ByteBuf encode_flush_all() { return fixed_line("flush_all\r\n"); }
-
 ByteBuf encode_flush_clean() { return fixed_line("flush_all clean\r\n"); }
-
-ByteBuf encode_stats() { return fixed_line("stats\r\n"); }
 
 Expected<GetResult> parse_get_response(ByteBuf& in) {
   GetResult result;
@@ -346,15 +327,6 @@ Expected<CasReply> parse_cas_response(ByteBuf& in) {
   return Errc::kProto;
 }
 
-Expected<std::uint64_t> parse_arith_response(ByteBuf& in) {
-  Scanner sc(in.buffer());
-  auto line = sc.line();
-  if (!line) return line.error();
-  if (*line == "NOT_FOUND") return Errc::kNoEnt;
-  if (line->starts_with("CLIENT_ERROR")) return Errc::kInval;
-  return parse_num<std::uint64_t>(*line);
-}
-
 Expected<DeleteReply> parse_delete_response(ByteBuf& in) {
   Scanner sc(in.buffer());
   auto line = sc.line();
@@ -362,20 +334,6 @@ Expected<DeleteReply> parse_delete_response(ByteBuf& in) {
   if (*line == "DELETED") return DeleteReply::kDeleted;
   if (*line == "NOT_FOUND") return DeleteReply::kNotFound;
   return Errc::kProto;
-}
-
-Expected<std::map<std::string, std::string>> parse_stats_response(
-    ByteBuf& in) {
-  Scanner sc(in.buffer());
-  std::map<std::string, std::string> out;
-  while (true) {
-    auto line = sc.line();
-    if (!line) return line.error();
-    if (*line == "END") return out;
-    const Tokens tok(*line);
-    if (tok.count != 3 || tok[0] != "STAT") return Errc::kProto;
-    out.emplace(std::string(tok[1]), std::string(tok[2]));
-  }
 }
 
 namespace {
@@ -427,24 +385,6 @@ ByteBuf do_cas(McCache& cache, const Tokens& tok, Scanner& sc, SimTime now) {
   return fixed_line("SERVER_ERROR out of memory storing object\r\n");
 }
 
-ByteBuf do_arith(McCache& cache, const Tokens& tok, bool up, SimTime now) {
-  if (tok.count != 3) return error_reply();
-  auto delta = parse_num<std::uint64_t>(tok[2]);
-  if (!delta) return error_reply();
-  auto r = up ? cache.incr(tok[1], *delta, now)
-              : cache.decr(tok[1], *delta, now);
-  if (r) {
-    std::array<char, 24> text;
-    char* p = std::to_chars(text.data(), text.data() + text.size(), *r).ptr;
-    p = std::copy(kCrlf.begin(), kCrlf.end(), p);
-    return fixed_line(
-        {text.data(), static_cast<std::size_t>(p - text.data())});
-  }
-  if (r.error() == Errc::kNoEnt) return fixed_line("NOT_FOUND\r\n");
-  return fixed_line(
-      "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n");
-}
-
 ByteBuf do_store(McCache& cache, StoreVerb verb, const Tokens& tok,
                  Scanner& sc, SimTime now) {
   if (tok.count != 5) return error_reply();
@@ -456,25 +396,10 @@ ByteBuf do_store(McCache& cache, StoreVerb verb, const Tokens& tok,
   if (!data) return error_reply();
   const SimTime expire_at = expiry(*exptime, now);
 
-  Expected<void> r = Errc::kInval;
-  switch (verb) {
-    case StoreVerb::kSet:
-      r = cache.set(tok[1], *flags, expire_at, std::move(*data), now);
-      break;
-    case StoreVerb::kAdd:
-      r = cache.add(tok[1], *flags, expire_at, std::move(*data), now);
-      break;
-    case StoreVerb::kReplace:
-      r = cache.replace(tok[1], *flags, expire_at, std::move(*data), now);
-      break;
-    case StoreVerb::kAppend:
-      r = cache.append(tok[1], std::move(*data), now);
-      break;
-    case StoreVerb::kPrepend:
-      r = cache.prepend(tok[1], std::move(*data), now);
-      break;
-  }
-
+  const Expected<void> r =
+      verb == StoreVerb::kSet
+          ? cache.set(tok[1], *flags, expire_at, std::move(*data), now)
+          : cache.add(tok[1], *flags, expire_at, std::move(*data), now);
   if (r) return fixed_line("STORED\r\n");
   switch (r.error()) {
     case Errc::kNotStored: return fixed_line("NOT_STORED\r\n");
@@ -492,31 +417,6 @@ ByteBuf do_delete(McCache& cache, const Tokens& tok) {
   return fixed_line(cache.del(tok[1]) ? "DELETED\r\n" : "NOT_FOUND\r\n");
 }
 
-ByteBuf do_stats(const McCache& cache) {
-  const CacheStats& s = cache.stats();
-  ByteBuf out;
-  put_header(out, "STAT", "cmd_get", {s.cmd_get});
-  put_header(out, "STAT", "cmd_set", {s.cmd_set});
-  put_header(out, "STAT", "get_hits", {s.get_hits});
-  put_header(out, "STAT", "get_misses", {s.get_misses});
-  put_header(out, "STAT", "evictions", {s.evictions});
-  put_header(out, "STAT", "expired_unfetched", {s.expired_unfetched});
-  put_header(out, "STAT", "curr_items", {s.curr_items});
-  put_header(out, "STAT", "bytes", {s.bytes});
-  put_header(out, "STAT", "limit_maxbytes", {cache.slabs().memory_limit()});
-  out.put_raw("END\r\n");
-  return out;
-}
-
-std::optional<StoreVerb> store_verb(std::string_view cmd) {
-  if (cmd == "set") return StoreVerb::kSet;
-  if (cmd == "add") return StoreVerb::kAdd;
-  if (cmd == "replace") return StoreVerb::kReplace;
-  if (cmd == "append") return StoreVerb::kAppend;
-  if (cmd == "prepend") return StoreVerb::kPrepend;
-  return std::nullopt;
-}
-
 }  // namespace
 
 ByteBuf handle_request(McCache& cache, ByteBuf request, SimTime now,
@@ -532,22 +432,14 @@ ByteBuf handle_request(McCache& cache, ByteBuf request, SimTime now,
   }
 
   const Tokens tok(*first);
-  if (const auto verb = store_verb(cmd)) {
-    return do_store(cache, *verb, tok, sc, now);
-  }
+  if (cmd == "set") return do_store(cache, StoreVerb::kSet, tok, sc, now);
+  if (cmd == "add") return do_store(cache, StoreVerb::kAdd, tok, sc, now);
   if (cmd == "cas") return do_cas(cache, tok, sc, now);
-  if (cmd == "incr") return do_arith(cache, tok, /*up=*/true, now);
-  if (cmd == "decr") return do_arith(cache, tok, /*up=*/false, now);
   if (cmd == "delete") return do_delete(cache, tok);
-  if (cmd == "stats") return do_stats(cache);
-  if (cmd == "flush_all") {
-    // "flush_all clean" spares items flagged write-back dirty: the rejoin
+  if (cmd == "flush_all" && tok.count == 2 && tok[1] == "clean") {
+    // The clean flush spares items flagged write-back dirty: the rejoin
     // purge must never destroy the only surviving replica of acked bytes.
-    if (tok.count >= 2 && tok[1] == "clean") {
-      cache.flush_clean();
-    } else {
-      cache.flush_all();
-    }
+    cache.flush_clean();
     return fixed_line("OK\r\n");
   }
   return error_reply();

@@ -5,6 +5,10 @@
 // followed by a binary-safe data block, "VALUE ..." responses, "END\r\n"),
 // so message sizes, parsing behaviour and malformed-input handling are the
 // real thing, not placeholders.
+//
+// The codec covers the commands McClient sends: get (multi-key), gets, set,
+// add, cas, delete and "flush_all clean". The daemon answers any other line
+// with "ERROR\r\n", as memcached does for a command it does not know.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +27,7 @@
 
 namespace imca::memcache {
 
-enum class StoreVerb { kSet, kAdd, kReplace, kAppend, kPrepend };
+enum class StoreVerb { kSet, kAdd };
 
 // --- client-side request encoding ---
 
@@ -37,13 +41,9 @@ ByteBuf encode_store(StoreVerb verb, std::string_view key, std::uint32_t flags,
 ByteBuf encode_cas(std::string_view key, std::uint32_t flags,
                    std::uint32_t exptime_s, const Buffer& data,
                    std::uint64_t cas_id);
-ByteBuf encode_incr(std::string_view key, std::uint64_t delta);
-ByteBuf encode_decr(std::string_view key, std::uint64_t delta);
 ByteBuf encode_delete(std::string_view key);
-ByteBuf encode_flush_all();
 // flush_all clean: drop everything except write-back dirty items.
 ByteBuf encode_flush_clean();
-ByteBuf encode_stats();
 
 // --- client-side response parsing ---
 
@@ -73,14 +73,8 @@ Expected<StoreReply> parse_store_response(ByteBuf& in);
 enum class CasReply { kStored, kExists, kNotFound };
 Expected<CasReply> parse_cas_response(ByteBuf& in);
 
-// incr/decr: the new value, kNoEnt for NOT_FOUND, kInval for non-numeric.
-Expected<std::uint64_t> parse_arith_response(ByteBuf& in);
-
 enum class DeleteReply { kDeleted, kNotFound };
 Expected<DeleteReply> parse_delete_response(ByteBuf& in);
-
-// STAT name value pairs.
-Expected<std::map<std::string, std::string>> parse_stats_response(ByteBuf& in);
 
 // --- server side ---
 

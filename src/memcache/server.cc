@@ -3,11 +3,10 @@
 namespace imca::memcache {
 
 McServer::McServer(net::RpcSystem& rpc, net::NodeId node,
-                   std::uint64_t memory_limit, McServerParams params)
+                   std::uint64_t memory_limit)
     : rpc_(rpc),
       node_(node),
       cache_(memory_limit),
-      params_(params),
       worker_(rpc.fabric().loop(), 1,
               "mcd" + std::to_string(node) + ".worker") {}
 
@@ -47,8 +46,8 @@ sim::Task<ByteBuf> McServer::handle(ByteBuf request, net::NodeId) {
   ByteBuf response =
       handle_request(cache_, std::move(request), loop.now(), &keys);
   const SimDuration service =
-      params_.base_service + keys * params_.per_key_service +
-      transfer_time(in_bytes + response.size(), params_.copy_bps);
+      kMcdBaseService + keys * kMcdPerKeyService +
+      transfer_time(in_bytes + response.size(), kMcdCopyBps);
   co_await worker_.use(service);
   co_return response;
 }

@@ -21,23 +21,20 @@
 
 namespace imca::memcache {
 
-struct McServerParams {
-  // Fixed cost to parse a request off the socket.
-  SimDuration base_service = 3 * kMicro;
-  // Per-key cost (hash lookup, LRU bump, VALUE header emit) — the reason a
-  // 256-byte IMCa block loses to NoCache on large reads (paper §5.3:
-  // "CMCache must make multiple trips to the MCDs").
-  SimDuration per_key_service = 3 * kMicro;
-  // Byte-movement rate through the daemon: slab copy + socket write + TCP
-  // checksumming on one 2008-era core. This caps a daemon's data throughput
-  // at roughly the ~220 MB/s per MCD the paper's Fig 9 implies.
-  std::uint64_t copy_bps = 450 * kMiB;
-};
+// Fixed cost to parse a request off the socket.
+inline constexpr SimDuration kMcdBaseService = 3 * kMicro;
+// Per-key cost (hash lookup, LRU bump, VALUE header emit) — the reason a
+// 256-byte IMCa block loses to NoCache on large reads (paper §5.3:
+// "CMCache must make multiple trips to the MCDs").
+inline constexpr SimDuration kMcdPerKeyService = 3 * kMicro;
+// Byte-movement rate through the daemon: slab copy + socket write + TCP
+// checksumming on one 2008-era core. This caps a daemon's data throughput
+// at roughly the ~220 MB/s per MCD the paper's Fig 9 implies.
+inline constexpr std::uint64_t kMcdCopyBps = 450 * kMiB;
 
 class McServer {
  public:
-  McServer(net::RpcSystem& rpc, net::NodeId node, std::uint64_t memory_limit,
-           McServerParams params = {});
+  McServer(net::RpcSystem& rpc, net::NodeId node, std::uint64_t memory_limit);
   ~McServer();
   McServer(const McServer&) = delete;
   McServer& operator=(const McServer&) = delete;
@@ -63,7 +60,6 @@ class McServer {
   net::RpcSystem& rpc_;
   net::NodeId node_;
   McCache cache_;
-  McServerParams params_;
   // memcached 1.2 is single-threaded: all request processing serializes
   // through this one worker, regardless of how many cores the node has.
   // This is why a loaded bank keeps gaining from daemons beyond the point

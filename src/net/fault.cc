@@ -12,13 +12,11 @@ FaultDecision FaultInjector::decide(NodeId node, std::uint16_t port) {
   // reproducible bit-for-bit from the seed regardless of which faults fire.
   if (rng_.chance(spec.drop_request)) {
     d.kind = FaultKind::kDropRequest;
-    d.give_up = spec.give_up;
     ++stats_.drops_request;
     return d;
   }
   if (rng_.chance(spec.drop_reply)) {
     d.kind = FaultKind::kDropReply;
-    d.give_up = spec.give_up;
     ++stats_.drops_reply;
     return d;
   }

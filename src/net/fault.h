@@ -6,8 +6,9 @@
 //
 //   * drop-request — the request crosses the wire and is lost before the
 //     daemon parses it (no side effect on the peer); the caller's transport
-//     only gives up after `give_up`, surfacing kTimedOut. Nothing ever hangs
-//     forever: every black-holed call resolves in bounded simulated time.
+//     only gives up after kFaultGiveUp, surfacing kTimedOut. Nothing ever
+//     hangs forever: every black-holed call resolves in bounded simulated
+//     time.
 //   * drop-reply  — the daemon executes the request (side effects applied!)
 //     but the reply is lost; the caller times out as above. This is the
 //     "did my delete land?" ambiguity the client retry machinery must absorb.
@@ -37,6 +38,12 @@ namespace imca::net {
 
 using NodeId = std::uint32_t;  // matches net/node.h
 
+// How long a black-holed call lingers before the caller's transport gives
+// up with kTimedOut. Deliberately much larger than any sane per-op client
+// deadline, so a client with timeouts sees its own deadline fire first and
+// a client without them still terminates.
+inline constexpr SimDuration kFaultGiveUp = 200 * kMilli;
+
 enum class FaultKind : std::uint8_t {
   kNone,
   kDropRequest,
@@ -54,11 +61,6 @@ struct FaultSpec {
   double short_read = 0.0;
   // Reply delay for slow-reply faults.
   SimDuration slow_delay = 2 * kMilli;
-  // How long a black-holed call lingers before the caller's transport gives
-  // up with kTimedOut. Deliberately much larger than any sane per-op client
-  // deadline, so a client with timeouts sees its own deadline fire first and
-  // a client without them still terminates.
-  SimDuration give_up = 200 * kMilli;
 
   bool any() const noexcept {
     return drop_request > 0 || drop_reply > 0 || slow_reply > 0 ||
@@ -70,7 +72,6 @@ struct FaultSpec {
 struct FaultDecision {
   FaultKind kind = FaultKind::kNone;
   SimDuration slow_delay = 0;
-  SimDuration give_up = 0;
   // Raw draw for the truncation point; the applier takes it modulo the
   // response size (the size is unknown at draw time).
   std::uint64_t cut_draw = 0;

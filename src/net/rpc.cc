@@ -45,7 +45,7 @@ sim::Task<Expected<ByteBuf>> RpcSystem::call(NodeId src, NodeId dst, Port port,
   if (fault.kind == FaultKind::kDropRequest) {
     // The request vanished before the daemon parsed it: no side effect on
     // the peer, and the caller only gives up after the transport deadline.
-    co_await fabric_.loop().sleep(fault.give_up);
+    co_await fabric_.loop().sleep(kFaultGiveUp);
     co_return Errc::kTimedOut;
   }
 
@@ -64,7 +64,7 @@ sim::Task<Expected<ByteBuf>> RpcSystem::call(NodeId src, NodeId dst, Port port,
 
   if (fault.kind == FaultKind::kDropReply) {
     // Side effects applied on the daemon, reply lost on the way back.
-    co_await fabric_.loop().sleep(fault.give_up);
+    co_await fabric_.loop().sleep(kFaultGiveUp);
     co_return Errc::kTimedOut;
   }
 

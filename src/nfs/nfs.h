@@ -27,10 +27,6 @@
 namespace imca::nfs {
 
 struct NfsServerParams {
-  SimDuration op_cpu = 10 * kMicro;  // nfsd service path
-  std::uint64_t copy_bps = 2 * kGiB;
-  std::size_t raid_members = 8;
-  store::DiskParams disk = {};
   std::uint64_t page_cache_bytes = 4 * kGiB;  // Fig 1 varies 4 GB vs 8 GB
 };
 
@@ -57,22 +53,13 @@ class NfsServer {
  private:
   net::RpcSystem& rpc_;
   net::NodeId node_;
-  NfsServerParams params_;
   store::ObjectStore files_;
   store::BlockDevice dev_;
 };
 
-struct NfsClientParams {
-  SimDuration op_cpu = 5 * kMicro;      // kernel NFS client path
-  std::uint64_t rsize = 64 * kKiB;      // wire chunking
-  std::uint64_t wsize = 64 * kKiB;
-  std::uint64_t rpc_header_bytes = 128;
-};
-
 class NfsClient final : public fsapi::FileSystemClient {
  public:
-  NfsClient(net::RpcSystem& rpc, net::NodeId self, NfsServer& server,
-            NfsClientParams params = {});
+  NfsClient(net::RpcSystem& rpc, net::NodeId self, NfsServer& server);
 
   sim::Task<Expected<fsapi::OpenFile>> create(std::string path) override;
   sim::Task<Expected<fsapi::OpenFile>> open(std::string path) override;
@@ -96,7 +83,6 @@ class NfsClient final : public fsapi::FileSystemClient {
   net::RpcSystem& rpc_;
   net::NodeId self_;
   NfsServer& server_;
-  NfsClientParams params_;
   std::map<std::uint64_t, std::string> fd_table_;
   std::uint64_t next_fd_ = 3;
 };

@@ -21,10 +21,9 @@ namespace imca::store {
 class BlockDevice {
  public:
   BlockDevice(sim::EventLoop& loop, std::size_t raid_members,
-              DiskParams disk_params, std::uint64_t cache_bytes,
-              std::string name = "blkdev")
+              std::uint64_t cache_bytes, std::string name = "blkdev")
       : loop_(loop),
-        raid_(loop, raid_members, disk_params, 64 * kKiB, std::move(name)),
+        raid_(loop, raid_members, 64 * kKiB, std::move(name)),
         cache_(cache_bytes) {}
 
   // Charge a data read of [offset, offset+len) of file `inode`. Resident

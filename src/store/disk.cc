@@ -19,13 +19,13 @@ SimDuration DiskModel::service_time(std::uint64_t key, std::uint64_t offset,
   streams_.insert(streams_.begin(), {key, offset + bytes});
   if (streams_.size() > kMaxStreams) streams_.pop_back();
 
-  SimDuration t = params_.request_overhead +
-                  transfer_time(bytes, params_.transfer_bps);
+  SimDuration t =
+      kDiskRequestOverhead + transfer_time(bytes, kDiskTransferBps);
   if (sequential) {
     ++sequential_;
   } else {
     ++seeks_;
-    t += params_.avg_seek + params_.half_rotation;
+    t += kDiskAvgSeek + kDiskHalfRotation;
   }
   return t;
 }
@@ -36,13 +36,12 @@ SimTime DiskModel::reserve(std::uint64_t key, std::uint64_t offset,
 }
 
 RaidArray::RaidArray(sim::EventLoop& loop, std::size_t members,
-                     DiskParams params, std::uint64_t stripe_unit,
-                     std::string name)
+                     std::uint64_t stripe_unit, std::string name)
     : loop_(loop), stripe_unit_(stripe_unit) {
   disks_.reserve(members);
   for (std::size_t i = 0; i < members; ++i) {
-    disks_.push_back(std::make_unique<DiskModel>(
-        loop, params, name + ".d" + std::to_string(i)));
+    disks_.push_back(
+        std::make_unique<DiskModel>(loop, name + ".d" + std::to_string(i)));
   }
 }
 

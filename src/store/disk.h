@@ -24,17 +24,20 @@
 
 namespace imca::store {
 
-struct DiskParams {
-  SimDuration avg_seek = 8 * kMilli;          // average head movement
-  SimDuration half_rotation = 4 * kMilli;     // 7200 rpm -> 8.3ms/rev
-  std::uint64_t transfer_bps = 100 * kMiB;    // media streaming rate
-  SimDuration request_overhead = 50 * kMicro;  // controller + command
-};
+// The member disk's service-time constants.
+// Average head movement.
+inline constexpr SimDuration kDiskAvgSeek = 8 * kMilli;
+// 7200 rpm -> 8.3ms/rev.
+inline constexpr SimDuration kDiskHalfRotation = 4 * kMilli;
+// Media streaming rate.
+inline constexpr std::uint64_t kDiskTransferBps = 100 * kMiB;
+// Controller + command.
+inline constexpr SimDuration kDiskRequestOverhead = 50 * kMicro;
 
 class DiskModel {
  public:
-  DiskModel(sim::EventLoop& loop, DiskParams params, std::string name)
-      : params_(params), head_(loop, 1, std::move(name)) {}
+  DiskModel(sim::EventLoop& loop, std::string name)
+      : head_(loop, 1, std::move(name)) {}
 
   // Book an access without waiting; returns its completion time. `key`
   // identifies the extent (file id + offset) so sequential runs within one
@@ -48,7 +51,6 @@ class DiskModel {
   }
 
   sim::FifoResource& head() noexcept { return head_; }
-  const DiskParams& params() const noexcept { return params_; }
 
   std::uint64_t seeks() const noexcept { return seeks_; }
   std::uint64_t sequential_hits() const noexcept { return sequential_; }
@@ -57,7 +59,6 @@ class DiskModel {
   SimDuration service_time(std::uint64_t key, std::uint64_t offset,
                            std::uint64_t bytes);
 
-  DiskParams params_;
   sim::FifoResource head_;
   // Per-stream positions (bounded): an access continuing any tracked stream
   // counts as sequential, modelling NCQ + per-file readahead keeping several
@@ -76,7 +77,7 @@ class DiskModel {
 // I/O in paper §3.
 class RaidArray {
  public:
-  RaidArray(sim::EventLoop& loop, std::size_t members, DiskParams params,
+  RaidArray(sim::EventLoop& loop, std::size_t members,
             std::uint64_t stripe_unit = 64 * kKiB, std::string name = "raid");
 
   // Access `bytes` at `offset` of stream `key`; waits for completion.

@@ -8,6 +8,9 @@
 namespace imca::workload {
 namespace {
 
+// Client i's file is kFilePrefix + i.
+constexpr char kFilePrefix[] = "/bench/iozone/f";
+
 struct Shared {
   SimTime write_start = 0;
   SimTime write_end = 0;
@@ -20,7 +23,7 @@ sim::Task<void> iozone_client(sim::EventLoop& loop,
                               fsapi::FileSystemClient& fs, std::size_t index,
                               IozoneOptions opt, sim::Barrier& barrier,
                               Shared& sh) {
-  const std::string path = opt.file_prefix + std::to_string(index);
+  const std::string path = kFilePrefix + std::to_string(index);
   auto f = co_await fs.create(path);
   assert(f.has_value());
 
@@ -45,14 +48,11 @@ sim::Task<void> iozone_client(sim::EventLoop& loop,
 
   co_await barrier.arrive_and_wait();
   sh.read_start = loop.now();
-  for (std::size_t pass = 0; pass < opt.read_passes; ++pass) {
-    for (std::uint64_t off = 0; off < opt.file_bytes;
-         off += opt.request_size) {
-      auto data = co_await fs.read(*f, off, opt.request_size);
-      assert(data.has_value());
-      assert(data->size() == opt.request_size);
-      sh.bytes_read += data->size();
-    }
+  for (std::uint64_t off = 0; off < opt.file_bytes; off += opt.request_size) {
+    auto data = co_await fs.read(*f, off, opt.request_size);
+    assert(data.has_value());
+    assert(data->size() == opt.request_size);
+    sh.bytes_read += data->size();
   }
   sh.read_end = std::max(sh.read_end, loop.now());
   co_await barrier.arrive_and_wait();

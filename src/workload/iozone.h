@@ -24,8 +24,6 @@ namespace imca::workload {
 struct IozoneOptions {
   std::uint64_t file_bytes = 128 * kMiB;    // scaled from the paper's 1 GB
   std::uint64_t request_size = 256 * kKiB;  // IOzone transfer size
-  std::string file_prefix = "/bench/iozone/f";
-  std::size_t read_passes = 1;
   // Invoked once per client between the write and read phases (Lustre cold
   // runs drop the client caches here).
   std::function<void(std::size_t client_index)> before_read_phase;

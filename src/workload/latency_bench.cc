@@ -7,6 +7,10 @@
 namespace imca::workload {
 namespace {
 
+// Client i's file is kFileDir + "/c<i>"; the shared-mode file is
+// kFileDir + "/shared".
+constexpr char kFileDir[] = "/bench/lat";
+
 // Accumulates per-record-size sums across clients; single-threaded
 // simulation, so plain members suffice.
 struct Accumulator {
@@ -29,9 +33,10 @@ sim::Task<void> client_body(sim::EventLoop& loop,
                             LatencyOptions opt, sim::Barrier& barrier,
                             Accumulator& acc) {
   const bool is_root = client_index == 0;
-  const std::string path =
-      opt.shared_file ? opt.file_prefix + "/shared"
-                      : opt.file_prefix + "/c" + std::to_string(client_index);
+  const std::string dir = kFileDir;
+  const std::string path = opt.shared_file
+                               ? dir + "/shared"
+                               : dir + "/c" + std::to_string(client_index);
 
   // --- setup: root creates the shared file; everyone else opens it.
   fsapi::OpenFile file{};

@@ -34,7 +34,6 @@ struct LatencyOptions {
   std::size_t records_per_size = 256;  // scaled from the paper's 1024
   bool shared_file = false;            // §5.6 read/write sharing mode
   bool measure_writes = true;
-  std::string file_prefix = "/bench/lat";
   // Invoked once per client between the write and read phases — the hook
   // the Lustre cold-cache runs use to unmount/remount (drop client caches).
   std::function<void(std::size_t client_index)> before_read_phase;

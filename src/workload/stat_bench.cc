@@ -8,6 +8,9 @@
 namespace imca::workload {
 namespace {
 
+// File i of the set is kFilePrefix + i.
+constexpr char kFilePrefix[] = "/bench/statfiles/f";
+
 sim::Task<void> stat_client(sim::EventLoop& loop,
                             fsapi::FileSystemClient& fs,
                             std::size_t client_index, std::size_t n_clients,
@@ -16,7 +19,7 @@ sim::Task<void> stat_client(sim::EventLoop& loop,
   // Stage one (untimed): the first client materializes the file set.
   if (client_index == 0) {
     for (std::size_t i = 0; i < opt.n_files; ++i) {
-      auto f = co_await fs.create(opt.file_prefix + std::to_string(i));
+      auto f = co_await fs.create(kFilePrefix + std::to_string(i));
       assert(f.has_value());
       (void)co_await fs.close(*f);
     }
@@ -32,7 +35,7 @@ sim::Task<void> stat_client(sim::EventLoop& loop,
   const SimTime t0 = loop.now();
   for (std::size_t k = 0; k < opt.n_files; ++k) {
     const std::size_t i = (start + k) % opt.n_files;
-    auto st = co_await fs.stat(opt.file_prefix + std::to_string(i));
+    auto st = co_await fs.stat(kFilePrefix + std::to_string(i));
     assert(st.has_value());
     (void)st;
     ++total;

@@ -21,7 +21,6 @@ namespace imca::workload {
 
 struct StatOptions {
   std::size_t n_files = 16384;  // scaled from the paper's 262144
-  std::string file_prefix = "/bench/statfiles/f";
 };
 
 struct StatResult {

@@ -29,7 +29,8 @@ TEST(CoroLifetime, DeferredFopOutlivesCallersTemporaries) {
   net::RpcSystem rpc(fabric);
   gluster::GlusterServer server(rpc, server_node);
   server.start();
-  gluster::GlusterClient client(rpc, client_node, server_node);
+  gluster::GlusterClient client(rpc, client_node,
+                                gluster::GlusterTopology{{server_node}});
 
   // Long enough to defeat SSO: the temporary's bytes live on the heap, so
   // a dangling reference would read a freed (and below, scribbled) block.

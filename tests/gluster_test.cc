@@ -1,5 +1,5 @@
 // Unit tests for the GlusterFS-like substrate: wire protocol codec, the
-// translator stack, posix semantics end to end over the fabric, read-ahead,
+// translator stack, posix semantics end to end over the fabric,
 // write-behind and namespace distribution.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "gluster/client.h"
 #include "gluster/distribute.h"
 #include "gluster/protocol.h"
-#include "gluster/read_ahead.h"
 #include "gluster/server.h"
 #include "gluster/write_behind.h"
 #include "net/transport.h"
@@ -74,7 +73,7 @@ class GlusterTest : public ::testing::Test {
     fabric_.add_node("client");
     server_ = std::make_unique<GlusterServer>(rpc_, 0);
     server_->start();
-    client_ = std::make_unique<GlusterClient>(rpc_, 1, 0);
+    client_ = std::make_unique<GlusterClient>(rpc_, 1, GlusterTopology{{0}});
   }
 
   void run(Task<void> t) {
@@ -180,41 +179,6 @@ TEST_F(GlusterTest, StatOfManyColdFilesHitsDisk) {
   EXPECT_GT(seeks, 0u);
 }
 
-// --- read-ahead translator ---
-
-TEST_F(GlusterTest, ReadAheadServesSequentialFromBuffer) {
-  client_->push_translator(std::make_unique<ReadAheadXlator>(64 * kKiB));
-  auto* ra = static_cast<ReadAheadXlator*>(&client_->top());
-  const std::uint64_t before_calls = rpc_.calls_made();
-  run([](GlusterClient& fs) -> Task<void> {
-    auto f = co_await fs.create("/seq");
-    (void)co_await fs.write(*f, 0, Buffer::zeros(256 * kKiB));
-    // Sequential 4K reads: most are served out of the prefetch window.
-    for (std::uint64_t off = 0; off < 256 * kKiB; off += 4 * kKiB) {
-      auto r = co_await fs.read(fsapi::OpenFile{f->fd}, off, 4 * kKiB);
-      EXPECT_TRUE(r.has_value());
-    }
-  }(*client_));
-  EXPECT_GT(ra->prefetch_hits(), 40u);
-  // 64 reads collapse into a handful of 64K server fetches.
-  const std::uint64_t wire_reads = rpc_.calls_made() - before_calls;
-  EXPECT_LT(wire_reads, 64u + 2u + 8u);  // create+write+~4 prefetches << 64
-}
-
-TEST_F(GlusterTest, ReadAheadNeverServesStaleAfterWrite) {
-  client_->push_translator(std::make_unique<ReadAheadXlator>(64 * kKiB));
-  run([](GlusterClient& fs) -> Task<void> {
-    auto f = co_await fs.create("/fresh");
-    (void)co_await fs.write(*f, 0, to_buffer("old old old old "));
-    auto r1 = co_await fs.read(*f, 0, 16);  // buffers the region
-    EXPECT_TRUE(r1.has_value());
-    (void)co_await fs.write(*f, 0, to_buffer("new!"));
-    auto r2 = co_await fs.read(*f, 0, 4);
-    EXPECT_TRUE(r2.has_value());
-    if (r2) { EXPECT_EQ(to_string(*r2), "new!"); }
-  }(*client_));
-}
-
 // --- write-behind translator ---
 
 TEST_F(GlusterTest, WriteBehindAggregatesSequentialWrites) {
@@ -267,7 +231,7 @@ TEST(Distribute, SpreadsNamespaceAcrossBricks) {
   }
   const auto client_node = fabric.add_node("client").id();
 
-  GlusterClient client(rpc, client_node, /*server=*/0);
+  GlusterClient client(rpc, client_node, GlusterTopology{{0}});
   std::vector<std::unique_ptr<ProtocolClient>> conns;
   for (std::size_t b = 0; b < kBricks; ++b) {
     conns.push_back(std::make_unique<ProtocolClient>(
@@ -312,7 +276,7 @@ TEST(Distribute, CrossBrickRenameMigratesData) {
     bricks.back()->start();
   }
   const auto cnode = fabric.add_node("client").id();
-  GlusterClient client(rpc, cnode, 0);
+  GlusterClient client(rpc, cnode, GlusterTopology{{0}});
   std::vector<std::unique_ptr<ProtocolClient>> conns;
   for (int b = 0; b < 3; ++b) {
     conns.push_back(std::make_unique<ProtocolClient>(
@@ -329,7 +293,7 @@ TEST(Distribute, CrossBrickRenameMigratesData) {
     std::string from = "/mv/src0", to;
     for (int i = 0;; ++i) {
       to = "/mv/dst" + std::to_string(i);
-      if (dx->brick_of(to) != dx->brick_of(from)) break;
+      if (dx->subvol_of(to) != dx->subvol_of(from)) break;
     }
     auto f = co_await fs.create(from);
     (void)co_await fs.write(*f, 0, to_buffer("migrates across bricks"));

@@ -139,12 +139,12 @@ Cfg mcd_failover() {
 Cfg brick_failover(SimDuration op_deadline, SimDuration attempt_timeout,
                    SimDuration backoff_cap) {
   Cfg c = mcd_failover();
-  c.testbed.client.protocol = {.op_deadline = op_deadline,
-                               .attempt_timeout = attempt_timeout,
-                               .backoff_base = 1 * kMilli,
-                               .backoff_cap = backoff_cap,
-                               .eject_after = 3,
-                               .probe_interval = 5 * kMilli};
+  c.testbed.client = {.op_deadline = op_deadline,
+                      .attempt_timeout = attempt_timeout,
+                      .backoff_base = 1 * kMilli,
+                      .backoff_cap = backoff_cap,
+                      .eject_after = 3,
+                      .probe_interval = 5 * kMilli};
   return c;
 }
 
@@ -210,8 +210,8 @@ Matrix mcd_matrix() {
 Matrix server_matrix() {
   const Check within_deadline{
       [](const Cfg& c, const Res& r) {
-        return r.pc.max_op_elapsed <= c.testbed.client.protocol.op_deadline +
-                                          c.testbed.client.protocol.backoff_cap;
+        return r.pc.max_op_elapsed <=
+               c.testbed.client.op_deadline + c.testbed.client.backoff_cap;
       },
       "max_op_elapsed exceeds op_deadline + one backoff step"};
   const Check timed_out{
@@ -270,7 +270,7 @@ Matrix server_matrix() {
                                        .slow_delay = 60 * kMilli}},
             .tweak =
                 [](Cfg& c) {
-                  c.testbed.client.protocol.op_deadline = 800 * kMilli;
+                  c.testbed.client.op_deadline = 800 * kMilli;
                 },
             .expect = {timed_out}},
            // Both tiers fail at once: MCDs crash while the brick crashes.

@@ -3,7 +3,9 @@
 // shipped ones can be checked against them. Two behaviours carry the fixes
 // the rewrite made, so that the references agree with the intended result:
 // a byte count that would wrap is refused, and CLIENT_ERROR parses as
-// StoreReply::kClientError.
+// StoreReply::kClientError. Both cover the same commands, the ones IMCa
+// sends (get, gets, set, add, cas, delete, flush_all clean); any other line
+// gets ERROR from both.
 //
 //   * ListLruCache — the McCache whose per-class LRU is a std::list of key
 //     views and whose items carry their own key copy. Same semantics, stats
@@ -19,7 +21,6 @@
 
 #include <cassert>
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
 #include <list>
 #include <map>
@@ -57,31 +58,6 @@ class ListLruCache {
     return store(key, flags, expire_at, std::move(data), now);
   }
 
-  Expected<void> replace(std::string_view key, std::uint32_t flags,
-                         SimTime expire_at, Buffer data, SimTime now) {
-    ++stats_.cmd_set;
-    if (!live(key, now)) return Errc::kNotStored;
-    return store(key, flags, expire_at, std::move(data), now);
-  }
-
-  Expected<void> append(std::string_view key, Buffer data, SimTime now) {
-    ++stats_.cmd_set;
-    if (!live(key, now)) return Errc::kNotStored;
-    const Item& old = items_.find(std::string(key))->second;
-    Buffer merged = old.data;
-    merged.append(std::move(data));
-    return store(key, old.flags, old.expire_at, std::move(merged), now);
-  }
-
-  Expected<void> prepend(std::string_view key, Buffer data, SimTime now) {
-    ++stats_.cmd_set;
-    if (!live(key, now)) return Errc::kNotStored;
-    const Item& old = items_.find(std::string(key))->second;
-    Buffer merged = std::move(data);
-    merged.append(old.data);
-    return store(key, old.flags, old.expire_at, std::move(merged), now);
-  }
-
   Expected<Value> get(std::string_view key, SimTime now) {
     ++stats_.cmd_get;
     if (!live(key, now)) {
@@ -104,15 +80,6 @@ class ListLruCache {
     const Item& item = items_.find(std::string(key))->second;
     if (item.cas != expected_cas) return Errc::kBusy;
     return store(key, flags, expire_at, std::move(data), now);
-  }
-
-  Expected<std::uint64_t> incr(std::string_view key, std::uint64_t delta,
-                               SimTime now) {
-    return arith(key, delta, /*up=*/true, now);
-  }
-  Expected<std::uint64_t> decr(std::string_view key, std::uint64_t delta,
-                               SimTime now) {
-    return arith(key, delta, /*up=*/false, now);
   }
 
   Expected<void> del(std::string_view key) {
@@ -215,29 +182,6 @@ class ListLruCache {
     return {};
   }
 
-  Expected<std::uint64_t> arith(std::string_view key, std::uint64_t delta,
-                                bool up, SimTime now) {
-    ++stats_.cmd_set;
-    if (!live(key, now)) return Errc::kNoEnt;
-    Item& item = items_.find(std::string(key))->second;
-    std::uint64_t value = 0;
-    if (item.data.empty()) return Errc::kInval;
-    for (const auto b : item.data) {
-      const char c = static_cast<char>(b);
-      if (c < '0' || c > '9') return Errc::kInval;
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (up) {
-      value += delta;
-    } else {
-      value = delta > value ? 0 : value - delta;
-    }
-    auto r = store(key, item.flags, item.expire_at,
-                   Buffer::of_string(std::to_string(value)), now);
-    if (!r) return r.error();
-    return value;
-  }
-
   SlabAllocator slabs_;
   std::uint64_t next_cas_ = 1;
   ItemMap items_;
@@ -326,9 +270,6 @@ inline const char* verb_name(StoreVerb v) {
   switch (v) {
     case StoreVerb::kSet: return "set";
     case StoreVerb::kAdd: return "add";
-    case StoreVerb::kReplace: return "replace";
-    case StoreVerb::kAppend: return "append";
-    case StoreVerb::kPrepend: return "prepend";
   }
   return "?";
 }
@@ -380,15 +321,6 @@ inline ByteBuf encode_cas(std::string_view key, std::uint32_t flags,
   codec_detail::put_line(out, head);
   out.put_buffer(data);
   out.put_raw(codec_detail::kCrlf);
-  return out;
-}
-
-inline ByteBuf encode_arith(bool up, std::string_view key,
-                            std::uint64_t delta) {
-  ByteBuf out;
-  codec_detail::put_line(out, std::string(up ? "incr " : "decr ") +
-                                  std::string(key) + " " +
-                                  std::to_string(delta));
   return out;
 }
 
@@ -452,15 +384,6 @@ inline Expected<CasReply> parse_cas_response(ByteBuf& in) {
   return Errc::kProto;
 }
 
-inline Expected<std::uint64_t> parse_arith_response(ByteBuf& in) {
-  codec_detail::Scanner sc(in.buffer());
-  auto line = sc.line();
-  if (!line) return line.error();
-  if (*line == "NOT_FOUND") return Errc::kNoEnt;
-  if (line->starts_with("CLIENT_ERROR")) return Errc::kInval;
-  return codec_detail::parse_num<std::uint64_t>(*line);
-}
-
 inline Expected<DeleteReply> parse_delete_response(ByteBuf& in) {
   codec_detail::Scanner sc(in.buffer());
   auto line = sc.line();
@@ -468,21 +391,6 @@ inline Expected<DeleteReply> parse_delete_response(ByteBuf& in) {
   if (*line == "DELETED") return DeleteReply::kDeleted;
   if (*line == "NOT_FOUND") return DeleteReply::kNotFound;
   return Errc::kProto;
-}
-
-inline Expected<std::map<std::string, std::string>> parse_stats_response(
-    ByteBuf& in) {
-  using namespace codec_detail;
-  Scanner sc(in.buffer());
-  std::map<std::string, std::string> out;
-  while (true) {
-    auto line = sc.line();
-    if (!line) return line.error();
-    if (*line == "END") return out;
-    auto tok = split_ws(*line);
-    if (tok.size() != 3 || tok[0] != "STAT") return Errc::kProto;
-    out.emplace(std::string(tok[1]), std::string(tok[2]));
-  }
 }
 
 // --- the daemon side ---
@@ -559,25 +467,7 @@ ByteBuf handle_request(Cache& cache, ByteBuf request, SimTime now) {
     }
     return out;
   }
-  if (cmd == "incr" || cmd == "decr") {
-    if (tok.size() != 3) return error_reply();
-    auto delta = parse_num<std::uint64_t>(tok[2]);
-    if (!delta) return error_reply();
-    auto r = cmd == "incr" ? cache.incr(tok[1], *delta, now)
-                           : cache.decr(tok[1], *delta, now);
-    ByteBuf out;
-    if (r) {
-      put_line(out, std::to_string(*r));
-    } else if (r.error() == Errc::kNoEnt) {
-      put_line(out, "NOT_FOUND");
-    } else {
-      put_line(out,
-               "CLIENT_ERROR cannot increment or decrement non-numeric value");
-    }
-    return out;
-  }
-  if (cmd == "set" || cmd == "add" || cmd == "replace" || cmd == "append" ||
-      cmd == "prepend") {
+  if (cmd == "set" || cmd == "add") {
     if (tok.size() != 5) return error_reply();
     auto flags = parse_num<std::uint32_t>(tok[2]);
     auto exptime = parse_num<std::uint32_t>(tok[3]);
@@ -589,14 +479,8 @@ ByteBuf handle_request(Cache& cache, ByteBuf request, SimTime now) {
     Expected<void> r = Errc::kInval;
     if (cmd == "set") {
       r = cache.set(tok[1], *flags, expire_at, std::move(*data), now);
-    } else if (cmd == "add") {
-      r = cache.add(tok[1], *flags, expire_at, std::move(*data), now);
-    } else if (cmd == "replace") {
-      r = cache.replace(tok[1], *flags, expire_at, std::move(*data), now);
-    } else if (cmd == "append") {
-      r = cache.append(tok[1], std::move(*data), now);
     } else {
-      r = cache.prepend(tok[1], std::move(*data), now);
+      r = cache.add(tok[1], *flags, expire_at, std::move(*data), now);
     }
     ByteBuf out;
     if (r) {
@@ -618,32 +502,8 @@ ByteBuf handle_request(Cache& cache, ByteBuf request, SimTime now) {
     put_line(out, cache.del(tok[1]) ? "DELETED" : "NOT_FOUND");
     return out;
   }
-  if (cmd == "stats") {
-    const CacheStats& s = cache.stats();
-    ByteBuf out;
-    char line[96];
-    const auto stat = [&](const char* name, std::uint64_t v) {
-      std::snprintf(line, sizeof line, "STAT %s %" PRIu64, name, v);
-      put_line(out, line);
-    };
-    stat("cmd_get", s.cmd_get);
-    stat("cmd_set", s.cmd_set);
-    stat("get_hits", s.get_hits);
-    stat("get_misses", s.get_misses);
-    stat("evictions", s.evictions);
-    stat("expired_unfetched", s.expired_unfetched);
-    stat("curr_items", s.curr_items);
-    stat("bytes", s.bytes);
-    stat("limit_maxbytes", cache.slabs().memory_limit());
-    put_line(out, "END");
-    return out;
-  }
-  if (cmd == "flush_all") {
-    if (tok.size() >= 2 && tok[1] == "clean") {
-      cache.flush_clean();
-    } else {
-      cache.flush_all();
-    }
+  if (cmd == "flush_all" && tok.size() == 2 && tok[1] == "clean") {
+    cache.flush_clean();
     ByteBuf out;
     put_line(out, "OK");
     return out;

@@ -32,8 +32,11 @@ struct ReplayState {
   std::array<std::optional<fsapi::OpenFile>, kFiles> handle;
 };
 
-void fail(ReplayResult& res, std::string detail) {
+// `check` names what disagreed ("verify read", "stat", "replica read", ...);
+// the shrinker keeps a candidate trace only if it fails the same check.
+void fail(ReplayResult& res, std::string check, std::string detail) {
   res.ok = false;
+  res.check = std::move(check);
   res.detail = std::move(detail);
 }
 
@@ -53,8 +56,9 @@ sim::Task<void> ensure_open(fsapi::FileSystemClient& fs, ReplayState& st,
   if (!st.oracle[file] || st.handle[file]) co_return;
   auto h = co_await fs.open(path_of(file));
   if (!h) {
-    fail(res, "open(" + path_of(file) + ") failed: " +
-                  std::string(errc_name(h.error())));
+    fail(res, "open",
+         "open(" + path_of(file) + ") failed: " +
+             std::string(errc_name(h.error())));
     co_return;
   }
   st.handle[file] = *h;
@@ -79,14 +83,15 @@ sim::Task<void> verify_all(fsapi::FileSystemClient& fs, ReplayState& st,
 
     auto attr = co_await fs.stat(path);
     if (!attr) {
-      fail(res, "stat(" + path + ") failed: " +
-                    std::string(errc_name(attr.error())));
+      fail(res, "stat",
+           "stat(" + path + ") failed: " +
+               std::string(errc_name(attr.error())));
       co_return;
     }
     if (attr->size != expect.size() && !lossy) {
-      fail(res, "stat(" + path + ") size " +
-                    std::to_string(attr->size) + " != oracle " +
-                    std::to_string(expect.size()));
+      fail(res, "stat",
+           "stat(" + path + ") size " + std::to_string(attr->size) +
+               " != oracle " + std::to_string(expect.size()));
       co_return;
     }
 
@@ -96,8 +101,9 @@ sim::Task<void> verify_all(fsapi::FileSystemClient& fs, ReplayState& st,
     // otherwise go unnoticed until the file grows back over it.
     auto got = co_await fs.read(*st.handle[f], 0, expect.size() + 64);
     if (!got) {
-      fail(res, "verify read(" + path + ") failed: " +
-                    std::string(errc_name(got.error())));
+      fail(res, "verify read",
+           "verify read(" + path + ") failed: " +
+               std::string(errc_name(got.error())));
       co_return;
     }
     const std::string got_s = to_string(*got);
@@ -108,8 +114,8 @@ sim::Task<void> verify_all(fsapi::FileSystemClient& fs, ReplayState& st,
         ++res.wb_tolerated_divergences;
         continue;
       }
-      fail(res, "verify read(" + path + "): " +
-                    describe_bytes(expect, got_s));
+      fail(res, "verify read",
+           "verify read(" + path + "): " + describe_bytes(expect, got_s));
       co_return;
     }
   }
@@ -137,8 +143,9 @@ sim::Task<void> apply_op(cluster::GlusterTestbed& bed,
       if (!st.oracle[f]) {
         auto h = co_await fs.create(path_of(f));
         if (!h) {
-          fail(res, "create(" + path_of(f) + ") failed: " +
-                        std::string(errc_name(h.error())));
+          fail(res, "create",
+               "create(" + path_of(f) + ") failed: " +
+                   std::string(errc_name(h.error())));
           co_return;
         }
         st.oracle[f] = std::string();
@@ -149,14 +156,15 @@ sim::Task<void> apply_op(cluster::GlusterTestbed& bed,
       const auto data = payload_bytes(op.payload_seed, op.length);
       auto wrote = co_await fs.write(*st.handle[f], op.offset, data);
       if (!wrote) {
-        fail(res, "write(" + path_of(f) + ") failed: " +
-                      std::string(errc_name(wrote.error())));
+        fail(res, "write",
+             "write(" + path_of(f) + ") failed: " +
+                 std::string(errc_name(wrote.error())));
         co_return;
       }
       if (*wrote != op.length) {
-        fail(res, "write(" + path_of(f) + ") short: " +
-                      std::to_string(*wrote) + " of " +
-                      std::to_string(op.length));
+        fail(res, "write",
+             "write(" + path_of(f) + ") short: " + std::to_string(*wrote) +
+                 " of " + std::to_string(op.length));
         co_return;
       }
       auto& s = *st.oracle[f];
@@ -172,8 +180,9 @@ sim::Task<void> apply_op(cluster::GlusterTestbed& bed,
       if (!res.ok) co_return;
       auto got = co_await fs.read(*st.handle[f], op.offset, op.length);
       if (!got) {
-        fail(res, "read(" + path_of(f) + ") failed: " +
-                      std::string(errc_name(got.error())));
+        fail(res, "read",
+             "read(" + path_of(f) + ") failed: " +
+                 std::string(errc_name(got.error())));
         co_return;
       }
       const std::string& oracle = *st.oracle[f];
@@ -191,9 +200,10 @@ sim::Task<void> apply_op(cluster::GlusterTestbed& bed,
           ++res.wb_tolerated_divergences;
           co_return;
         }
-        fail(res, "read(" + path_of(f) + " @" + std::to_string(op.offset) +
-                      "+" + std::to_string(op.length) + "): " +
-                      describe_bytes(expect, got_s));
+        fail(res, "read",
+             "read(" + path_of(f) + " @" + std::to_string(op.offset) + "+" +
+                 std::to_string(op.length) + "): " +
+                 describe_bytes(expect, got_s));
       }
       co_return;
     }
@@ -201,16 +211,17 @@ sim::Task<void> apply_op(cluster::GlusterTestbed& bed,
       if (!st.oracle[f]) co_return;
       auto attr = co_await fs.stat(path_of(f));
       if (!attr) {
-        fail(res, "stat(" + path_of(f) + ") failed: " +
-                      std::string(errc_name(attr.error())));
+        fail(res, "stat",
+             "stat(" + path_of(f) + ") failed: " +
+                 std::string(errc_name(attr.error())));
       } else if (attr->size != st.oracle[f]->size()) {
         if (tolerate_wb_loss && co_await path_lost(&bed, path_of(f))) {
           ++res.wb_tolerated_divergences;
           co_return;
         }
-        fail(res, "stat(" + path_of(f) + ") size " +
-                      std::to_string(attr->size) + " != oracle " +
-                      std::to_string(st.oracle[f]->size()));
+        fail(res, "stat",
+             "stat(" + path_of(f) + ") size " + std::to_string(attr->size) +
+                 " != oracle " + std::to_string(st.oracle[f]->size()));
       }
       co_return;
     }
@@ -218,8 +229,9 @@ sim::Task<void> apply_op(cluster::GlusterTestbed& bed,
       if (!st.oracle[f]) co_return;
       auto r = co_await fs.truncate(path_of(f), op.length);
       if (!r) {
-        fail(res, "truncate(" + path_of(f) + ") failed: " +
-                      std::string(errc_name(r.error())));
+        fail(res, "truncate",
+             "truncate(" + path_of(f) + ") failed: " +
+                 std::string(errc_name(r.error())));
         co_return;
       }
       st.oracle[f]->resize(op.length, '\0');
@@ -233,8 +245,9 @@ sim::Task<void> apply_op(cluster::GlusterTestbed& bed,
       }
       auto r = co_await fs.unlink(path_of(f));
       if (!r) {
-        fail(res, "unlink(" + path_of(f) + ") failed: " +
-                      std::string(errc_name(r.error())));
+        fail(res, "unlink",
+             "unlink(" + path_of(f) + ") failed: " +
+                 std::string(errc_name(r.error())));
         co_return;
       }
       st.oracle[f].reset();
@@ -250,8 +263,9 @@ sim::Task<void> apply_op(cluster::GlusterTestbed& bed,
       }
       auto r = co_await fs.rename(path_of(f), path_of(t));
       if (!r) {
-        fail(res, "rename(" + path_of(f) + "->" + path_of(t) + ") failed: " +
-                      std::string(errc_name(r.error())));
+        fail(res, "rename",
+             "rename(" + path_of(f) + "->" + path_of(t) + ") failed: " +
+                 std::string(errc_name(r.error())));
         co_return;
       }
       st.oracle[t] = std::move(st.oracle[f]);
@@ -283,8 +297,9 @@ sim::Task<void> verify_replicas(cluster::GlusterTestbed& bed, ReplayState& st,
   gluster::GlusterClient& gc = bed.gluster_client(0);
   res.heal = co_await gc.heal_all();
   if (res.heal.remaining != 0) {
-    fail(res, "heal_all left " + std::to_string(res.heal.remaining) +
-                  " dirty (child, path) pairs with no reachable fresh source");
+    fail(res, "heal",
+         "heal_all left " + std::to_string(res.heal.remaining) +
+             " dirty (child, path) pairs with no reachable fresh source");
     co_return;
   }
   for (std::uint32_t f = 0; f < kFiles; ++f) {
@@ -295,36 +310,41 @@ sim::Task<void> verify_replicas(cluster::GlusterTestbed& bed, ReplayState& st,
       auto attr = co_await rep->stat_from(i, path);
       if (!st.oracle[f]) {
         if (attr.has_value() || attr.error() != Errc::kNoEnt) {
-          fail(res, "replica " + std::to_string(i) + " still serves deleted " +
-                        path);
+          fail(res, "replica stat",
+               "replica " + std::to_string(i) + " still serves deleted " +
+                   path);
           co_return;
         }
         continue;
       }
       const std::string& expect = *st.oracle[f];
       if (!attr) {
-        fail(res, "replica " + std::to_string(i) + " stat(" + path +
-                      ") failed: " + std::string(errc_name(attr.error())));
+        fail(res, "replica stat",
+             "replica " + std::to_string(i) + " stat(" + path + ") failed: " +
+                 std::string(errc_name(attr.error())));
         co_return;
       }
       if (attr->size != expect.size()) {
-        fail(res, "replica " + std::to_string(i) + " stat(" + path +
-                      ") size " + std::to_string(attr->size) + " != oracle " +
-                      std::to_string(expect.size()));
+        fail(res, "replica stat",
+             "replica " + std::to_string(i) + " stat(" + path + ") size " +
+                 std::to_string(attr->size) + " != oracle " +
+                 std::to_string(expect.size()));
         co_return;
       }
       auto got = co_await rep->read_from(i, path, 0, expect.size() + 64);
       if (!got) {
-        fail(res, "replica " + std::to_string(i) + " read(" + path +
-                      ") failed: " + std::string(errc_name(got.error())));
+        fail(res, "replica read",
+             "replica " + std::to_string(i) + " read(" + path + ") failed: " +
+                 std::string(errc_name(got.error())));
         co_return;
       }
       const std::string got_s = to_string(*got);
       ++res.replica_reads_checked;
       res.bytes_checked += got_s.size();
       if (got_s != expect) {
-        fail(res, "replica " + std::to_string(i) + " of " + path +
-                      " diverges after heal: " + describe_bytes(expect, got_s));
+        fail(res, "replica read",
+             "replica " + std::to_string(i) + " of " + path +
+                 " diverges after heal: " + describe_bytes(expect, got_s));
         co_return;
       }
     }
@@ -445,14 +465,28 @@ ReplayResult run_seeded(std::uint64_t seed, std::size_t n_ops,
   ReplayResult res = replay(trace, cfg);
   if (res.ok) return res;
 
-  // Reproduce-then-shrink: bound total replays so a pathological failure
-  // can't stall the suite.
+  // Reproduce-then-shrink: a candidate survives only if it fails the way
+  // the original did — the same check, at an op of the same kind or in the
+  // final sweep — so the trace printed is a trace of THIS failure. Total
+  // replays are bounded so a pathological failure can't stall the suite.
+  const auto same_failure = [&](const std::vector<Op>& candidate,
+                                const ReplayResult& r) {
+    if (r.ok || r.check != res.check) return false;
+    const bool in_sweep = res.failed_op == trace.size();
+    if (r.failed_op == candidate.size()) return in_sweep;
+    return !in_sweep &&
+           candidate[r.failed_op].kind == trace[res.failed_op].kind;
+  };
+  ReplayResult shrunk = res;
   std::size_t budget = 200;
   const auto minimized =
       shrink_trace(trace, [&](const std::vector<Op>& candidate) {
         if (budget == 0) return false;
         --budget;
-        return !replay(candidate, cfg).ok;
+        ReplayResult r = replay(candidate, cfg);
+        if (!same_failure(candidate, r)) return false;
+        shrunk = std::move(r);
+        return true;
       });
 
   std::fprintf(stderr,
@@ -460,9 +494,11 @@ ReplayResult run_seeded(std::uint64_t seed, std::size_t n_ops,
                static_cast<unsigned long long>(seed),
                static_cast<unsigned long long>(res.failed_op),
                res.detail.c_str());
-  std::fprintf(stderr, "minimized trace (%llu ops):\n%s\n",
+  std::fprintf(stderr,
+               "minimized trace (%llu ops), fails at op %llu: %s\n%s\n",
                static_cast<unsigned long long>(minimized.size()),
-               format_trace(minimized).c_str());
+               static_cast<unsigned long long>(shrunk.failed_op),
+               shrunk.detail.c_str(), format_trace(minimized).c_str());
   return res;
 }
 

@@ -13,7 +13,8 @@
 // write to a missing file creates it; a read of a missing file is a no-op),
 // so ANY subsequence of a trace is itself a valid trace — the property the
 // ddmin shrinker in shrink.h relies on. On failure, run_seeded() prints the
-// seed and a minimized trace as a reproducible one-liner.
+// seed and a minimized trace that fails the same way, as a reproducible
+// one-liner.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +77,7 @@ struct ReplayResult {
   bool ok = true;
   std::size_t failed_op = 0;  // index into the trace (== trace size for the
                               // final sweep)
+  std::string check;          // the check that failed ("verify read", ...)
   std::string detail;         // human-readable mismatch description
   std::uint64_t reads_checked = 0;
   std::uint64_t bytes_checked = 0;
@@ -112,8 +114,10 @@ std::vector<Op> generate_ops(std::uint64_t seed, std::size_t n_ops);
 // same config => same result, bit for bit.
 ReplayResult replay(const std::vector<Op>& trace, const ReplayConfig& cfg);
 
-// generate + replay; on failure, shrink the trace (bounded replay budget)
-// and print `seed`, the failing op and the minimized trace to stderr.
+// generate + replay; on failure, shrink the trace to a subsequence that
+// fails the same check at the same op kind (or in the final sweep), within a
+// bounded replay budget, and print `seed`, the original failure, and the
+// minimized trace with its own failing op to stderr.
 ReplayResult run_seeded(std::uint64_t seed, std::size_t n_ops,
                         const ReplayConfig& cfg);
 

@@ -66,12 +66,12 @@ harness::ReplayConfig grid_config(std::uint64_t seed) {
   // every crash window, so the leg to a dead replica genuinely fails, the
   // write commits 2-of-3, and self-heal gets real dirt to copy back — but
   // wide enough to also absorb a wait behind a same-path heal.
-  tc.client.protocol.op_deadline = 200 * kMilli;
-  tc.client.protocol.attempt_timeout = 20 * kMilli;
-  tc.client.protocol.backoff_base = 1 * kMilli;
-  tc.client.protocol.backoff_cap = 4 * kMilli;
-  tc.client.protocol.eject_after = 3;
-  tc.client.protocol.probe_interval = 5 * kMilli;
+  tc.client.op_deadline = 200 * kMilli;
+  tc.client.attempt_timeout = 20 * kMilli;
+  tc.client.backoff_base = 1 * kMilli;
+  tc.client.backoff_cap = 4 * kMilli;
+  tc.client.eject_after = 3;
+  tc.client.probe_interval = 5 * kMilli;
   tc.faults.seed = seed;
   add_crash_schedule(seed, &tc.faults);
   return cfg;

@@ -285,12 +285,12 @@ TEST(ImcaFault, BrickCrashInsideCoveredPublishWindow) {
     tc.imca = failover_imca();
     // Ride out the crash window: the protocol layer retries the in-flight
     // write past the restart, and the replay window dedups the re-send.
-    tc.client.protocol.op_deadline = 400 * kMilli;
-    tc.client.protocol.attempt_timeout = 40 * kMilli;
-    tc.client.protocol.backoff_base = 1 * kMilli;
-    tc.client.protocol.backoff_cap = 8 * kMilli;
-    tc.client.protocol.eject_after = 3;
-    tc.client.protocol.probe_interval = 5 * kMilli;
+    tc.client.op_deadline = 400 * kMilli;
+    tc.client.attempt_timeout = 40 * kMilli;
+    tc.client.backoff_base = 1 * kMilli;
+    tc.client.backoff_cap = 8 * kMilli;
+    tc.client.eject_after = 3;
+    tc.client.probe_interval = 5 * kMilli;
     GlusterTestbed bed(std::move(tc));
 
     bed.run([](GlusterTestbed& b, std::uint64_t at,

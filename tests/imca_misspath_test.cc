@@ -53,8 +53,8 @@ struct Rig {
     }
     server->start();
 
-    client = std::make_unique<gluster::GlusterClient>(rpc, client_node,
-                                                      server_node);
+    client = std::make_unique<gluster::GlusterClient>(
+        rpc, client_node, gluster::GlusterTopology{{server_node}});
     auto cm = std::make_unique<CmCacheXlator>(
         std::make_unique<mcclient::McClient>(rpc, client_node, mcd_nodes,
                                              make_selector(cfg)),

@@ -1,6 +1,6 @@
-// Tests for the memcached 1.2 extended command set: cas/gets version
-// control, incr/decr counters — engine semantics, wire protocol, and the
-// client library end to end.
+// Tests for the memcached 1.2 extended commands IMCa sends: cas/gets version
+// control — engine semantics, wire protocol, and the client library end to
+// end.
 #include <gtest/gtest.h>
 
 #include "mcclient/client.h"
@@ -50,37 +50,6 @@ TEST(Cas, NotFoundWhenAbsent) {
   EXPECT_EQ(c.cas("ghost", 0, 0, bytes("x"), 1, 0).error(), Errc::kNoEnt);
 }
 
-// --- engine: incr/decr ---
-
-TEST(Arith, IncrementsDecimalAscii) {
-  McCache c(16 * kMiB);
-  ASSERT_TRUE(c.set("n", 0, 0, bytes("41"), 0));
-  EXPECT_EQ(c.incr("n", 1, 1).value(), 42u);
-  EXPECT_EQ(to_string(c.get("n", 2)->data), "42");
-  EXPECT_EQ(c.incr("n", 958, 3).value(), 1000u);
-}
-
-TEST(Arith, DecrClampsAtZero) {
-  McCache c(16 * kMiB);
-  ASSERT_TRUE(c.set("n", 0, 0, bytes("5"), 0));
-  EXPECT_EQ(c.decr("n", 3, 1).value(), 2u);
-  EXPECT_EQ(c.decr("n", 100, 2).value(), 0u);  // memcached clamps
-}
-
-TEST(Arith, IncrWrapsAt64Bits) {
-  McCache c(16 * kMiB);
-  ASSERT_TRUE(c.set("n", 0, 0, bytes("18446744073709551615"), 0));  // 2^64-1
-  EXPECT_EQ(c.incr("n", 1, 1).value(), 0u);  // wraps like memcached
-}
-
-TEST(Arith, NonNumericRejected) {
-  McCache c(16 * kMiB);
-  ASSERT_TRUE(c.set("s", 0, 0, bytes("hello"), 0));
-  EXPECT_EQ(c.incr("s", 1, 1).error(), Errc::kInval);
-  EXPECT_EQ(c.decr("s", 1, 1).error(), Errc::kInval);
-  EXPECT_EQ(c.incr("absent", 1, 1).error(), Errc::kNoEnt);
-}
-
 // --- wire protocol ---
 
 TEST(ProtocolExt, GetsCarriesCasId) {
@@ -115,20 +84,6 @@ TEST(ProtocolExt, CasRoundTrip) {
   EXPECT_EQ(parse_cas_response(r3).value(), CasReply::kNotFound);
 }
 
-TEST(ProtocolExt, IncrDecrRoundTrip) {
-  McCache c(16 * kMiB);
-  (void)handle_request(c, encode_store(StoreVerb::kSet, "ctr", 0, 0, bytes("10")), 0);
-  auto r1 = handle_request(c, encode_incr("ctr", 5), 1);
-  EXPECT_EQ(parse_arith_response(r1).value(), 15u);
-  auto r2 = handle_request(c, encode_decr("ctr", 20), 2);
-  EXPECT_EQ(parse_arith_response(r2).value(), 0u);
-  auto r3 = handle_request(c, encode_incr("ghost", 1), 3);
-  EXPECT_EQ(parse_arith_response(r3).error(), Errc::kNoEnt);
-  (void)handle_request(c, encode_store(StoreVerb::kSet, "s", 0, 0, bytes("x")), 4);
-  auto r4 = handle_request(c, encode_incr("s", 1), 5);
-  EXPECT_EQ(parse_arith_response(r4).error(), Errc::kInval);
-}
-
 TEST(ProtocolExt, MalformedExtCommandsError) {
   McCache c(16 * kMiB);
   const auto expect_error = [&](std::string_view raw) {
@@ -139,9 +94,6 @@ TEST(ProtocolExt, MalformedExtCommandsError) {
   };
   expect_error("cas k 0 0 1\r\nx\r\n");      // missing cas id
   expect_error("cas k 0 0 1 abc\r\nx\r\n");  // non-numeric cas id
-  expect_error("incr k\r\n");                // missing delta
-  expect_error("decr k 1 2\r\n");            // extra token
-  expect_error("incr k x\r\n");              // non-numeric delta
 }
 
 // --- client library over the fabric ---

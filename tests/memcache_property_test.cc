@@ -107,22 +107,10 @@ std::string describe_slots(const Expected<std::size_t>& filled,
   });
 }
 
-std::string describe(const Expected<std::map<std::string, std::string>>& r) {
-  return describe(r, [](const std::map<std::string, std::string>& m) {
-    std::string out = "stats";
-    for (const auto& [k, v] : m) out += " " + k + "=" + v;
-    return out;
-  });
-}
-
 template <typename E>
 std::string describe_enum(const Expected<E>& r) {
   return describe(
       r, [](E e) { return "reply " + std::to_string(static_cast<int>(e)); });
-}
-
-std::string describe(const Expected<std::uint64_t>& r) {
-  return describe(r, [](std::uint64_t v) { return std::to_string(v); });
 }
 
 // --- segmentation ---
@@ -170,9 +158,7 @@ enum class Parse : std::uint8_t {
   kGet,      // get/gets reply
   kStore,
   kCas,
-  kArith,
   kDelete,
-  kStats,
 };
 
 struct WireOp {
@@ -360,7 +346,7 @@ std::string get_reply(Rng& rng, const std::vector<std::string>& keys) {
   return s;
 }
 
-std::string line_reply(Rng& rng, Parse parse) {
+std::string line_reply(Rng& rng) {
   static constexpr const char* kLines[] = {
       "STORED",     "NOT_STORED", "EXISTS",   "NOT_FOUND",
       "DELETED",    "OK",         "ERROR",    "junk",
@@ -370,19 +356,7 @@ std::string line_reply(Rng& rng, Parse parse) {
       "CLIENT_ERROR cannot increment or decrement non-numeric value",
       "18446744073709551615", "18446744073709551616", "12a", "0", "42",
   };
-  std::string s;
-  if (parse == Parse::kStats) {
-    static constexpr const char* kNames[] = {"cmd_get", "bytes", "curr_items",
-                                             "evictions"};
-    for (std::size_t i = rng.below(5); i > 0; --i) {
-      s += std::string("STAT ") + kNames[rng.below(std::size(kNames))] + " " +
-           std::to_string(rng.below(1u << 20)) + "\r\n";
-    }
-    if (rng.chance(0.1)) s += "STAT a b c\r\n";
-    s += "END\r\n";
-  } else {
-    s = std::string(kLines[rng.below(std::size(kLines))]) + "\r\n";
-  }
+  std::string s = std::string(kLines[rng.below(std::size(kLines))]) + "\r\n";
   if (rng.chance(0.1)) s.resize(rng.below(s.size()));
   if (rng.chance(0.1)) corrupt(rng, s);
   return s;
@@ -400,7 +374,7 @@ std::vector<WireOp> generate_wire_ops(std::uint64_t seed, std::size_t n_ops) {
       op.bytes = request(rng);
       op.advance = rng.chance(0.1) ? rng.range(1, 2000) * kMilli : 0;
     } else {
-      op.parse = static_cast<Parse>(rng.range(1, 6));
+      op.parse = static_cast<Parse>(rng.range(1, 4));
       if (op.parse == Parse::kGet) {
         const std::size_t n =
             rng.chance(0.2) ? rng.range(2, 64) : rng.range(1, 6);
@@ -409,7 +383,7 @@ std::vector<WireOp> generate_wire_ops(std::uint64_t seed, std::size_t n_ops) {
         }
         op.bytes = get_reply(rng, op.keys);
       } else {
-        op.bytes = line_reply(rng, op.parse);
+        op.bytes = line_reply(rng);
       }
     }
     ops.push_back(std::move(op));
@@ -480,14 +454,6 @@ std::vector<Outcome> parse_reply(const WireOp& op, const Buffer& in,
           },
           kShowEnum));
       break;
-    case Parse::kArith:
-      out.push_back(measured(
-          [&] {
-            return shipped ? parse_arith_response(msg)
-                           : ref::parse_arith_response(msg);
-          },
-          kShow));
-      break;
     case Parse::kDelete:
       out.push_back(measured(
           [&] {
@@ -495,14 +461,6 @@ std::vector<Outcome> parse_reply(const WireOp& op, const Buffer& in,
                            : ref::parse_delete_response(msg);
           },
           kShowEnum));
-      break;
-    case Parse::kStats:
-      out.push_back(measured(
-          [&] {
-            return shipped ? parse_stats_response(msg)
-                           : ref::parse_stats_response(msg);
-          },
-          kShow));
       break;
     case Parse::kRequest:
       break;
@@ -696,14 +654,13 @@ TEST(MemcacheWireProperty, EncodersMatchReference) {
     const std::string key =
         rng.chance(0.1) ? std::string(rng.range(200, kMaxKeyLen + 10), 'K')
                         : "key" + std::to_string(rng.below(1000));
-    const auto verb = static_cast<StoreVerb>(rng.below(5));
+    const auto verb = static_cast<StoreVerb>(rng.below(2));
     const auto flags = static_cast<std::uint32_t>(rng.next());
     const auto exptime = static_cast<std::uint32_t>(rng.below(100));
     const Buffer data = rng.chance(0.2)
                             ? Buffer{}
                             : to_buffer(random_bytes(rng, rng.below(100)));
     const std::uint64_t cas_id = rng.next();
-    const std::uint64_t delta = rng.next();
 
     EXPECT_EQ(
         wire([&] { return with_cas ? encode_gets(keys) : encode_get(keys); }),
@@ -718,10 +675,6 @@ TEST(MemcacheWireProperty, EncodersMatchReference) {
         wire([&] {
           return ref::encode_cas(key, flags, exptime, data, cas_id);
         }));
-    EXPECT_EQ(wire([&] { return encode_incr(key, delta); }),
-              wire([&] { return ref::encode_arith(true, key, delta); }));
-    EXPECT_EQ(wire([&] { return encode_decr(key, delta); }),
-              wire([&] { return ref::encode_arith(false, key, delta); }));
     EXPECT_EQ(wire([&] { return encode_delete(key); }),
               wire([&] { return ref::encode_delete(key); }));
   }
@@ -733,13 +686,8 @@ struct CacheOp {
   enum class Kind : std::uint8_t {
     kSet,
     kAdd,
-    kReplace,
-    kAppend,
-    kPrepend,
     kCas,
     kGet,
-    kIncr,
-    kDecr,
     kDelete,
     kFlushAll,
     kFlushClean,
@@ -749,9 +697,7 @@ struct CacheOp {
   std::uint32_t flags = 0;
   std::uint32_t size = 0;
   std::uint8_t salt = 0;
-  bool numeric = false;     // store a decimal value (incr/decr food)
   bool stale_cas = false;   // cas with an id that cannot match
-  std::uint64_t delta = 0;
   SimDuration ttl = 0;      // 0 = never expires
   SimDuration advance = 0;  // sim time passing before the op
 };
@@ -766,13 +712,11 @@ std::string cache_key(std::uint8_t k) {
 
 std::string format_cache_op(const CacheOp& op) {
   static constexpr const char* kNames[] = {
-      "set",  "add",  "replace", "append", "prepend",   "cas",
-      "get",  "incr", "decr",    "delete", "flush_all", "flush_clean"};
+      "set", "add", "cas", "get", "delete", "flush_all", "flush_clean"};
   return std::string(kNames[static_cast<int>(op.kind)]) + " " +
          cache_key(op.key) + " flags=" + std::to_string(op.flags) +
          " size=" + std::to_string(op.size) + " salt=" +
-         std::to_string(op.salt) + (op.numeric ? " numeric" : "") +
-         (op.stale_cas ? " stale" : "") + " delta=" + std::to_string(op.delta) +
+         std::to_string(op.salt) + (op.stale_cas ? " stale" : "") +
          " ttl=" + std::to_string(op.ttl) + " advance=" +
          std::to_string(op.advance);
 }
@@ -785,15 +729,10 @@ std::vector<CacheOp> generate_cache_ops(std::uint64_t seed, std::size_t n) {
     CacheOp op;
     const std::uint64_t pick = rng.below(1000);
     using K = CacheOp::Kind;
-    op.kind = pick < 300   ? K::kSet
-              : pick < 350 ? K::kAdd
-              : pick < 400 ? K::kReplace
-              : pick < 440 ? K::kAppend
-              : pick < 480 ? K::kPrepend
-              : pick < 530 ? K::kCas
-              : pick < 860 ? K::kGet
-              : pick < 900 ? K::kIncr
-              : pick < 930 ? K::kDecr
+    op.kind = pick < 450   ? K::kSet
+              : pick < 530 ? K::kAdd
+              : pick < 600 ? K::kCas
+              : pick < 930 ? K::kGet
               : pick < 997 ? K::kDelete
               : pick < 999 ? K::kFlushClean
                            : K::kFlushAll;
@@ -825,9 +764,7 @@ std::vector<CacheOp> generate_cache_ops(std::uint64_t seed, std::size_t n) {
         break;
     }
     op.salt = static_cast<std::uint8_t>(rng.below(256));
-    op.numeric = rng.chance(0.1);
     op.stale_cas = rng.chance(0.3);
-    op.delta = rng.chance(0.05) ? ~std::uint64_t{0} : rng.below(500);
     op.ttl = rng.chance(0.2) ? rng.range(1, 40) * 50 * kMilli : 0;
     op.advance = rng.chance(0.3) ? rng.range(1, 20) * 10 * kMilli : 0;
     ops.push_back(op);
@@ -867,7 +804,6 @@ std::string apply(Cache& cache, const CacheOp& op, SimTime now,
                   std::map<std::uint8_t, std::uint64_t>& cas_seen) {
   const std::string key = cache_key(op.key);
   const auto value = [&] {
-    if (op.numeric) return to_buffer(std::to_string(op.size));
     return Buffer::take(std::vector<std::byte>(op.size, std::byte{op.salt}));
   };
   const SimTime expire_at = op.ttl == 0 ? 0 : now + op.ttl;
@@ -877,13 +813,6 @@ std::string apply(Cache& cache, const CacheOp& op, SimTime now,
       return describe_void(cache.set(key, op.flags, expire_at, value(), now));
     case K::kAdd:
       return describe_void(cache.add(key, op.flags, expire_at, value(), now));
-    case K::kReplace:
-      return describe_void(
-          cache.replace(key, op.flags, expire_at, value(), now));
-    case K::kAppend:
-      return describe_void(cache.append(key, value(), now));
-    case K::kPrepend:
-      return describe_void(cache.prepend(key, value(), now));
     case K::kCas: {
       const std::uint64_t id = cas_seen[op.key] + (op.stale_cas ? 1000 : 0);
       return describe_void(
@@ -900,10 +829,6 @@ std::string apply(Cache& cache, const CacheOp& op, SimTime now,
                " hash=" + std::to_string(std::hash<std::string>{}(bytes));
       });
     }
-    case K::kIncr:
-      return describe(cache.incr(key, op.delta, now));
-    case K::kDecr:
-      return describe(cache.decr(key, op.delta, now));
     case K::kDelete:
       return describe_void(cache.del(key));
     case K::kFlushAll:

@@ -1,7 +1,7 @@
 // Unit tests for the memcached reimplementation: slab accounting, storage
-// semantics (set/add/replace/append/prepend/delete), LRU eviction within a
-// slab class, lazy expiration, protocol encode/parse, and the daemon over
-// the simulated RPC fabric.
+// semantics (set/add/delete), LRU eviction within a slab class, lazy
+// expiration, protocol encode/parse — including the ERROR every command
+// outside IMCa's set gets — and the daemon over the simulated RPC fabric.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -101,23 +101,6 @@ TEST(Cache, AddOnlyWhenAbsent) {
   ASSERT_TRUE(c.add("k", 0, 0, bytes("a"), 0));
   EXPECT_EQ(c.add("k", 0, 0, bytes("b"), 1).error(), Errc::kNotStored);
   EXPECT_EQ(to_string(c.get("k", 2)->data), "a");
-}
-
-TEST(Cache, ReplaceOnlyWhenPresent) {
-  McCache c(64 * kMiB);
-  EXPECT_EQ(c.replace("k", 0, 0, bytes("x"), 0).error(), Errc::kNotStored);
-  ASSERT_TRUE(c.set("k", 0, 0, bytes("x"), 1));
-  ASSERT_TRUE(c.replace("k", 0, 0, bytes("y"), 2));
-  EXPECT_EQ(to_string(c.get("k", 3)->data), "y");
-}
-
-TEST(Cache, AppendPrependSplice) {
-  McCache c(64 * kMiB);
-  ASSERT_TRUE(c.set("k", 0, 0, bytes("mid"), 0));
-  ASSERT_TRUE(c.append("k", bytes(">"), 1));
-  ASSERT_TRUE(c.prepend("k", bytes("<"), 2));
-  EXPECT_EQ(to_string(c.get("k", 3)->data), "<mid>");
-  EXPECT_EQ(c.append("nokey", bytes("z"), 4).error(), Errc::kNotStored);
 }
 
 TEST(Cache, DeleteRemoves) {
@@ -286,19 +269,6 @@ TEST(Protocol, OversizeItemIsServerError) {
   EXPECT_EQ(parse_store_response(resp).value(), StoreReply::kServerError);
 }
 
-TEST(Protocol, StatsReportCounters) {
-  McCache c(64 * kMiB);
-  (void)handle_request(c, encode_store(StoreVerb::kSet, "k", 0, 0, bytes("v")), 0);
-  const std::string keys[] = {"k"};
-  (void)handle_request(c, encode_get(keys), 1);
-  auto resp = handle_request(c, encode_stats(), 2);
-  auto stats = parse_stats_response(resp).value();
-  EXPECT_EQ(stats.at("cmd_set"), "1");
-  EXPECT_EQ(stats.at("get_hits"), "1");
-  EXPECT_EQ(stats.at("curr_items"), "1");
-  EXPECT_EQ(stats.at("limit_maxbytes"), std::to_string(64 * kMiB));
-}
-
 TEST(Protocol, MalformedInputYieldsError) {
   McCache c(64 * kMiB);
   const auto expect_error = [&](std::string_view raw) {
@@ -315,6 +285,17 @@ TEST(Protocol, MalformedInputYieldsError) {
   expect_error("set k 0 0 5\r\nab\r\n");   // short data block
   expect_error("set k 0 0 x\r\nabcde\r\n");  // non-numeric byte count
   expect_error("delete\r\n");              // missing key
+  // memcached commands IMCa never sends: the daemon does not know them.
+  expect_error("incr k 1\r\n");
+  expect_error("decr k 1\r\n");
+  expect_error("incr k\r\n");
+  expect_error("decr k 1 2\r\n");
+  expect_error("incr k x\r\n");
+  expect_error("replace k 0 0 1\r\nx\r\n");
+  expect_error("append k 0 0 1\r\nx\r\n");
+  expect_error("prepend k 0 0 1\r\nx\r\n");
+  expect_error("stats\r\n");
+  expect_error("flush_all\r\n");           // only the clean flush exists
 }
 
 TEST(Protocol, WrappedByteCountIsRejected) {
@@ -383,9 +364,15 @@ TEST(Protocol, SlotAlignedParseFollowsRequestOrder) {
 TEST(Protocol, FlushAllClears) {
   McCache c(64 * kMiB);
   (void)handle_request(c, encode_store(StoreVerb::kSet, "k", 0, 0, bytes("v")), 0);
-  auto resp = handle_request(c, encode_flush_all(), 1);
+  (void)handle_request(
+      c, encode_store(StoreVerb::kSet, "dirty", kWbDirtyFlag, 0, bytes("d")),
+      0);
+  auto resp = handle_request(c, encode_flush_clean(), 1);
   EXPECT_EQ(to_string(resp.buffer()), "OK\r\n");
-  EXPECT_EQ(c.item_count(), 0u);
+  // The clean flush drops every item but the write-back dirty ones.
+  EXPECT_EQ(c.item_count(), 1u);
+  EXPECT_FALSE(c.get("k", 2).has_value());
+  EXPECT_TRUE(c.get("dirty", 2).has_value());
 }
 
 // --- daemon over the fabric ---

@@ -57,10 +57,11 @@ class ServerFaultTest : public ::testing::Test {
   }
 
   void build(gluster::GlusterServerParams sp = {},
-             gluster::GlusterClientParams cp = {}) {
+             gluster::ProtocolClientParams cp = {}) {
     server_ = std::make_unique<gluster::GlusterServer>(rpc_, 0, sp);
     server_->start();
-    client_ = std::make_unique<gluster::GlusterClient>(rpc_, 1, 0, cp);
+    client_ = std::make_unique<gluster::GlusterClient>(
+        rpc_, 1, gluster::GlusterTopology{{0}}, cp);
   }
 
   void run(Task<void> t) {
@@ -109,13 +110,13 @@ TEST_F(ServerFaultTest, CrashDropsVolatileStateRestartServesDurable) {
 }
 
 TEST_F(ServerFaultTest, ScheduledCrashWindowRiddenOutByRetries) {
-  gluster::GlusterClientParams cp;
-  cp.protocol.op_deadline = 400 * kMilli;
-  cp.protocol.attempt_timeout = 40 * kMilli;
-  cp.protocol.backoff_base = 1 * kMilli;
-  cp.protocol.backoff_cap = 8 * kMilli;
-  cp.protocol.eject_after = 3;
-  cp.protocol.probe_interval = 5 * kMilli;
+  gluster::ProtocolClientParams cp;
+  cp.op_deadline = 400 * kMilli;
+  cp.attempt_timeout = 40 * kMilli;
+  cp.backoff_base = 1 * kMilli;
+  cp.backoff_cap = 8 * kMilli;
+  cp.eject_after = 3;
+  cp.probe_interval = 5 * kMilli;
   build({}, cp);
   server_->schedule_crash(5 * kMilli, 25 * kMilli);
 
@@ -415,12 +416,12 @@ TEST(ServerBrownout, CacheServesWithinBoundThenStepsAside) {
   // warm-up ops would spuriously time out; the refusal probes after the
   // crash are wire-latency fast, so the dead stat still fails within one
   // deadline of probing.
-  cfg.client.protocol.op_deadline = 60 * kMilli;
-  cfg.client.protocol.attempt_timeout = 40 * kMilli;
-  cfg.client.protocol.backoff_base = 1 * kMilli;
-  cfg.client.protocol.backoff_cap = 4 * kMilli;
-  cfg.client.protocol.eject_after = 1;
-  cfg.client.protocol.probe_interval = 5 * kMilli;
+  cfg.client.op_deadline = 60 * kMilli;
+  cfg.client.attempt_timeout = 40 * kMilli;
+  cfg.client.backoff_base = 1 * kMilli;
+  cfg.client.backoff_cap = 4 * kMilli;
+  cfg.client.eject_after = 1;
+  cfg.client.probe_interval = 5 * kMilli;
   cluster::GlusterTestbed bed(cfg);
 
   bed.run([](cluster::GlusterTestbed& b) -> Task<void> {

@@ -21,21 +21,20 @@ using sim::Task;
 
 TEST(Disk, RandomAccessPaysSeek) {
   EventLoop loop;
-  DiskModel d(loop, DiskParams{}, "d0");
+  DiskModel d(loop, "d0");
   SimTime t_random = 0;
   loop.spawn([](EventLoop& l, DiskModel& disk, SimTime& out) -> Task<void> {
     co_await disk.access(/*key=*/1, /*offset=*/0, 4096);
     out = l.now();
   }(loop, d, t_random));
   loop.run();
-  const DiskParams p;
-  EXPECT_GE(t_random, p.avg_seek + p.half_rotation);
+  EXPECT_GE(t_random, kDiskAvgSeek + kDiskHalfRotation);
   EXPECT_EQ(d.seeks(), 1u);
 }
 
 TEST(Disk, SequentialFollowUpSkipsSeek) {
   EventLoop loop;
-  DiskModel d(loop, DiskParams{}, "d0");
+  DiskModel d(loop, "d0");
   SimTime first = 0, second = 0;
   loop.spawn([](EventLoop& l, DiskModel& disk, SimTime& t1,
                 SimTime& t2) -> Task<void> {
@@ -54,7 +53,7 @@ TEST(Disk, TracksInterleavedStreams) {
   // NCQ + per-file readahead keep a bounded number of interleaved sequential
   // streams efficient: resuming a tracked stream does not seek.
   EventLoop loop;
-  DiskModel d(loop, DiskParams{}, "d0");
+  DiskModel d(loop, "d0");
   loop.spawn([](DiskModel& disk) -> Task<void> {
     co_await disk.access(1, 0, 4096);
     co_await disk.access(2, 0, 4096);     // second stream starts (seek)
@@ -68,7 +67,7 @@ TEST(Disk, TracksInterleavedStreams) {
 
 TEST(Disk, TooManyStreamsFallOutOfTracking) {
   EventLoop loop;
-  DiskModel d(loop, DiskParams{}, "d0");
+  DiskModel d(loop, "d0");
   loop.spawn([](DiskModel& disk) -> Task<void> {
     co_await disk.access(1, 0, 4096);
     // 40 other streams push stream 1 out of the tracking window.
@@ -87,7 +86,7 @@ TEST(Disk, TooManyStreamsFallOutOfTracking) {
 TEST(Raid, StreamingScalesWithMembers) {
   auto run = [](std::size_t members) {
     EventLoop loop;
-    RaidArray raid(loop, members, DiskParams{});
+    RaidArray raid(loop, members);
     loop.spawn([](RaidArray& r) -> Task<void> {
       // 64 MiB sequential stream in 1 MiB chunks.
       for (std::uint64_t off = 0; off < 64 * kMiB; off += kMiB) {
@@ -105,7 +104,7 @@ TEST(Raid, StreamingScalesWithMembers) {
 
 TEST(Raid, SmallRequestTouchesOneDisk) {
   EventLoop loop;
-  RaidArray raid(loop, 8, DiskParams{});
+  RaidArray raid(loop, 8);
   loop.spawn([](RaidArray& r) -> Task<void> {
     co_await r.access(1, 0, 4096);  // inside the first 64KiB stripe unit
   }(raid));
@@ -119,7 +118,7 @@ TEST(Raid, SmallRequestTouchesOneDisk) {
 
 TEST(Raid, ZeroByteAccessChargesMetadataTouch) {
   EventLoop loop;
-  RaidArray raid(loop, 4, DiskParams{});
+  RaidArray raid(loop, 4);
   SimTime t = 0;
   loop.spawn([](EventLoop& l, RaidArray& r, SimTime& out) -> Task<void> {
     co_await r.access(7, 0, 0);
@@ -347,7 +346,7 @@ TEST(ObjectStore, ListIsSorted) {
 
 TEST(BlockDevice, CachedReadIsFree) {
   EventLoop loop;
-  BlockDevice dev(loop, 8, DiskParams{}, 64 * kMiB);
+  BlockDevice dev(loop, 8, 64 * kMiB);
   SimTime first = 0, second = 0;
   loop.spawn([](EventLoop& l, BlockDevice& d, SimTime& t1,
                 SimTime& t2) -> Task<void> {
@@ -363,7 +362,7 @@ TEST(BlockDevice, CachedReadIsFree) {
 
 TEST(BlockDevice, WriteIsBufferedButFlushOccupiesDisk) {
   EventLoop loop;
-  BlockDevice dev(loop, 1, DiskParams{}, 64 * kMiB);
+  BlockDevice dev(loop, 1, 64 * kMiB);
   SimTime write_done = 0, read_done = 0;
   loop.spawn([](EventLoop& l, BlockDevice& d, SimTime& w,
                 SimTime& r) -> Task<void> {
@@ -375,14 +374,13 @@ TEST(BlockDevice, WriteIsBufferedButFlushOccupiesDisk) {
   }(loop, dev, write_done, read_done));
   loop.run();
   EXPECT_EQ(write_done, 0u);  // write-back: no foreground disk time
-  const DiskParams p;
-  // Flush of 1MiB at 70MB/s ~ 14ms; the read waited behind it.
-  EXPECT_GT(read_done, transfer_time(1 * kMiB, p.transfer_bps));
+  // Flush of 1MiB at 100MB/s ~ 10ms; the read waited behind it.
+  EXPECT_GT(read_done, transfer_time(1 * kMiB, kDiskTransferBps));
 }
 
 TEST(BlockDevice, MetaMissesHitDiskOncePerInode) {
   EventLoop loop;
-  BlockDevice dev(loop, 8, DiskParams{}, 64 * kMiB);
+  BlockDevice dev(loop, 8, 64 * kMiB);
   SimTime t1 = 0, t2 = 0;
   loop.spawn([](EventLoop& l, BlockDevice& d, SimTime& a,
                 SimTime& b) -> Task<void> {
@@ -398,7 +396,7 @@ TEST(BlockDevice, MetaMissesHitDiskOncePerInode) {
 
 TEST(BlockDevice, DropCachesForcesDiskAgain) {
   EventLoop loop;
-  BlockDevice dev(loop, 8, DiskParams{}, 64 * kMiB);
+  BlockDevice dev(loop, 8, 64 * kMiB);
   SimDuration first = 0, again = 0;
   loop.spawn([](EventLoop& l, BlockDevice& d, SimDuration& a,
                 SimDuration& b) -> Task<void> {

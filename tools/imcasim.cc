@@ -407,14 +407,12 @@ Rig build(const Options& o) {
       // A replicated mount is SUPPOSED to give up on a dead minority and
       // commit on the survivors, so it runs the brick-matrix deadline
       // instead of riding whole crash windows out on retries.
-      cfg.client.protocol.op_deadline =
-          o.replicas > 1 ? 60 * kMilli : 400 * kMilli;
-      cfg.client.protocol.attempt_timeout =
-          o.replicas > 1 ? 20 * kMilli : 40 * kMilli;
-      cfg.client.protocol.backoff_base = 1 * kMilli;
-      cfg.client.protocol.backoff_cap = 8 * kMilli;
-      cfg.client.protocol.eject_after = 3;
-      cfg.client.protocol.probe_interval = 5 * kMilli;
+      cfg.client.op_deadline = o.replicas > 1 ? 60 * kMilli : 400 * kMilli;
+      cfg.client.attempt_timeout = o.replicas > 1 ? 20 * kMilli : 40 * kMilli;
+      cfg.client.backoff_base = 1 * kMilli;
+      cfg.client.backoff_cap = 8 * kMilli;
+      cfg.client.eject_after = 3;
+      cfg.client.probe_interval = 5 * kMilli;
     }
     if (o.mcd_timeout_ms != ~0ull) {
       cfg.imca.mcd_op_timeout = o.mcd_timeout_ms * kMilli;
