@@ -119,7 +119,6 @@ gluster::GlusterServerStats GlusterTestbed::server_totals() const {
     total.duplicate_applies += st.duplicate_applies;
     total.crashes += st.crashes;
     total.restarts += st.restarts;
-    total.wb_dropped_bytes += st.wb_dropped_bytes;
     total.replies_lost_in_crash += st.replies_lost_in_crash;
   }
   return total;

@@ -104,7 +104,7 @@ class Buffer {
   Buffer& operator=(const Buffer&) = default;
   // Moves must leave the source genuinely empty: a defaulted move would
   // copy size_, and a moved-from buffer reporting a stale nonzero size is
-  // how absorb-into-moved-from corruption starts (write_behind flushes).
+  // how absorb-into-moved-from corruption starts.
   Buffer(Buffer&& other) noexcept
       : views_(std::move(other.views_)), size_(other.size_) {
     other.views_.clear();

@@ -64,7 +64,7 @@ class FileSystemClient {
 
   // Durability barrier: acked writes on `file` are on stable storage when
   // this returns. Default is a no-op — meaningful only for clients with a
-  // volatile write path (GlusterFS write-behind, IMCa write-back).
+  // volatile write path (IMCa write-back).
   virtual sim::Task<Expected<void>> fsync(OpenFile file) {
     (void)file;
     co_return Expected<void>{};

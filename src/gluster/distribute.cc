@@ -82,12 +82,20 @@ sim::Task<Expected<store::Attr>> DistributeXlator::create(std::string path,
   co_return r;
 }
 
-sim::Task<Expected<store::Attr>> DistributeXlator::open(std::string path) {
+template <typename T>
+sim::Task<T> DistributeXlator::route(std::string path, sim::Task<T> fop) {
   if (pending_unlinks_.count(path) != 0) {
+    // A renamed-away source is logically gone already: reap the stale file
+    // and answer as if it never existed.
     (void)co_await sweep_pending(path);
     co_return Errc::kNoEnt;
   }
-  co_return co_await owner(path).open(path);
+  auto r = co_await std::move(fop);
+  co_return r;
+}
+
+sim::Task<Expected<store::Attr>> DistributeXlator::open(std::string path) {
+  return route(path, owner(path).open(path));
 }
 
 sim::Task<Expected<void>> DistributeXlator::close(std::string path) {
@@ -96,56 +104,32 @@ sim::Task<Expected<void>> DistributeXlator::close(std::string path) {
 }
 
 sim::Task<Expected<store::Attr>> DistributeXlator::stat(std::string path) {
-  if (pending_unlinks_.count(path) != 0) {
-    (void)co_await sweep_pending(path);
-    co_return Errc::kNoEnt;
-  }
-  co_return co_await owner(path).stat(path);
+  return route(path, owner(path).stat(path));
 }
 
 sim::Task<Expected<Buffer>> DistributeXlator::read(std::string path,
                                                    std::uint64_t offset,
                                                    std::uint64_t len) {
-  if (pending_unlinks_.count(path) != 0) {
-    (void)co_await sweep_pending(path);
-    co_return Errc::kNoEnt;
-  }
-  co_return co_await owner(path).read(path, offset, len);
+  return route(path, owner(path).read(path, offset, len));
 }
 
 sim::Task<Expected<std::uint64_t>> DistributeXlator::write(std::string path,
                                                            std::uint64_t offset,
                                                            Buffer data) {
-  if (pending_unlinks_.count(path) != 0) {
-    (void)co_await sweep_pending(path);
-    co_return Errc::kNoEnt;
-  }
-  co_return co_await owner(path).write(path, offset, std::move(data));
+  return route(path, owner(path).write(path, offset, std::move(data)));
 }
 
 sim::Task<Expected<void>> DistributeXlator::unlink(std::string path) {
-  if (pending_unlinks_.count(path) != 0) {
-    (void)co_await sweep_pending(path);
-    co_return Errc::kNoEnt;  // logically gone already
-  }
-  co_return co_await owner(path).unlink(path);
+  return route(path, owner(path).unlink(path));
 }
 
 sim::Task<Expected<void>> DistributeXlator::truncate(std::string path,
                                                      std::uint64_t size) {
-  if (pending_unlinks_.count(path) != 0) {
-    (void)co_await sweep_pending(path);
-    co_return Errc::kNoEnt;
-  }
-  co_return co_await owner(path).truncate(path, size);
+  return route(path, owner(path).truncate(path, size));
 }
 
 sim::Task<Expected<void>> DistributeXlator::fsync(std::string path) {
-  if (pending_unlinks_.count(path) != 0) {
-    (void)co_await sweep_pending(path);
-    co_return Errc::kNoEnt;
-  }
-  co_return co_await owner(path).fsync(path);
+  return route(path, owner(path).fsync(path));
 }
 
 // --- rename ----------------------------------------------------------------

@@ -93,6 +93,11 @@ class DistributeXlator final : public Xlator, public ServerHealth {
                                          std::uint32_t mode, Buffer data);
   // Reap an owed source unlink. True when the path is no longer owed.
   sim::Task<bool> sweep_pending(std::string path);
+  // The one body of every fop that names a single existing path: a name
+  // with an owed unlink is swept and answers kNoEnt; any other name runs
+  // `fop`, the owner's lazy fop.
+  template <typename T>
+  sim::Task<T> route(std::string path, sim::Task<T> fop);
 
   std::vector<Subvol> subvols_;
   // vnode point -> subvol index. Ordered: ring walks must be deterministic.

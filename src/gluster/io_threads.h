@@ -45,80 +45,40 @@ class IoThreadsXlator final : public Xlator {
 
   sim::Task<Expected<store::Attr>> create(std::string path,
                                           std::uint32_t mode) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->create(path, mode);
-    sem_.release();
-    co_return r;
+    return wind(child_->create(std::move(path), mode));
   }
   sim::Task<Expected<store::Attr>> open(std::string path) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->open(path);
-    sem_.release();
-    co_return r;
+    return wind(child_->open(std::move(path)));
   }
   sim::Task<Expected<void>> close(std::string path) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->close(path);
-    sem_.release();
-    co_return r;
+    return wind(child_->close(std::move(path)));
   }
   sim::Task<Expected<store::Attr>> stat(std::string path) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->stat(path);
-    sem_.release();
-    co_return r;
+    return wind(child_->stat(std::move(path)));
   }
   sim::Task<Expected<Buffer>> read(std::string path,
                                    std::uint64_t offset,
                                    std::uint64_t len) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->read(path, offset, len);
-    sem_.release();
-    co_return r;
+    return wind(child_->read(std::move(path), offset, len));
   }
   sim::Task<Expected<std::uint64_t>> write(std::string path,
                                            std::uint64_t offset,
                                            Buffer data) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->write(path, offset, std::move(data));
-    sem_.release();
-    co_return r;
+    return wind(child_->write(std::move(path), offset, std::move(data)));
   }
   sim::Task<Expected<void>> unlink(std::string path) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->unlink(path);
-    sem_.release();
-    co_return r;
+    return wind(child_->unlink(std::move(path)));
   }
   sim::Task<Expected<void>> truncate(std::string path,
                                      std::uint64_t size) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->truncate(path, size);
-    sem_.release();
-    co_return r;
+    return wind(child_->truncate(std::move(path), size));
   }
   sim::Task<Expected<void>> rename(std::string from,
                                    std::string to) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->rename(from, to);
-    sem_.release();
-    co_return r;
+    return wind(child_->rename(std::move(from), std::move(to)));
   }
   sim::Task<Expected<void>> fsync(std::string path) override {
-    if (shed()) co_return Errc::kBusy;
-    co_await enter();
-    auto r = co_await child_->fsync(path);
-    sem_.release();
-    co_return r;
+    return wind(child_->fsync(std::move(path)));
   }
 
   std::string_view name() const override { return "io-threads"; }
@@ -139,6 +99,18 @@ class IoThreadsXlator final : public Xlator {
   }
 
   EnterAwaiter enter() noexcept { return EnterAwaiter{*this}; }
+
+  // Every fop's one path through the pool: shed, take a thread, run the
+  // child's fop (lazy, so it starts only once a thread is held), and give
+  // the thread back.
+  template <typename T>
+  sim::Task<T> wind(sim::Task<T> fop) {
+    if (shed()) co_return Errc::kBusy;
+    co_await enter();
+    auto r = co_await std::move(fop);
+    sem_.release();
+    co_return r;
+  }
 
   sim::Semaphore sem_;
   std::size_t queue_limit_;

@@ -1,6 +1,7 @@
 #include "gluster/protocol_client.h"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace imca::gluster {
 
@@ -138,114 +139,86 @@ sim::Task<Expected<FopReply>> ProtocolClient::roundtrip(FopRequest req) {
   co_return last;
 }
 
-sim::Task<Expected<store::Attr>> ProtocolClient::create(
-    std::string path, std::uint32_t mode) {
+FopRequest ProtocolClient::request(FopType type, std::string path) {
   FopRequest req;
-  req.type = FopType::kCreate;
-  req.path = path;
-  req.mode = mode;
-  auto rep = co_await roundtrip(std::move(req));
-  if (!rep) co_return rep.error();
-  if (!ok(rep->errc)) co_return rep->errc;
-  co_return rep->attr;
+  req.type = type;
+  req.path = std::move(path);
+  return req;
 }
 
-sim::Task<Expected<store::Attr>> ProtocolClient::open(
-    std::string path) {
-  FopRequest req;
-  req.type = FopType::kOpen;
-  req.path = path;
+template <typename T>
+sim::Task<Expected<T>> ProtocolClient::call(FopRequest req) {
   auto rep = co_await roundtrip(std::move(req));
   if (!rep) co_return rep.error();
   if (!ok(rep->errc)) co_return rep->errc;
-  co_return rep->attr;
+  if constexpr (std::is_same_v<T, store::Attr>) {
+    co_return rep->attr;
+  } else if constexpr (std::is_same_v<T, Buffer>) {
+    co_return std::move(rep->data);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    co_return rep->count;
+  } else {
+    co_return Expected<void>{};
+  }
+}
+
+sim::Task<Expected<store::Attr>> ProtocolClient::create(std::string path,
+                                                        std::uint32_t mode) {
+  FopRequest req = request(FopType::kCreate, std::move(path));
+  req.mode = mode;
+  return call<store::Attr>(std::move(req));
+}
+
+sim::Task<Expected<store::Attr>> ProtocolClient::open(std::string path) {
+  return call<store::Attr>(request(FopType::kOpen, std::move(path)));
 }
 
 sim::Task<Expected<void>> ProtocolClient::close(std::string path) {
-  FopRequest req;
-  req.type = FopType::kClose;
-  req.path = path;
-  auto rep = co_await roundtrip(std::move(req));
-  if (!rep) co_return rep.error();
-  co_return rep->errc == Errc::kOk ? Expected<void>{} : rep->errc;
+  return call<void>(request(FopType::kClose, std::move(path)));
 }
 
-sim::Task<Expected<store::Attr>> ProtocolClient::stat(
-    std::string path) {
-  FopRequest req;
-  req.type = FopType::kStat;
-  req.path = path;
-  auto rep = co_await roundtrip(std::move(req));
-  if (!rep) co_return rep.error();
-  if (!ok(rep->errc)) co_return rep->errc;
-  co_return rep->attr;
+sim::Task<Expected<store::Attr>> ProtocolClient::stat(std::string path) {
+  return call<store::Attr>(request(FopType::kStat, std::move(path)));
 }
 
 sim::Task<Expected<Buffer>> ProtocolClient::read(std::string path,
                                                  std::uint64_t offset,
                                                  std::uint64_t len) {
-  FopRequest req;
-  req.type = FopType::kRead;
-  req.path = path;
+  FopRequest req = request(FopType::kRead, std::move(path));
   req.offset = offset;
   req.length = len;
-  auto rep = co_await roundtrip(std::move(req));
-  if (!rep) co_return rep.error();
-  if (!ok(rep->errc)) co_return rep->errc;
-  co_return std::move(rep->data);
+  return call<Buffer>(std::move(req));
 }
 
-sim::Task<Expected<std::uint64_t>> ProtocolClient::write(
-    std::string path, std::uint64_t offset, Buffer data) {
-  FopRequest req;
-  req.type = FopType::kWrite;
-  req.path = path;
+sim::Task<Expected<std::uint64_t>> ProtocolClient::write(std::string path,
+                                                         std::uint64_t offset,
+                                                         Buffer data) {
+  FopRequest req = request(FopType::kWrite, std::move(path));
   req.offset = offset;
   req.data = std::move(data);
-  auto rep = co_await roundtrip(std::move(req));
-  if (!rep) co_return rep.error();
-  if (!ok(rep->errc)) co_return rep->errc;
-  co_return rep->count;
+  return call<std::uint64_t>(std::move(req));
 }
 
 sim::Task<Expected<void>> ProtocolClient::unlink(std::string path) {
-  FopRequest req;
-  req.type = FopType::kUnlink;
-  req.path = path;
-  auto rep = co_await roundtrip(std::move(req));
-  if (!rep) co_return rep.error();
-  co_return rep->errc == Errc::kOk ? Expected<void>{} : rep->errc;
+  return call<void>(request(FopType::kUnlink, std::move(path)));
 }
 
 sim::Task<Expected<void>> ProtocolClient::truncate(std::string path,
                                                    std::uint64_t size) {
-  FopRequest req;
-  req.type = FopType::kTruncate;
-  req.path = path;
+  FopRequest req = request(FopType::kTruncate, std::move(path));
   req.offset = size;
-  auto rep = co_await roundtrip(std::move(req));
-  if (!rep) co_return rep.error();
-  co_return rep->errc == Errc::kOk ? Expected<void>{} : rep->errc;
+  return call<void>(std::move(req));
 }
 
 sim::Task<Expected<void>> ProtocolClient::fsync(std::string path) {
-  FopRequest req;
-  req.type = FopType::kFsync;
-  req.path = path;
-  auto rep = co_await roundtrip(std::move(req));
-  if (!rep) co_return rep.error();
-  co_return rep->errc == Errc::kOk ? Expected<void>{} : rep->errc;
+  return call<void>(request(FopType::kFsync, std::move(path)));
 }
 
 sim::Task<Expected<void>> ProtocolClient::rename(std::string from,
                                                  std::string to) {
-  FopRequest req;
-  req.type = FopType::kRename;
-  req.path = from;
-  req.path2 = to;
-  auto rep = co_await roundtrip(std::move(req));
-  if (!rep) co_return rep.error();
-  co_return rep->errc == Errc::kOk ? Expected<void>{} : rep->errc;
+  FopRequest req = request(FopType::kRename, std::move(from));
+  req.path2 = std::move(to);
+  return call<void>(std::move(req));
 }
 
 }  // namespace imca::gluster

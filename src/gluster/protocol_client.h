@@ -96,6 +96,12 @@ class ProtocolClient final : public Xlator, public ServerHealth {
   }
 
   sim::EventLoop& loop() noexcept { return rpc_.fabric().loop(); }
+  // A request of `type` on `path`; the fop fills in its other arguments.
+  static FopRequest request(FopType type, std::string path);
+  // The one body of every fop: roundtrip, then the reply's payload for T
+  // (attr, data, count, or nothing for void).
+  template <typename T>
+  sim::Task<Expected<T>> call(FopRequest req);
   // Ship `req`, applying the deadline/retry/replay policy.
   sim::Task<Expected<FopReply>> roundtrip(FopRequest req);
   // One wire attempt, raced against `timeout` (0 = no timeout).

@@ -5,61 +5,6 @@
 
 namespace imca::gluster {
 
-namespace {
-
-// Per-child fan-out legs. Free coroutines with every input by value: the
-// frames outlive the caller's loop iteration, so nothing is borrowed.
-sim::Task<void> leg_create(ProtocolClient* child,
-                           std::shared_ptr<std::vector<Errc>> errs,
-                           std::shared_ptr<std::vector<Expected<store::Attr>>> vals,
-                           std::size_t i, std::string path,
-                           std::uint32_t mode) {
-  auto r = co_await child->create(std::move(path), mode);
-  (*errs)[i] = r ? Errc::kOk : r.error();
-  (*vals)[i] = std::move(r);
-}
-
-sim::Task<void> leg_write(ProtocolClient* child,
-                          std::shared_ptr<std::vector<Errc>> errs,
-                          std::shared_ptr<std::vector<Expected<std::uint64_t>>> vals,
-                          std::size_t i, std::string path,
-                          std::uint64_t offset, Buffer data) {
-  auto r = co_await child->write(std::move(path), offset, std::move(data));
-  (*errs)[i] = r ? Errc::kOk : r.error();
-  (*vals)[i] = std::move(r);
-}
-
-sim::Task<void> leg_unlink(ProtocolClient* child,
-                           std::shared_ptr<std::vector<Errc>> errs,
-                           std::size_t i, std::string path) {
-  auto r = co_await child->unlink(std::move(path));
-  (*errs)[i] = r ? Errc::kOk : r.error();
-}
-
-sim::Task<void> leg_truncate(ProtocolClient* child,
-                             std::shared_ptr<std::vector<Errc>> errs,
-                             std::size_t i, std::string path,
-                             std::uint64_t size) {
-  auto r = co_await child->truncate(std::move(path), size);
-  (*errs)[i] = r ? Errc::kOk : r.error();
-}
-
-sim::Task<void> leg_fsync(ProtocolClient* child,
-                          std::shared_ptr<std::vector<Errc>> errs,
-                          std::size_t i, std::string path) {
-  auto r = co_await child->fsync(std::move(path));
-  (*errs)[i] = r ? Errc::kOk : r.error();
-}
-
-sim::Task<void> leg_rename(ProtocolClient* child,
-                           std::shared_ptr<std::vector<Errc>> errs,
-                           std::size_t i, std::string from, std::string to) {
-  auto r = co_await child->rename(std::move(from), std::move(to));
-  (*errs)[i] = r ? Errc::kOk : r.error();
-}
-
-}  // namespace
-
 ReplicateXlator::ReplicateXlator(
     sim::EventLoop& loop, std::vector<std::unique_ptr<ProtocolClient>> replicas)
     : loop_(loop),
@@ -247,7 +192,7 @@ sim::Task<void> ReplicateXlator::heal_worker(ReplicateXlator* self,
                                              std::weak_ptr<const bool> alive,
                                              std::size_t child) {
   // Drain the child's dirty set; each heal_path call suspends, so re-check
-  // the liveness token before touching members again (write-behind idiom).
+  // the liveness token before touching members again.
   for (;;) {
     if (alive.expired()) co_return;
     if (self->replicas_[child]->server_down()) break;
@@ -354,27 +299,65 @@ sim::Task<HealReport> ReplicateXlator::heal_all() {
   co_return rep;
 }
 
+// --- the two fop bodies --------------------------------------------------
+
+template <typename T, typename Make>
+sim::Task<Expected<T>> ReplicateXlator::mutate(std::vector<std::string> paths,
+                                               Make make) {
+  // Lexicographic lock order, so two concurrent renames (a->b, b->a) cannot
+  // deadlock.
+  std::vector<std::string> order = paths;
+  std::sort(order.begin(), order.end());
+  order.erase(std::unique(order.begin(), order.end()), order.end());
+  std::vector<sim::SimMutex*> locks;
+  for (const auto& p : order) locks.push_back(&path_lock(p));
+  for (sim::SimMutex* mu : locks) co_await mu->lock();
+  std::vector<sim::Task<Expected<T>>> fops;
+  fops.reserve(replicas_.size());
+  for (auto& child : replicas_) fops.push_back(make(*child));
+  auto results = co_await sim::gather(loop_, std::move(fops));
+  std::vector<Errc> errs;
+  errs.reserve(results.size());
+  for (const auto& r : results) errs.push_back(r.error());
+  const Quorum q = commit(paths, errs);
+  for (auto it = locks.rbegin(); it != locks.rend(); ++it) (*it)->unlock();
+  if (!q.committed) co_return q.err;
+  co_return std::move(results[q.winner]);
+}
+
+template <typename T, typename Make>
+sim::Task<Expected<T>> ReplicateXlator::read_fresh(std::string path,
+                                                   Make make) {
+  const std::size_t first = pick_read_child(path);
+  auto r = co_await make(*replicas_[first]);
+  if (r || !retryable(r.error())) {
+    note_read_child(path, first);
+    co_return r;
+  }
+  for (std::size_t d = 1; d < replicas_.size(); ++d) {
+    const std::size_t i = (first + d) % replicas_.size();
+    if (!fresh(i, path)) continue;
+    auto r2 = co_await make(*replicas_[i]);
+    if (r2 || !retryable(r2.error())) {
+      note_read_child(path, i);
+      co_return r2;
+    }
+  }
+  co_return r;
+}
+
 // --- fops ------------------------------------------------------------------
+//
+// poll_rejoins() runs first in every public fop, before any lock or heal:
+// that is when a fop notices a child came back.
 
 sim::Task<Expected<store::Attr>> ReplicateXlator::create(std::string path,
                                                          std::uint32_t mode) {
   poll_rejoins();
-  sim::SimMutex& mu = path_lock(path);
-  co_await mu.lock();
-  const std::size_t k = replicas_.size();
-  auto errs = std::make_shared<std::vector<Errc>>(k, Errc::kTimedOut);
-  auto vals = std::make_shared<std::vector<Expected<store::Attr>>>(
-      k, Expected<store::Attr>(Errc::kTimedOut));
-  std::vector<sim::Task<void>> legs;
-  legs.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    legs.push_back(leg_create(replicas_[i].get(), errs, vals, i, path, mode));
-  }
-  co_await sim::when_all(loop_, std::move(legs));
-  const Quorum q = commit({path}, *errs);
-  mu.unlock();
-  if (!q.committed) co_return q.err;
-  co_return (*vals)[q.winner];
+  const auto fop = [&](ProtocolClient& c) { return c.create(path, mode); };
+  std::vector<std::string> paths{path};
+  auto r = co_await mutate<store::Attr>(std::move(paths), fop);
+  co_return r;
 }
 
 sim::Task<Expected<store::Attr>> ReplicateXlator::open(std::string path) {
@@ -386,21 +369,8 @@ sim::Task<Expected<store::Attr>> ReplicateXlator::open(std::string path) {
       (void)co_await heal_path(i, path);
     }
   }
-  const std::size_t first = pick_read_child(path);
-  auto r = co_await replicas_[first]->open(path);
-  if (r || !retryable(r.error())) {
-    note_read_child(path, first);
-    co_return r;
-  }
-  for (std::size_t d = 1; d < replicas_.size(); ++d) {
-    const std::size_t i = (first + d) % replicas_.size();
-    if (!fresh(i, path)) continue;
-    auto r2 = co_await replicas_[i]->open(path);
-    if (r2 || !retryable(r2.error())) {
-      note_read_child(path, i);
-      co_return r2;
-    }
-  }
+  const auto fop = [&](ProtocolClient& c) { return c.open(path); };
+  auto r = co_await read_fresh<store::Attr>(path, fop);
   co_return r;
 }
 
@@ -411,21 +381,8 @@ sim::Task<Expected<void>> ReplicateXlator::close(std::string path) {
 
 sim::Task<Expected<store::Attr>> ReplicateXlator::stat(std::string path) {
   poll_rejoins();
-  const std::size_t first = pick_read_child(path);
-  auto r = co_await replicas_[first]->stat(path);
-  if (r || !retryable(r.error())) {
-    note_read_child(path, first);
-    co_return r;
-  }
-  for (std::size_t d = 1; d < replicas_.size(); ++d) {
-    const std::size_t i = (first + d) % replicas_.size();
-    if (!fresh(i, path)) continue;
-    auto r2 = co_await replicas_[i]->stat(path);
-    if (r2 || !retryable(r2.error())) {
-      note_read_child(path, i);
-      co_return r2;
-    }
-  }
+  const auto fop = [&](ProtocolClient& c) { return c.stat(path); };
+  auto r = co_await read_fresh<store::Attr>(path, fop);
   co_return r;
 }
 
@@ -434,21 +391,10 @@ sim::Task<Expected<Buffer>> ReplicateXlator::read(std::string path,
                                                   std::uint64_t len) {
   poll_rejoins();
   ++stats_.reads;
-  const std::size_t first = pick_read_child(path);
-  auto r = co_await replicas_[first]->read(path, offset, len);
-  if (r || !retryable(r.error())) {
-    note_read_child(path, first);
-    co_return r;
-  }
-  for (std::size_t d = 1; d < replicas_.size(); ++d) {
-    const std::size_t i = (first + d) % replicas_.size();
-    if (!fresh(i, path)) continue;
-    auto r2 = co_await replicas_[i]->read(path, offset, len);
-    if (r2 || !retryable(r2.error())) {
-      note_read_child(path, i);
-      co_return r2;
-    }
-  }
+  const auto fop = [&](ProtocolClient& c) {
+    return c.read(path, offset, len);
+  };
+  auto r = co_await read_fresh<Buffer>(path, fop);
   co_return r;
 }
 
@@ -456,61 +402,40 @@ sim::Task<Expected<std::uint64_t>> ReplicateXlator::write(std::string path,
                                                           std::uint64_t offset,
                                                           Buffer data) {
   poll_rejoins();
-  sim::SimMutex& mu = path_lock(path);
-  co_await mu.lock();
-  const std::size_t k = replicas_.size();
-  auto errs = std::make_shared<std::vector<Errc>>(k, Errc::kTimedOut);
-  auto vals = std::make_shared<std::vector<Expected<std::uint64_t>>>(
-      k, Expected<std::uint64_t>(Errc::kTimedOut));
-  std::vector<sim::Task<void>> legs;
-  legs.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    legs.push_back(
-        leg_write(replicas_[i].get(), errs, vals, i, path, offset, data));
-  }
-  co_await sim::when_all(loop_, std::move(legs));
-  const Quorum q = commit({path}, *errs);
-  mu.unlock();
-  if (!q.committed) co_return q.err;
-  co_return (*vals)[q.winner];
+  const auto fop = [&](ProtocolClient& c) {
+    return c.write(path, offset, data);
+  };
+  std::vector<std::string> paths{path};
+  auto r = co_await mutate<std::uint64_t>(std::move(paths), fop);
+  co_return r;
 }
 
 sim::Task<Expected<void>> ReplicateXlator::unlink(std::string path) {
   poll_rejoins();
-  sim::SimMutex& mu = path_lock(path);
-  co_await mu.lock();
-  const std::size_t k = replicas_.size();
-  auto errs = std::make_shared<std::vector<Errc>>(k, Errc::kTimedOut);
-  std::vector<sim::Task<void>> legs;
-  legs.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    legs.push_back(leg_unlink(replicas_[i].get(), errs, i, path));
-  }
-  co_await sim::when_all(loop_, std::move(legs));
-  const Quorum q = commit({path}, *errs);
-  mu.unlock();
-  if (!q.committed) co_return q.err;
-  maybe_forget(path);
-  co_return Expected<void>{};
+  const auto fop = [&](ProtocolClient& c) { return c.unlink(path); };
+  std::vector<std::string> paths{path};
+  auto r = co_await mutate<void>(std::move(paths), fop);
+  if (r) maybe_forget(path);
+  co_return r;
 }
 
 sim::Task<Expected<void>> ReplicateXlator::truncate(std::string path,
                                                     std::uint64_t size) {
   poll_rejoins();
-  sim::SimMutex& mu = path_lock(path);
-  co_await mu.lock();
-  const std::size_t k = replicas_.size();
-  auto errs = std::make_shared<std::vector<Errc>>(k, Errc::kTimedOut);
-  std::vector<sim::Task<void>> legs;
-  legs.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    legs.push_back(leg_truncate(replicas_[i].get(), errs, i, path, size));
-  }
-  co_await sim::when_all(loop_, std::move(legs));
-  const Quorum q = commit({path}, *errs);
-  mu.unlock();
-  if (!q.committed) co_return q.err;
-  co_return Expected<void>{};
+  const auto fop = [&](ProtocolClient& c) { return c.truncate(path, size); };
+  std::vector<std::string> paths{path};
+  auto r = co_await mutate<void>(std::move(paths), fop);
+  co_return r;
+}
+
+sim::Task<Expected<void>> ReplicateXlator::rename(std::string from,
+                                                  std::string to) {
+  poll_rejoins();
+  const auto fop = [&](ProtocolClient& c) { return c.rename(from, to); };
+  std::vector<std::string> paths{from, to};
+  auto r = co_await mutate<void>(std::move(paths), fop);
+  if (r) maybe_forget(from);
+  co_return r;
 }
 
 sim::Task<Expected<void>> ReplicateXlator::fsync(std::string path) {
@@ -518,17 +443,14 @@ sim::Task<Expected<void>> ReplicateXlator::fsync(std::string path) {
   // Barrier, not a mutation: fan out to every child, succeed on a quorum of
   // acks. No commit() — fsync changes no replica state, so a child that
   // missed it is not dirty and no epoch moves.
-  const std::size_t k = replicas_.size();
-  auto errs = std::make_shared<std::vector<Errc>>(k, Errc::kTimedOut);
-  std::vector<sim::Task<void>> legs;
-  legs.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    legs.push_back(leg_fsync(replicas_[i].get(), errs, i, path));
-  }
-  co_await sim::when_all(loop_, std::move(legs));
+  std::vector<sim::Task<Expected<void>>> fops;
+  fops.reserve(replicas_.size());
+  for (auto& child : replicas_) fops.push_back(child->fsync(path));
+  const auto results = co_await sim::gather(loop_, std::move(fops));
   std::size_t acks = 0;
   Errc err = Errc::kTimedOut;
-  for (const Errc e : *errs) {
+  for (const auto& r : results) {
+    const Errc e = r.error();
     if (e == Errc::kOk) {
       ++acks;
     } else if (!retryable(e)) {
@@ -539,31 +461,6 @@ sim::Task<Expected<void>> ReplicateXlator::fsync(std::string path) {
   }
   if (acks >= quorum_) co_return Expected<void>{};
   co_return err;
-}
-
-sim::Task<Expected<void>> ReplicateXlator::rename(std::string from,
-                                                  std::string to) {
-  poll_rejoins();
-  // Two-path mutation: take both path locks in lexicographic order so two
-  // concurrent renames (a->b, b->a) cannot deadlock.
-  sim::SimMutex& first = path_lock(std::min(from, to));
-  sim::SimMutex& second = path_lock(std::max(from, to));
-  co_await first.lock();
-  if (&second != &first) co_await second.lock();
-  const std::size_t k = replicas_.size();
-  auto errs = std::make_shared<std::vector<Errc>>(k, Errc::kTimedOut);
-  std::vector<sim::Task<void>> legs;
-  legs.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    legs.push_back(leg_rename(replicas_[i].get(), errs, i, from, to));
-  }
-  co_await sim::when_all(loop_, std::move(legs));
-  const Quorum q = commit({from, to}, *errs);
-  if (&second != &first) second.unlock();
-  first.unlock();
-  if (!q.committed) co_return q.err;
-  maybe_forget(from);
-  co_return Expected<void>{};
 }
 
 sim::Task<Expected<Buffer>> ReplicateXlator::read_from(std::size_t i,

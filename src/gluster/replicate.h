@@ -155,6 +155,15 @@ class ReplicateXlator final : public Xlator, public ServerHealth {
   // (one path, or two for rename). Bumps epochs / dirty sets on commit.
   Quorum commit(const std::vector<std::string>& paths,
                 const std::vector<Errc>& child_err);
+  // The one body of every mutation: take the path locks in lexicographic
+  // order, fan `make(child)` out to every child, commit, unlock, and answer
+  // with the first fresh acker's result (or the quorum's error).
+  template <typename T, typename Make>
+  sim::Task<Expected<T>> mutate(std::vector<std::string> paths, Make make);
+  // The one body of open, stat and read: `make(child)` on the read child,
+  // then on each next fresh child while the error is retryable.
+  template <typename T, typename Make>
+  sim::Task<Expected<T>> read_fresh(std::string path, Make make);
   // Read-child selection (see header comment). Counts switches/degrades.
   std::size_t pick_read_child(const std::string& path);
   void note_read_child(const std::string& path, std::size_t child);
@@ -185,7 +194,7 @@ class ReplicateXlator final : public Xlator, public ServerHealth {
   std::map<std::string, std::size_t> last_read_child_;
   std::map<std::string, std::unique_ptr<sim::SimMutex>> path_locks_;
   // Background heal workers outlive fops; they bail out through this token
-  // if the xlator is torn down first (same idiom as write-behind).
+  // if the xlator is torn down first.
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
   ReplicateStats stats_;
 };

@@ -24,13 +24,6 @@ GlusterServer::GlusterServer(net::RpcSystem& rpc, net::NodeId node,
   io->set_child(stack_.back().get());
   io_ = io.get();
   stack_.push_back(std::move(io));
-  if (params_.write_behind) {
-    auto wb = std::make_unique<WriteBehindXlator>(rpc_.fabric().loop(),
-                                                  params_.wb);
-    wb->set_child(stack_.back().get());
-    wb_ = wb.get();
-    stack_.push_back(std::move(wb));
-  }
 }
 
 void GlusterServer::push_translator(std::unique_ptr<Xlator> xlator) {
@@ -56,7 +49,6 @@ void GlusterServer::crash() {
   ++stats_.crashes;
   // Volatile state dies with the process; the ObjectStore is the disk.
   dev_.drop_caches();
-  if (wb_) stats_.wb_dropped_bytes += wb_->drop_volatile();
   for (auto& x : stack_) x->on_server_crash();
 }
 

@@ -1,7 +1,7 @@
 // The GlusterFS brick process: protocol/server dispatch on top of a
 // translator stack ending in storage/posix.
 //
-// Default stack (bottom to top):   posix -> io-threads -> [wb] -> [pushed]
+// Default stack (bottom to top):   posix -> io-threads -> [pushed]
 // The paper's SMCache is pushed on top, where it sees client fops on entry
 // and their results on return — its "hooks in the callback handler".
 //
@@ -10,13 +10,13 @@
 // remove, paper §3 "Server load problems").
 //
 // Failure model (DESIGN.md §5f): the brick can crash and restart on the
-// simulated clock. A crash drops everything volatile — the page cache and
-// any write-behind buffer — while the ObjectStore (the disk) survives, as
-// does the replay window (modelled as journalled with the data it
-// describes). In-flight fops have their replies replaced with kConnReset:
-// the work may or may not have reached disk, and the client cannot tell —
-// which is exactly why mutations carry (client_id, op_seq) and the brick
-// answers replayed ones from the window instead of re-applying them.
+// simulated clock. A crash drops everything volatile (the page cache) while
+// the ObjectStore (the disk) survives, as does the replay window (modelled
+// as journalled with the data it describes). In-flight fops have their
+// replies replaced with kConnReset: the work may or may not have reached
+// disk, and the client cannot tell — which is exactly why mutations carry
+// (client_id, op_seq) and the brick answers replayed ones from the window
+// instead of re-applying them.
 #pragma once
 
 #include <deque>
@@ -29,7 +29,6 @@
 #include "gluster/io_threads.h"
 #include "gluster/posix.h"
 #include "gluster/protocol.h"
-#include "gluster/write_behind.h"
 #include "gluster/xlator.h"
 #include "net/rpc.h"
 #include "sim/sync.h"
@@ -49,9 +48,6 @@ struct GlusterServerParams {
   std::size_t admission_limit = 0;
   // Queue bound in front of the io-threads pool (see IoThreadsXlator).
   std::size_t io_queue_limit = 0;
-  // --- server-side write-behind (off in the seed stack) ---
-  bool write_behind = false;
-  WriteBehindParams wb = {};
 };
 
 struct GlusterServerStats {
@@ -66,7 +62,6 @@ struct GlusterServerStats {
   std::uint64_t duplicate_applies = 0;  // invariant counter: must stay 0
   std::uint64_t crashes = 0;
   std::uint64_t restarts = 0;
-  std::uint64_t wb_dropped_bytes = 0;   // acked-but-volatile bytes lost
   std::uint64_t replies_lost_in_crash = 0;  // fops in flight at crash time
 };
 
@@ -85,10 +80,10 @@ class GlusterServer {
   // Register the brick on the fabric (port 24007).
   void start();
 
-  // Kill the brick process now: stop listening, drop the page cache and any
-  // write-behind buffer, and invalidate in-flight replies (they become
-  // kConnReset — the connection died with the process). The ObjectStore and
-  // the replay window survive: they are the disk.
+  // Kill the brick process now: stop listening, drop the page cache, and
+  // invalidate in-flight replies (they become kConnReset — the connection
+  // died with the process). The ObjectStore and the replay window survive:
+  // they are the disk.
   void crash();
   // Bring the brick back up. Storage state is whatever survived the crash.
   void restart();
@@ -103,8 +98,6 @@ class GlusterServer {
   store::BlockDevice& device() noexcept { return dev_; }
   // Stack top — tests drive fops through it directly.
   Xlator& top() noexcept { return *stack_.back(); }
-  // Null unless params.write_behind.
-  WriteBehindXlator* write_behind() noexcept { return wb_; }
 
   std::uint64_t fops_served() const noexcept { return stats_.fops; }
   GlusterServerStats stats() const {
@@ -142,7 +135,6 @@ class GlusterServer {
   store::BlockDevice dev_;
   std::vector<std::unique_ptr<Xlator>> stack_;  // [0]=posix .. back()=top
   IoThreadsXlator* io_ = nullptr;
-  WriteBehindXlator* wb_ = nullptr;
   std::map<std::uint64_t, ClientWindow> windows_;
   // Mutations currently inside dispatch, keyed (client_id, op_seq). A
   // replay that overtakes its original (client attempt timeout < server

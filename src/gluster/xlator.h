@@ -9,8 +9,7 @@
 //
 // The default implementation of every fop forwards to the child, so a
 // translator overrides only what it cares about (CMCache overrides stat and
-// read; SMCache overrides open/read/write/close/unlink; write-behind
-// overrides write and the ops that must see its buffer; ...).
+// read; SMCache overrides open/read/write/close/unlink; ...).
 #pragma once
 
 #include <cstdint>
@@ -61,8 +60,8 @@ class Xlator {
                                                    Buffer data);
   virtual sim::Task<Expected<void>> unlink(std::string path);
   // Durability barrier: flush anything buffered for `path` to stable
-  // storage. Idempotent and state-free at the posix layer; write-behind and
-  // the write-back tier override it to drain their buffers.
+  // storage. Idempotent and state-free at the posix layer; CMCache
+  // overrides it to drain its write-back tier.
   virtual sim::Task<Expected<void>> fsync(std::string path);
   virtual sim::Task<Expected<void>> truncate(std::string path,
                                              std::uint64_t size);

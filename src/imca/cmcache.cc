@@ -121,10 +121,9 @@ sim::Task<Expected<std::uint64_t>> CmCacheXlator::write(
 
 sim::Task<Expected<void>> CmCacheXlator::unlink(std::string path) {
   bump_epoch(path);
-  // Dependent-op barrier (write-behind's flush-before-unlink contract,
-  // lifted to the shared tier): dirty extents must reach the brick before
-  // the name disappears, or a flush could recreate the file. A barrier
-  // timeout fails the op — never silently reordered.
+  // Dependent-op barrier: dirty extents must reach the brick before the
+  // name disappears, or a flush could recreate the file. A barrier timeout
+  // fails the op — never silently reordered.
   if (wb_) {
     auto drained = co_await wb_->sync_path(path);
     if (!drained) co_return drained.error();
@@ -292,8 +291,6 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
   struct Run {
     std::size_t first = 0;  // slot index
     std::size_t count = 0;
-    Buffer data;
-    Errc error = Errc::kOk;
   };
   std::vector<Run> runs;
   for (std::size_t i = 0; i < slots.size();) {
@@ -303,44 +300,38 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
     }
     std::size_t j = i;
     while (j < slots.size() && !slots[j].bytes && !slots[j].waiting) ++j;
-    runs.push_back(Run{i, j - i, {}, Errc::kOk});
+    runs.push_back(Run{i, j - i});
     i = j;
   }
+  std::vector<Expected<Buffer>> fetched;
   if (!runs.empty()) {
     stats_.range_fetches += runs.size();
-    std::vector<sim::Task<void>> fetches;
+    std::vector<sim::Task<Expected<Buffer>>> fetches;
     fetches.reserve(runs.size());
-    for (auto& run : runs) {
+    for (const auto& run : runs) {
       const std::uint64_t start = mapper_.start_of(slots[run.first].block);
       const std::uint64_t length = static_cast<std::uint64_t>(run.count) * bs;
-      fetches.push_back([](gluster::Xlator& child, std::string p,
-                           std::uint64_t s, std::uint64_t l,
-                           Run& out) -> sim::Task<void> {
-        auto data = co_await child.read(p, s, l);
-        if (data) {
-          out.data = std::move(*data);
-        } else {
-          out.error = data.error();
-        }
-      }(*child_, path, start, length, run));
+      fetches.push_back(child_->read(path, start, length));
     }
-    co_await sim::when_all(mcds_->loop(), std::move(fetches));
+    fetched = co_await sim::gather(mcds_->loop(), std::move(fetches));
   }
 
   // 5. Distribute each run's bytes back to its slots as zero-copy slices of
   //    the range-read's segments (a slice past the end of the returned data
   //    is an empty block = at/after EOF). A failed run fails its slots;
   //    either way every led flight is completed so waiters never hang.
-  for (const auto& run : runs) {
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const Run& run = runs[r];
+    const Expected<Buffer>& got = fetched[r];
     for (std::size_t k = 0; k < run.count; ++k) {
       auto& s = slots[run.first + k];
-      if (run.error != Errc::kOk) {
+      if (!got) {
         s.failed = true;
-        if (s.leading) inflight_.complete(s.key, s.leading, BlockResult{run.error});
+        if (s.leading) inflight_.complete(s.key, s.leading, BlockResult{got.error()});
         continue;
       }
-      s.bytes = run.data.slice(static_cast<std::size_t>(k * bs),
-                               static_cast<std::size_t>(bs));
+      s.bytes = got->slice(static_cast<std::size_t>(k * bs),
+                           static_cast<std::size_t>(bs));
       s.from_server = true;
       if (s.leading) inflight_.complete(s.key, s.leading, BlockResult{*s.bytes});
     }

@@ -103,24 +103,17 @@ sim::Task<std::vector<WbExtent>> WritebackTier::read_index(std::string path,
                                                             Fanout f) {
   // All K replicas, concurrently: a restarted-empty replica must never mask
   // entries its siblings still hold, so the result is the union.
-  auto copies = std::make_shared<
-      std::vector<std::optional<std::vector<WbExtent>>>>(f.k);
-  std::vector<sim::Task<void>> legs;
-  legs.reserve(f.k);
+  std::vector<sim::Task<Expected<memcache::Value>>> gets;
+  gets.reserve(f.k);
   for (std::size_t r = 0; r < f.k; ++r) {
-    legs.push_back(
-        [](WritebackTier* self, std::size_t server, std::string key,
-           std::shared_ptr<std::vector<std::optional<std::vector<WbExtent>>>>
-               out,
-           std::size_t slot) -> sim::Task<void> {
-          auto got = co_await self->mcds_->get_at(server, std::move(key));
-          if (got) (*out)[slot] = decode_index(std::move(got->data));
-        }(this, f.at(r), wb_index_key(path), copies, r));
+    gets.push_back(mcds_->get_at(f.at(r), wb_index_key(path)));
   }
-  co_await sim::when_all(loop_, std::move(legs));
+  auto replies = co_await sim::gather(loop_, std::move(gets));
 
   std::vector<WbExtent> merged;
-  for (const auto& copy : *copies) {
+  for (auto& got : replies) {
+    if (!got) continue;
+    const auto copy = decode_index(std::move(got->data));
     if (!copy) continue;
     for (const auto& e : *copy) {
       const bool seen =
@@ -284,29 +277,20 @@ sim::Task<bool> WritebackTier::absorb(std::string path, std::uint64_t offset,
   // Payload to the K pinned replicas, concurrently, dirty-flagged so a
   // rejoin purge ("flush_all clean") spares it.
   const std::string pkey = wb_payload_key(path, ext.writer, ext.seq);
-  auto acks = std::make_shared<std::vector<bool>>(f.k, false);
-  {
-    std::vector<sim::Task<void>> legs;
-    legs.reserve(f.k);
-    for (std::size_t r = 0; r < f.k; ++r) {
-      legs.push_back([](mcclient::McClient* mc, std::size_t server,
-                        std::string key, Buffer bytes,
-                        std::shared_ptr<std::vector<bool>> out,
-                        std::size_t slot) -> sim::Task<void> {
-        auto stored = co_await mc->set_at(server, std::move(key),
-                                          std::move(bytes),
-                                          memcache::kWbDirtyFlag);
-        (*out)[slot] = stored.has_value();
-      }(mcds_.get(), f.at(r), pkey, data, acks, r));
-    }
-    co_await sim::when_all(loop_, std::move(legs));
-    stats_.replica_drops += static_cast<std::uint64_t>(
-        std::count(acks->begin(), acks->end(), false));
+  std::vector<sim::Task<Expected<void>>> sets;
+  sets.reserve(f.k);
+  for (std::size_t r = 0; r < f.k; ++r) {
+    sets.push_back(
+        mcds_->set_at(f.at(r), pkey, data, memcache::kWbDirtyFlag));
   }
-  if (static_cast<std::size_t>(std::count(acks->begin(), acks->end(), true)) <
-      cfg_.wb_quorum) {
+  const auto stored = co_await sim::gather(loop_, std::move(sets));
+  const auto acks = static_cast<std::size_t>(
+      std::count_if(stored.begin(), stored.end(),
+                    [](const Expected<void>& s) { return s.has_value(); }));
+  stats_.replica_drops += f.k - acks;
+  if (acks < cfg_.wb_quorum) {
     for (std::size_t r = 0; r < f.k; ++r) {
-      if ((*acks)[r]) (void)co_await mcds_->del_at(f.at(r), pkey);
+      if (stored[r]) (void)co_await mcds_->del_at(f.at(r), pkey);
     }
     ++stats_.degraded_writes;
     mu.unlock();
@@ -316,31 +300,23 @@ sim::Task<bool> WritebackTier::absorb(std::string path, std::uint64_t offset,
 
   // Index entry to the same K replicas. Payload-first ordering: an entry is
   // never visible without its bytes having reached quorum.
-  auto iacks = std::make_shared<std::vector<bool>>(f.k, false);
-  {
-    std::vector<sim::Task<void>> legs;
-    legs.reserve(f.k);
-    for (std::size_t r = 0; r < f.k; ++r) {
-      legs.push_back([](WritebackTier* self, std::size_t server,
-                        std::string p, WbExtent e,
-                        std::shared_ptr<std::vector<bool>> out,
-                        std::size_t slot) -> sim::Task<void> {
-        (*out)[slot] = co_await self->append_entry(server, p, e);
-        // NOLINTNEXTLINE(imca-coro-this): when_all joins every leg below.
-      }(this, f.at(r), path, ext, iacks, r));
-    }
-    co_await sim::when_all(loop_, std::move(legs));
-    stats_.replica_drops += static_cast<std::uint64_t>(
-        std::count(iacks->begin(), iacks->end(), false));
+  std::vector<sim::Task<bool>> appends;
+  appends.reserve(f.k);
+  for (std::size_t r = 0; r < f.k; ++r) {
+    appends.push_back(append_entry(f.at(r), path, ext));
   }
-  if (static_cast<std::size_t>(std::count(iacks->begin(), iacks->end(), true)) <
-      cfg_.wb_quorum) {
+  const std::vector<bool> iacks =
+      co_await sim::gather(loop_, std::move(appends));
+  const auto indexed =
+      static_cast<std::size_t>(std::count(iacks.begin(), iacks.end(), true));
+  stats_.replica_drops += f.k - indexed;
+  if (indexed < cfg_.wb_quorum) {
     // Roll back the partial install: the write is about to be re-issued
     // through the brick, so no reader (or future flush) may keep seeing it
     // as a dirty extent.
     ++stats_.rollbacks;
     for (std::size_t r = 0; r < f.k; ++r) {
-      if ((*iacks)[r]) {
+      if (iacks[r]) {
         (void)co_await remove_entry(f.at(r), path, ext.writer, ext.seq);
       }
     }

@@ -256,29 +256,29 @@ sim::Task<std::vector<std::optional<Value>>> McClient::multi_get(
   stats_.gets += n;
   co_await rpc_.fabric().node(self_).cpu().use(n * params_.per_key_cpu);
 
-  // One batched get per daemon; each reply is parsed against its own keys
-  // and the hits land in their input slots.
-  std::vector<sim::Task<void>> calls;
+  // One batched get per daemon, all in flight at once. Each reply is then
+  // parsed against its own keys and the hits land in their input slots; a
+  // failed or unparsable reply misses its whole group.
+  std::vector<std::size_t> servers;
+  std::vector<sim::Task<Expected<ByteBuf>>> calls;
   for (std::size_t s = 0; s < groups.keys.size(); ++s) {
     if (groups.keys[s].empty()) continue;
-    calls.push_back([](McClient& c, std::size_t srv,
-                       std::vector<std::string> keys_for_server,
-                       std::vector<std::size_t> slots,
-                       std::vector<std::optional<Value>>& results)
-                        -> sim::Task<void> {
-      auto resp = co_await c.call(srv, memcache::encode_get(keys_for_server),
-                                  OpKind::kGet, ReplyShape::kTerminated);
-      if (!resp) co_return;  // whole group misses
-      std::vector<std::optional<Value>> got(keys_for_server.size());
-      if (!memcache::parse_get_response(*resp, keys_for_server, got)) {
-        co_return;
-      }
-      for (std::size_t j = 0; j < got.size(); ++j) {
-        if (got[j]) results[slots[j]] = std::move(got[j]);
-      }
-    }(*this, s, std::move(groups.keys[s]), std::move(groups.slots[s]), out));
+    servers.push_back(s);
+    calls.push_back(call(s, memcache::encode_get(groups.keys[s]), OpKind::kGet,
+                         ReplyShape::kTerminated));
   }
-  co_await sim::when_all(rpc_.fabric().loop(), std::move(calls));
+  auto replies = co_await sim::gather(rpc_.fabric().loop(), std::move(calls));
+  for (std::size_t r = 0; r < replies.size(); ++r) {
+    if (!replies[r]) continue;
+    const auto& keys_for_server = groups.keys[servers[r]];
+    std::vector<std::optional<Value>> got(keys_for_server.size());
+    if (!memcache::parse_get_response(*replies[r], keys_for_server, got)) {
+      continue;
+    }
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      if (got[j]) out[groups.slots[servers[r]][j]] = std::move(got[j]);
+    }
+  }
 
   std::size_t hit_count = 0;
   for (const auto& v : out) {

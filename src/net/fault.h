@@ -87,8 +87,8 @@ struct CrashEvent {
 
 // A deterministic kill (and optional restart) of the GlusterFS brick
 // itself (DESIGN.md §5f). A crashed brick stops listening and drops its
-// volatile state (page cache, write-behind buffers); the ObjectStore — the
-// disk — survives and is what a restart comes back up with.
+// volatile state (the page cache); the ObjectStore — the disk — survives
+// and is what a restart comes back up with.
 struct ServerCrashEvent {
   SimTime at = 0;
   std::optional<SimTime> restart_at;

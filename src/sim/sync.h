@@ -8,6 +8,7 @@
 //  * Barrier   — reusable N-party barrier (the multi-client benchmarks in the
 //                paper separate phases and record sizes with barriers).
 //  * when_all  — run a batch of tasks concurrently, resume when all finish.
+//  * gather    — when_all for tasks with results, returned in input order.
 //
 // All primitives wake waiters *through the event queue* (never by resuming
 // inline), so wakeup order is governed by the loop's deterministic FIFO
@@ -256,6 +257,35 @@ class Barrier {
 // child has completed. Children run as spawned processes, so they interleave
 // on the simulated clock like independent nodes.
 Task<void> when_all(EventLoop& loop, std::vector<Task<void>> tasks);
+
+namespace detail {
+
+template <typename T>
+Task<void> store_result(Task<T> task, std::optional<T>& slot) {
+  slot.emplace(co_await std::move(task));
+}
+
+}  // namespace detail
+
+// when_all for tasks that return a value: the children run under when_all
+// itself, so they are spawned and joined exactly as its void children are,
+// and the results come back in input order. The slots live in this
+// coroutine's frame, which outlives every child because when_all does not
+// return until the last one has stored its result.
+template <typename T>
+Task<std::vector<T>> gather(EventLoop& loop, std::vector<Task<T>> tasks) {
+  std::vector<std::optional<T>> slots(tasks.size());
+  std::vector<Task<void>> children;
+  children.reserve(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    children.push_back(detail::store_result(std::move(tasks[i]), slots[i]));
+  }
+  co_await when_all(loop, std::move(children));
+  std::vector<T> results;
+  results.reserve(slots.size());
+  for (auto& slot : slots) results.push_back(std::move(*slot));
+  co_return results;
+}
 
 // Set `event` after `delay`, from a detached process. The shared_ptr keeps
 // the event alive even if every waiter has long since raced past it — the

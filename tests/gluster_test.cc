@@ -1,6 +1,6 @@
 // Unit tests for the GlusterFS-like substrate: wire protocol codec, the
-// translator stack, posix semantics end to end over the fabric,
-// write-behind and namespace distribution.
+// translator stack, posix semantics end to end over the fabric and
+// namespace distribution.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +9,6 @@
 #include "gluster/distribute.h"
 #include "gluster/protocol.h"
 #include "gluster/server.h"
-#include "gluster/write_behind.h"
 #include "net/transport.h"
 
 namespace imca::gluster {
@@ -177,42 +176,6 @@ TEST_F(GlusterTest, StatOfManyColdFilesHitsDisk) {
     seeks += server_->device().raid().disk(i).seeks();
   }
   EXPECT_GT(seeks, 0u);
-}
-
-// --- write-behind translator ---
-
-TEST_F(GlusterTest, WriteBehindAggregatesSequentialWrites) {
-  client_->push_translator(std::make_unique<WriteBehindXlator>(
-      loop_, WriteBehindParams{.flush_threshold = 64 * kKiB}));
-  auto* wb = static_cast<WriteBehindXlator*>(&client_->top());
-  run([](GlusterClient& fs) -> Task<void> {
-    auto f = co_await fs.create("/wb");
-    for (int i = 0; i < 32; ++i) {
-      auto w = co_await fs.write(*f, static_cast<std::uint64_t>(i) * 1024,
-                                 Buffer::take(std::vector<std::byte>(1024, std::byte{7})));
-      EXPECT_TRUE(w.has_value());
-    }
-    (void)co_await fs.close(*f);  // flushes the tail
-  }(*client_));
-  EXPECT_GT(wb->absorbed_writes(), 20u);
-  EXPECT_LT(wb->flushes(), 4u);
-  // All 32 KiB really landed.
-  EXPECT_EQ(server_->object_store().stat("/wb").value().size, 32u * 1024);
-}
-
-TEST_F(GlusterTest, WriteBehindFlushesBeforeRead) {
-  client_->push_translator(std::make_unique<WriteBehindXlator>(
-      loop_, WriteBehindParams{.flush_threshold = 1 * kMiB}));
-  run([](GlusterClient& fs) -> Task<void> {
-    auto f = co_await fs.create("/wbr");
-    (void)co_await fs.write(*f, 0, to_buffer("buffered"));
-    auto r = co_await fs.read(*f, 0, 8);  // must see the buffered bytes
-    EXPECT_TRUE(r.has_value());
-    if (r) { EXPECT_EQ(to_string(*r), "buffered"); }
-    auto st = co_await fs.stat("/wbr");
-    EXPECT_TRUE(st.has_value());
-    if (st) { EXPECT_EQ(st->size, 8u); }
-  }(*client_));
 }
 
 // --- distribute (multi-brick namespace) ---

@@ -202,11 +202,9 @@ Matrix mcd_matrix() {
 // No mutation is ever applied twice (the exactly-once contract of the
 // (client_id, op_seq) replay window), no op overruns its deadline by more
 // than one backoff step, and the crash and slow plans really crashed,
-// retried and timed out. crash-during-flush runs the brick with
-// write-behind in flush_before_ack mode: every acked byte is on the child
-// before the ack, so "acked mutations survive any crash schedule" is
-// provable. The unsafe mode's loss is measured by server_fault_test.cc,
-// where "acked" and "lost" can be told apart.
+// retried and timed out. The brick stack buffers no write: every acked byte
+// is on the ObjectStore before the ack, so "acked mutations survive any
+// crash schedule" is provable.
 Matrix server_matrix() {
   const Check within_deadline{
       [](const Cfg& c, const Res& r) {
@@ -250,17 +248,6 @@ Matrix server_matrix() {
            {.name = "crash-during-write",
             .faults = {.server_crashes = twice},
             .expect = {kBrickCrashed, kClientRetried}},
-           // Same crash schedule, but the crash lands on the brick's
-           // write-behind flush machinery too.
-           {.name = "crash-during-flush",
-            .faults = {.server_crashes = twice},
-            .tweak =
-                [](Cfg& c) {
-                  c.testbed.server.write_behind = true;
-                  c.testbed.server.wb.flush_before_ack = true;
-                  c.testbed.server.wb.flush_deadline = 1 * kMilli;
-                },
-            .expect = {kBrickCrashed, kClientRetried}},
            // A third of the brick's replies crawl in after the attempt
            // timeout: every such fop was APPLIED but looks failed — the
            // replay window's home turf. The deadline is widened so an
@@ -292,8 +279,8 @@ Matrix server_matrix() {
 // fails quorum: every plan keeps a majority of each group alive, so a short
 // write would mean the client gave up on a reachable majority. After the
 // final heal sweep every replica of every live file is byte-identical to
-// the oracle (the harness's grid epilogue). Bricks run with write-behind
-// off, so an acked byte is on the brick's ObjectStore before the ack.
+// the oracle (the harness's grid epilogue). An acked byte is on the brick's
+// ObjectStore before the ack.
 //
 // Unlike the single-brick server matrix, which rides out every crash window
 // on retries alone, a replicated mount is SUPPOSED to give up on a dead

@@ -57,9 +57,9 @@ struct ReplayConfig {
   // additionally drives self-heal to convergence and byte-checks EVERY
   // replica of every file against the oracle (deleted files must be kNoEnt
   // on every replica) — so grid fault plans must restart what they crash,
-  // or the sweep rightly fails. Brick crash drills set server.write_behind
-  // + flush_before_ack so an acked byte is always durable — the mode under
-  // which "acked mutations survive any crash schedule" is provable.
+  // or the sweep rightly fails. The brick stack buffers no write, so an
+  // acked byte is always durable and "acked mutations survive any crash
+  // schedule" is provable.
   cluster::GlusterTestbedConfig testbed;
   // Byte-check every live file after every op (the invariant proper). Off =
   // only the read ops and the final sweep check.

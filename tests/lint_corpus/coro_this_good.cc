@@ -1,4 +1,4 @@
-// IMCA-CORO-THIS good twin: the write_behind.cc pattern — a shared
+// IMCA-CORO-THIS good twin: the ReplicateXlator::heal_worker pattern — a
 // liveness token (alive_) captured before the first suspension and checked
 // after each one, so a destroyed owner is detected instead of dereferenced.
 #include <cstdint>

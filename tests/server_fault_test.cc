@@ -2,9 +2,8 @@
 // volatile state but never durable state; the (client_id, op_seq) replay
 // window turns client at-least-once retries into exactly-once application;
 // admission/io-queue/deadline shedding answers kBusy instead of queueing
-// without bound; CMCache brownout serves bounded-staleness cache hits while
-// the brick is ejected; and the write-behind durability contract's two modes
-// lose / keep acked bytes across a crash exactly as advertised.
+// without bound; and CMCache brownout serves bounded-staleness cache hits
+// while the brick is ejected.
 //
 // Note: gtest ASSERT_* macros use `return` and cannot appear inside a
 // coroutine body, so the tests guard with EXPECT_* + early co_return.
@@ -185,9 +184,9 @@ TEST_F(ServerFaultTest, ReplayWindowAnswersWithoutReapplying) {
 }
 
 // Sheds the first `shed_first` writes with kBusy after holding them for
-// `hold` — the "slow original that finishes with kBusy" shape (a long
-// write-behind flush that then hits a shed io-threads queue). Nothing is
-// applied on the shed path, so a later retry is NOT a duplicate.
+// `hold` — the "slow original that finishes with kBusy" shape (a long stall
+// below dispatch that then hits a shed io-threads queue). Nothing is applied
+// on the shed path, so a later retry is NOT a duplicate.
 class SlowShedXlator final : public gluster::Xlator {
  public:
   SlowShedXlator(EventLoop& loop, int shed_first, SimDuration hold)
@@ -354,55 +353,6 @@ TEST_F(ServerFaultTest, ExpiredDeadlineBudgetIsShedBeforeDispatch) {
     EXPECT_EQ(rep.errc, Errc::kBusy);
   }(*this));
   EXPECT_EQ(server_->stats().sheds_expired, 1u);
-}
-
-TEST_F(ServerFaultTest, UnsafeWriteBehindLosesAckedBytesInCrash) {
-  gluster::GlusterServerParams sp;
-  sp.write_behind = true;  // classic mode: ack from brick memory
-  build(sp);
-  run([](ServerFaultTest& t) -> Task<void> {
-    auto& fs = *t.client_;
-    auto f = co_await fs.create("/f");
-    EXPECT_TRUE(f.has_value());
-    if (!f) co_return;
-    auto w = co_await fs.write(*f, 0, to_buffer("precious"));
-    EXPECT_TRUE(w.has_value());  // acked...
-    EXPECT_EQ(t.server_->write_behind()->buffered_bytes(), 8u);  // ...volatile
-
-    t.server_->crash();
-    t.server_->restart();
-    auto st = co_await fs.stat("/f");
-    EXPECT_TRUE(st.has_value());
-    // The acked bytes died with the process.
-    if (st) { EXPECT_EQ(st->size, 0u); }
-  }(*this));
-  EXPECT_EQ(server_->stats().wb_dropped_bytes, 8u);
-}
-
-TEST_F(ServerFaultTest, FlushBeforeAckSurvivesTheSameCrash) {
-  gluster::GlusterServerParams sp;
-  sp.write_behind = true;
-  sp.wb.flush_before_ack = true;  // the matrix's durable-ack mode
-  build(sp);
-  run([](ServerFaultTest& t) -> Task<void> {
-    auto& fs = *t.client_;
-    auto f = co_await fs.create("/f");
-    EXPECT_TRUE(f.has_value());
-    if (!f) co_return;
-    auto w = co_await fs.write(*f, 0, to_buffer("precious"));
-    EXPECT_TRUE(w.has_value());
-    EXPECT_EQ(t.server_->write_behind()->buffered_bytes(), 0u);  // already down
-
-    t.server_->crash();
-    t.server_->restart();
-    auto st = co_await fs.stat("/f");
-    EXPECT_TRUE(st.has_value());
-    if (st) { EXPECT_EQ(st->size, 8u); }
-    auto r = co_await fs.read(*f, 0, 8);
-    EXPECT_TRUE(r.has_value());
-    if (r) { EXPECT_EQ(to_string(*r), "precious"); }
-  }(*this));
-  EXPECT_EQ(server_->stats().wb_dropped_bytes, 0u);
 }
 
 // --- CMCache brownout: the full testbed, because it needs a warm MCD ---

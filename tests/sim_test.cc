@@ -2,8 +2,13 @@
 // synchronization primitives and the FIFO queueing resource.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/buffer.h"
+#include "common/expected.h"
 #include "sim/event_loop.h"
 #include "sim/resource.h"
 #include "sim/sync.h"
@@ -346,6 +351,142 @@ TEST(Sync, WhenAllEmptyCompletesImmediately) {
   }(loop, done));
   loop.run();
   EXPECT_TRUE(done);
+}
+
+// --- gather ---
+
+TEST(Sync, GatherKeepsInputOrderWhenChildrenFinishInReverse) {
+  EventLoop loop;
+  std::vector<int> results;
+  std::vector<int> finished;
+  loop.spawn([](EventLoop& l, std::vector<int>& out,
+                std::vector<int>& fin) -> Task<void> {
+    std::vector<Task<int>> kids;
+    for (int i = 0; i < 4; ++i) {
+      kids.push_back([](EventLoop& ll, std::vector<int>& f, int id)
+                         -> Task<int> {
+        co_await ll.sleep(static_cast<SimDuration>(4 - id) * 10);
+        f.push_back(id);
+        co_return id * 100;
+      }(l, fin, i));
+    }
+    out = co_await gather(l, std::move(kids));
+  }(loop, results, finished));
+  loop.run();
+  EXPECT_EQ(finished, (std::vector<int>{3, 2, 1, 0}));
+  EXPECT_EQ(results, (std::vector<int>{0, 100, 200, 300}));
+}
+
+// One resume point of a staggered child (or of the joining parent, id -1).
+struct Resume {
+  int id;
+  SimTime at;
+  bool operator==(const Resume&) const = default;
+};
+
+Task<void> staggered_void(EventLoop& l, std::vector<Resume>& trace, int id,
+                          SimDuration d) {
+  trace.push_back({id, l.now()});
+  co_await l.sleep(d);
+  trace.push_back({id, l.now()});
+  co_await l.sleep(d / 2);
+  trace.push_back({id, l.now()});
+}
+
+Task<int> staggered_int(EventLoop& l, std::vector<Resume>& trace, int id,
+                        SimDuration d) {
+  co_await staggered_void(l, trace, id, d);
+  co_return id;
+}
+
+constexpr SimDuration kStagger[] = {30, 10, 20, 10, 0, 30};
+
+// The same staggered children under when_all and under gather, on one
+// queue implementation: the resume trace and the event count.
+std::pair<std::vector<Resume>, std::uint64_t> staggered_run(QueueImpl impl,
+                                                            bool use_gather) {
+  EventLoop loop(impl);
+  std::vector<Resume> trace;
+  loop.spawn([](EventLoop& l, std::vector<Resume>& t,
+                bool g) -> Task<void> {
+    if (g) {
+      std::vector<Task<int>> kids;
+      for (int i = 0; i < 6; ++i) {
+        kids.push_back(staggered_int(l, t, i, kStagger[i]));
+      }
+      auto ids = co_await gather(l, std::move(kids));
+      EXPECT_EQ(ids, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    } else {
+      std::vector<Task<void>> kids;
+      for (int i = 0; i < 6; ++i) {
+        kids.push_back(staggered_void(l, t, i, kStagger[i]));
+      }
+      co_await when_all(l, std::move(kids));
+    }
+    t.push_back({-1, l.now()});
+  }(loop, trace, use_gather));
+  const std::uint64_t events = loop.run();
+  return {trace, events};
+}
+
+TEST(Sync, GatherResumesChildrenExactlyLikeWhenAll) {
+  for (const QueueImpl impl :
+       {QueueImpl::kTimerWheel, QueueImpl::kLegacyHeap}) {
+    const auto with_when_all = staggered_run(impl, false);
+    const auto with_gather = staggered_run(impl, true);
+    EXPECT_EQ(with_gather.first.size(), 6u * 3 + 1);
+    EXPECT_TRUE(with_gather.first == with_when_all.first);
+    EXPECT_EQ(with_gather.second, with_when_all.second);
+    EXPECT_EQ(with_gather.first.back(), (Resume{-1, 30 + 15}));
+  }
+}
+
+TEST(Sync, GatherEmptySchedulesNoEvent) {
+  EventLoop loop;
+  bool done = false;
+  loop.spawn([](EventLoop& l, bool& d) -> Task<void> {
+    const std::uint64_t before = l.events_processed();
+    std::vector<Task<int>> none;
+    auto out = co_await gather(l, std::move(none));
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(l.events_processed(), before);
+    d = true;
+  }(loop, done));
+  EXPECT_EQ(loop.run(), 1u);  // the spawn itself, nothing more
+  EXPECT_TRUE(done);
+}
+
+TEST(Sync, GatherMovesMoveOnlyResults) {
+  EventLoop loop;
+  std::vector<Expected<Buffer>> bufs;
+  std::vector<std::unique_ptr<int>> ptrs;
+  loop.spawn([](EventLoop& l, std::vector<Expected<Buffer>>& out,
+                std::vector<std::unique_ptr<int>>& owned) -> Task<void> {
+    std::vector<Task<Expected<Buffer>>> reads;
+    reads.push_back([](EventLoop& ll) -> Task<Expected<Buffer>> {
+      co_await ll.sleep(5);
+      co_return Buffer::of_string("late");
+    }(l));
+    reads.push_back([]() -> Task<Expected<Buffer>> {
+      co_return Errc::kNoEnt;
+    }());
+    out = co_await gather(l, std::move(reads));
+    std::vector<Task<std::unique_ptr<int>>> makes;
+    for (int i = 0; i < 2; ++i) {
+      makes.push_back([](int v) -> Task<std::unique_ptr<int>> {
+        co_return std::make_unique<int>(v);
+      }(i + 7));
+    }
+    owned = co_await gather(l, std::move(makes));
+  }(loop, bufs, ptrs));
+  loop.run();
+  ASSERT_EQ(bufs.size(), 2u);
+  ASSERT_TRUE(bufs[0].has_value());
+  EXPECT_EQ(bufs[0]->size(), 4u);
+  EXPECT_EQ(bufs[1].error(), Errc::kNoEnt);
+  ASSERT_EQ(ptrs.size(), 2u);
+  EXPECT_EQ(*ptrs[0], 7);
+  EXPECT_EQ(*ptrs[1], 8);
 }
 
 // --- FifoResource ---

@@ -29,8 +29,8 @@ constexpr std::string_view kNolintBare = "IMCA-NOLINT-BARE";
 
 // Identifiers that count as a liveness token for IMCA-CORO-THIS and the
 // RMW checks: holding one means the coroutine re-checks object liveness
-// after resuming (the write_behind.cc alive_ pattern), so state use after
-// a suspension is deliberate.
+// after resuming (the alive_ pattern of ReplicateXlator::heal_worker), so
+// state use after a suspension is deliberate.
 bool is_liveness_ident(std::string_view s) {
   return s == "alive_" || s == "alive" || s == "self" || s == "self_" ||
          s == "shared_from_this" || s == "weak_from_this";

@@ -23,14 +23,14 @@
 //                     usually a dead temporary by the first resumption (the
 //                     PR 1 stack-use-after-scope class).
 //   IMCA-CORO-THIS    a coroutine that touches `this` after a suspension
-//                     with no liveness token in scope (the write-behind
-//                     alive_ pattern); the object may be torn down while
-//                     suspended. Interprocedural on both sides: the
-//                     suspension is real only if the awaited callee can
-//                     suspend (transitively, via the index), and the touch
-//                     fires on a bare call to a same-class method that
-//                     (transitively) uses `this`, not just on a literal
-//                     `this` token.
+//                     with no liveness token in scope (the alive_ pattern
+//                     of ReplicateXlator::heal_worker); the object may be
+//                     torn down while suspended. Interprocedural on both
+//                     sides: the suspension is real only if the awaited
+//                     callee can suspend (transitively, via the index), and
+//                     the touch fires on a bare call to a same-class method
+//                     that (transitively) uses `this`, not just on a
+//                     literal `this` token.
 //   IMCA-ITER-AWAIT   a coroutine iterating a member container with a
 //                     possibly-suspending await in the loop body, where
 //                     some method of the same class mutates that container

@@ -3,16 +3,18 @@
 //
 //   imcasim --system=imca --mcds=4 --clients=32 --workload=latency
 //   imcasim --system=gluster --clients=8 --workload=iozone --file-mb=64
-//   imcasim --system=lustre --ds=4 --cold --workload=latency --shared
+//   imcasim --system=lustre --ds=4 --cold --workload=shared
 //   imcasim --system=nfs --transport=gige --workload=iozone --clients=4
 //   imcasim --system=imca --mcds=2 --workload=stat --files=20000 --csv
 //
-// Run `imcasim --help` for every knob. All runs are deterministic.
+// Run `imcasim --help` for every knob. A flag the chosen system or workload
+// does not read exits 2 like a typo. All runs are deterministic.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -71,15 +73,15 @@ struct Options {
   // --- file-server fault plan (imca/gluster; DESIGN.md §5f) ---
   std::vector<net::ServerCrashEvent> server_crashes;  // --crash-server=ms[:ms]
   std::uint64_t server_slow_ms = 0;        // --server-slow=MS
-  std::uint64_t wb_flush_deadline_ms = 0;  // --wb-flush-deadline=MS
+
+  std::set<std::string> given;  // every flag named on the command line
 
   bool any_fault() const {
     return fault_drop > 0 || fault_timeout > 0 || fault_slow > 0 ||
            fault_short > 0 || !crashes.empty();
   }
   bool any_server_fault() const {
-    return !server_crashes.empty() || server_slow_ms > 0 ||
-           wb_flush_deadline_ms > 0;
+    return !server_crashes.empty() || server_slow_ms > 0;
   }
 };
 
@@ -131,8 +133,6 @@ struct Options {
       "                      optionally restart (repeatable)\n"
       "  --server-slow=MS    ~35%% of brick replies crawl in MS late —\n"
       "                      forces attempt timeouts and replay dedup\n"
-      "  --wb-flush-deadline=MS  server-side write-behind in flush_before_ack\n"
-      "                      mode with an MS flush deadline\n"
       "  --writeback         absorb writes into the MCD tier: K-way dirty\n"
       "                      replication, epoch-ordered background flush\n"
       "                      (imca; arms the 2 ms MCD deadline by default)\n"
@@ -154,11 +154,57 @@ std::optional<std::string> flag_value(const char* arg, const char* name) {
   return std::nullopt;
 }
 
+// A flag the run never reads would print output byte-identical to the run
+// without it; refuse it instead of letting it pose as a setting.
+void reject_unread_flags(const Options& o) {
+  const bool imca = o.system == "imca";
+  const bool latency = o.workload == "latency" || o.workload == "shared";
+  struct Rule {
+    std::vector<const char*> flags;
+    bool read;
+    const char* needs;
+  };
+  const Rule rules[] = {
+      {{"--mcds"}, imca, "--system=imca"},
+      {{"--block", "--hash", "--threaded", "--rdma-cache", "--no-partial-hit",
+        "--mcd-mb", "--mcd-timeout-ms", "--fault-drop", "--fault-timeout",
+        "--fault-slow", "--fault-short", "--crash-mcd", "--writeback"},
+       imca && o.mcds > 0,
+       "--system=imca with at least one MCD"},
+      {{"--bricks", "--replicas", "--crash-server", "--crash-brick",
+        "--server-slow"},
+       imca || o.system == "gluster",
+       "--system=imca or --system=gluster"},
+      {{"--ds", "--cold"}, o.system == "lustre", "--system=lustre"},
+      {{"--fault-seed"}, o.any_fault() || o.any_server_fault(),
+       "a fault flag"},
+      {{"--fault-slow-ms"}, o.fault_slow > 0, "--fault-slow"},
+      {{"--wb-replicas", "--wb-quorum", "--wb-flush-delay"}, o.writeback,
+       "--writeback"},
+      {{"--max-record", "--records"}, latency,
+       "--workload=latency or --workload=shared"},
+      {{"--files"}, o.workload == "stat", "--workload=stat"},
+      {{"--file-mb"}, o.workload == "iozone", "--workload=iozone"},
+      {{"--cold"}, latency || o.workload == "iozone",
+       "--workload=latency, shared or iozone"},
+  };
+  for (const Rule& rule : rules) {
+    if (rule.read) continue;
+    for (const char* flag : rule.flags) {
+      if (o.given.count(flag) != 0) {
+        std::fprintf(stderr, "%s needs %s\n\n", flag, rule.needs);
+        usage(2);
+      }
+    }
+  }
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) usage(0);
+    o.given.insert(std::string(a, std::strcspn(a, "=")));
     if (!std::strcmp(a, "--threaded")) { o.threaded = true; continue; }
     if (!std::strcmp(a, "--rdma-cache")) { o.rdma_cache = true; continue; }
     if (!std::strcmp(a, "--no-partial-hit")) { o.no_partial_hit = true; continue; }
@@ -264,7 +310,6 @@ Options parse(int argc, char** argv) {
     num("--wb-replicas", o.wb_replicas);
     num("--wb-quorum", o.wb_quorum);
     num("--wb-flush-delay", o.wb_flush_delay_ms);
-    num("--wb-flush-deadline", o.wb_flush_deadline_ms);
     prob("--fault-drop", o.fault_drop);
     prob("--fault-timeout", o.fault_timeout);
     prob("--fault-slow", o.fault_slow);
@@ -274,6 +319,7 @@ Options parse(int argc, char** argv) {
       usage(2);
     }
   }
+  reject_unread_flags(o);
   if (o.clients == 0) usage(2);
   if (o.ds == 0) {
     std::fprintf(stderr, "--ds wants a value >= 1\n");
@@ -355,10 +401,6 @@ Rig build(const Options& o) {
     cfg.imca.rdma_cache_path = o.rdma_cache;
     cfg.imca.partial_hit_reads = !o.no_partial_hit;
     if (o.writeback) {
-      if (o.system != "imca" || o.mcds == 0) {
-        std::fprintf(stderr, "--writeback needs --system=imca with MCDs\n");
-        usage(2);
-      }
       cfg.imca.writeback = true;
       cfg.imca.wb_replicas = o.wb_replicas;
       cfg.imca.wb_quorum = o.wb_quorum;
@@ -395,11 +437,6 @@ Rig build(const Options& o) {
       cfg.faults.server_spec.slow_reply = 0.35;
       cfg.faults.server_spec.slow_delay = o.server_slow_ms * kMilli;
     }
-    if (o.wb_flush_deadline_ms > 0) {
-      cfg.server.write_behind = true;
-      cfg.server.wb.flush_before_ack = true;
-      cfg.server.wb.flush_deadline = o.wb_flush_deadline_ms * kMilli;
-    }
     if (o.any_server_fault()) {
       // Brick faults without retries surface as hard workload errors; arm
       // the deadline/retry/replay machinery with the fault-matrix policy.
@@ -423,11 +460,6 @@ Rig build(const Options& o) {
     }
     rig.gluster = std::make_unique<cluster::GlusterTestbed>(cfg);
   } else if (o.system == "lustre") {
-    if (o.any_fault() || o.any_server_fault()) {
-      std::fprintf(stderr,
-                   "fault flags only apply to --system=imca|gluster\n");
-      usage(2);
-    }
     cluster::LustreTestbedConfig cfg;
     cfg.n_clients = o.clients;
     cfg.n_ds = o.ds;
@@ -435,11 +467,6 @@ Rig build(const Options& o) {
     if (o.server_cache_mb) cfg.ds.page_cache_bytes = o.server_cache_mb * kMiB;
     rig.lustre = std::make_unique<cluster::LustreTestbed>(cfg);
   } else if (o.system == "nfs") {
-    if (o.any_fault() || o.any_server_fault()) {
-      std::fprintf(stderr,
-                   "fault flags only apply to --system=imca|gluster\n");
-      usage(2);
-    }
     cluster::NfsTestbedConfig cfg;
     cfg.n_clients = o.clients;
     cfg.transport = transport_of(o);
@@ -598,8 +625,7 @@ void print_server_fault_report(Rig& rig, const Options& o) {
   if (!rig.gluster || !o.any_server_fault()) return;
   const auto ss = rig.gluster->server_totals();
   std::printf("# brick faults: crashes=%llu restarts=%llu replies_lost=%llu"
-              " sheds=%llu (admission=%llu expired=%llu io=%llu)"
-              " wb_dropped_bytes=%llu\n",
+              " sheds=%llu (admission=%llu expired=%llu io=%llu)\n",
               static_cast<unsigned long long>(ss.crashes),
               static_cast<unsigned long long>(ss.restarts),
               static_cast<unsigned long long>(ss.replies_lost_in_crash),
@@ -607,8 +633,7 @@ void print_server_fault_report(Rig& rig, const Options& o) {
                                               ss.sheds_expired + ss.sheds_io),
               static_cast<unsigned long long>(ss.sheds_admission),
               static_cast<unsigned long long>(ss.sheds_expired),
-              static_cast<unsigned long long>(ss.sheds_io),
-              static_cast<unsigned long long>(ss.wb_dropped_bytes));
+              static_cast<unsigned long long>(ss.sheds_io));
   gluster::ProtocolClientStats pc;
   for (std::size_t i = 0; i < rig.gluster->n_clients(); ++i) {
     const auto s = rig.gluster->gluster_client(i).protocol_totals();
