@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 namespace imca {
 
@@ -13,20 +14,56 @@ BufferStats& buffer_stats() noexcept { return g_stats; }
 
 // --- Segment ---
 
+Segment Segment::allocate(std::size_t capacity, std::size_t size) {
+  void* mem = ::operator new(sizeof(Block) + capacity);
+  auto* b = ::new (mem) Block{1, size, capacity, nullptr};
+  b->data = reinterpret_cast<std::byte*>(b + 1);
+  Segment s;
+  s.block_ = b;
+  return s;
+}
+
+void Segment::destroy(Block* b) noexcept {
+  if (b->data != reinterpret_cast<std::byte*>(b + 1)) {
+    // An adopted vector sits where the bytes would be.
+    using Vec = std::vector<std::byte>;
+    std::launder(reinterpret_cast<Vec*>(b + 1))->~Vec();
+  }
+  ::operator delete(b);
+}
+
+void Segment::append_in_place(const std::byte* p, std::size_t n) noexcept {
+  std::memcpy(block_->data + block_->size, p, n);
+  block_->size += n;
+}
+
 Segment Segment::take(std::vector<std::byte>&& data) {
   ++g_stats.segments_allocated;
   g_stats.segment_bytes += data.size();
-  return Segment(
-      std::make_shared<const std::vector<std::byte>>(std::move(data)));
+  using Vec = std::vector<std::byte>;
+  static_assert(alignof(Vec) <= alignof(Block));
+  Segment s = allocate(sizeof(Vec), data.size());
+  auto* v = ::new (s.block_->data) Vec(std::move(data));
+  s.block_->capacity = 0;
+  s.block_->data = v->data();
+  return s;
 }
 
 Segment Segment::copy_of(std::span<const std::byte> src) {
+  ++g_stats.segments_allocated;
+  g_stats.segment_bytes += src.size();
   g_stats.bytes_copied += src.size();
-  return take(std::vector<std::byte>(src.begin(), src.end()));
+  Segment s = allocate(src.size(), src.size());
+  if (!src.empty()) std::memcpy(s.block_->data, src.data(), src.size());
+  return s;
 }
 
 Segment Segment::zeros(std::size_t n) {
-  return take(std::vector<std::byte>(n, std::byte{0}));
+  ++g_stats.segments_allocated;
+  g_stats.segment_bytes += n;
+  Segment s = allocate(n, n);
+  if (n != 0) std::memset(s.block_->data, 0, n);
+  return s;
 }
 
 // --- BufView ---
@@ -165,10 +202,11 @@ std::string Buffer::gather_string() const {
 
 std::span<const std::byte> Buffer::contiguous(
     std::size_t offset, std::size_t length) const noexcept {
-  if (offset + length > size_ || length == 0) return {};
+  // Bounded without forming offset + length, which can wrap.
+  if (length == 0 || offset > size_ || length > size_ - offset) return {};
   auto [vi, vo] = locate(offset);
   const auto v = views_[vi].bytes();
-  if (vo + length > v.size()) return {};
+  if (length > v.size() - vo) return {};
   return v.subspan(vo, length);
 }
 

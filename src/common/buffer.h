@@ -20,10 +20,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace imca {
@@ -40,12 +40,32 @@ struct BufferStats {
 
 BufferStats& buffer_stats() noexcept;
 
-// Refcounted immutable byte storage. Copying a Segment copies a pointer.
+// Refcounted immutable byte storage in one block: a header with a plain
+// count, then the bytes. Copying a Segment copies a pointer. The count is
+// not atomic, so a Segment, with every Buffer that holds it, belongs to one
+// thread (DESIGN.md §5e).
 class Segment {
  public:
   Segment() = default;
+  Segment(const Segment& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) ++block_->refs;
+  }
+  Segment(Segment&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  Segment& operator=(const Segment& other) noexcept {
+    Segment(other).swap(*this);
+    return *this;
+  }
+  Segment& operator=(Segment&& other) noexcept {
+    Segment(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~Segment() {
+    if (block_ != nullptr && --block_->refs == 0) destroy(block_);
+  }
 
-  // Adopt `data` without copying (the vector is moved into shared storage).
+  // Adopt `data` without copying (the vector is moved into the block, in
+  // place of the bytes).
   static Segment take(std::vector<std::byte>&& data);
   // Allocate new storage holding a copy of `src` (counted in the ledger) —
   // the one legal way bytes enter the buffer layer from mutable memory.
@@ -54,19 +74,40 @@ class Segment {
   static Segment zeros(std::size_t n);
 
   std::span<const std::byte> bytes() const noexcept {
-    return data_ ? std::span<const std::byte>(*data_)
-                 : std::span<const std::byte>{};
+    return block_ != nullptr
+               ? std::span<const std::byte>(block_->data, block_->size)
+               : std::span<const std::byte>{};
   }
-  std::size_t size() const noexcept { return data_ ? data_->size() : 0; }
-  bool valid() const noexcept { return data_ != nullptr; }
-  long use_count() const noexcept { return data_.use_count(); }
+  std::size_t size() const noexcept {
+    return block_ != nullptr ? block_->size : 0;
+  }
+  bool valid() const noexcept { return block_ != nullptr; }
+  long use_count() const noexcept {
+    return block_ != nullptr ? static_cast<long>(block_->refs) : 0;
+  }
 
  private:
-  explicit Segment(std::shared_ptr<const std::vector<std::byte>> data)
-      : data_(std::move(data)) {}
-  friend class ByteBuf;  // seals its append tail into a Segment, no copy
+  struct Block {
+    std::size_t refs;
+    std::size_t size;      // bytes in use
+    std::size_t capacity;  // bytes after the header (0 once adopted)
+    std::byte* data;       // just past the header, or the adopted vector's
+  };
+  friend class ByteBuf;  // writes its append tail in place, seals it as is
 
-  std::shared_ptr<const std::vector<std::byte>> data_;
+  // `capacity` writable bytes after the header, `size` of them in use.
+  static Segment allocate(std::size_t capacity, std::size_t size);
+  static void destroy(Block* b) noexcept;
+  void swap(Segment& other) noexcept { std::swap(block_, other.block_); }
+
+  // ByteBuf's tail, which it alone holds: append in place. Pre:
+  // use_count() == 1 and size() + n <= capacity().
+  std::size_t capacity() const noexcept {
+    return block_ != nullptr ? block_->capacity : 0;
+  }
+  void append_in_place(const std::byte* p, std::size_t n) noexcept;
+
+  Block* block_ = nullptr;
 };
 
 // A window into one Segment. Value type; keeps its segment alive.
@@ -136,7 +177,7 @@ class Buffer {
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
-  const std::vector<BufView>& views() const noexcept { return views_; }
+  std::span<const BufView> views() const noexcept { return views_; }
   std::size_t segment_count() const noexcept { return views_.size(); }
 
   // Where a logical offset lives: view index and offset within that view.

@@ -1,5 +1,8 @@
 #include "common/bytebuf.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace imca {
 
 ByteBuf::ByteBuf(const ByteBuf& other) {
@@ -12,29 +15,36 @@ ByteBuf& ByteBuf::operator=(const ByteBuf& other) {
   if (this != &other) {
     other.seal();
     chain_ = other.chain_;
-    tail_.reset();
+    tail_ = Segment{};
     cursor_ = other.cursor_;
   }
   return *this;
 }
 
 void ByteBuf::seal() const {
-  if (!tail_ || tail_->empty()) return;
+  if (tail_.size() == 0) return;
   auto& st = buffer_stats();
   ++st.segments_allocated;
-  st.segment_bytes += tail_->size();
-  // Hand the tail's storage to an immutable Segment without copying; the
-  // local shared_ptr is dropped so no mutable alias survives.
-  chain_.append(BufView(Segment(
-      std::shared_ptr<const std::vector<std::byte>>(std::move(tail_)))));
-  tail_.reset();
+  st.segment_bytes += tail_.size();
+  // The tail block becomes an immutable segment of the chain without a
+  // copy; this ByteBuf keeps no handle to it, so nothing writes it again.
+  chain_.append(BufView(std::exchange(tail_, Segment{})));
+}
+
+void ByteBuf::reserve(std::size_t n) {
+  const std::size_t used = tail_.size();
+  if (tail_.valid() && tail_.capacity() - used >= n) return;
+  std::size_t cap = std::max(kTailBytes, 2 * tail_.capacity());
+  while (cap - used < n) cap *= 2;
+  Segment grown = Segment::allocate(cap, 0);
+  if (used != 0) grown.append_in_place(tail_.bytes().data(), used);
+  tail_ = std::move(grown);
 }
 
 void ByteBuf::append(const void* p, std::size_t n) {
   if (n == 0) return;
-  if (!tail_) tail_ = std::make_shared<std::vector<std::byte>>();
-  const auto* b = static_cast<const std::byte*>(p);
-  tail_->insert(tail_->end(), b, b + n);
+  reserve(n);
+  tail_.append_in_place(static_cast<const std::byte*>(p), n);
   buffer_stats().bytes_copied += n;
 }
 

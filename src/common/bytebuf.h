@@ -6,7 +6,9 @@
 // are the sizes of actual encodings, not estimates.
 //
 // Storage is a Buffer (refcounted segment chain) plus a small mutable append
-// tail. Headers and protocol text are encoded into the tail; payloads enter
+// tail: a segment block the ByteBuf alone holds, written in place (from
+// kTailBytes, doubling) and handed to the chain as is when sealed. Headers
+// and protocol text are encoded into the tail; payloads enter
 // through put_buffer()/put_bytes(Buffer), which splice the caller's segments
 // in without copying, and leave through get_view()/get_bytes(), which hand
 // back zero-copy slices of the receive buffer. The payload bytes of a reply
@@ -17,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,7 +37,7 @@ class ByteBuf {
   explicit ByteBuf(Buffer data) : chain_(std::move(data)) {}
 
   // Copying seals the source's append tail first: the copy must not alias a
-  // vector the original keeps appending to (retry paths copy the request).
+  // block the original keeps writing to (retry paths copy the request).
   ByteBuf(const ByteBuf& other);
   ByteBuf& operator=(const ByteBuf& other);
   ByteBuf(ByteBuf&&) = default;
@@ -56,6 +57,9 @@ class ByteBuf {
   void put_raw(std::string_view s);
   // Raw payload, spliced in without copying.
   void put_buffer(const Buffer& b);
+  // Make room for `n` more bytes in the append tail, so the puts that follow
+  // write one block.
+  void reserve(std::size_t n);
 
   // --- reading (advances the cursor) ---
   Expected<std::uint8_t> get_u8();
@@ -70,9 +74,7 @@ class ByteBuf {
   Expected<Buffer> get_view(std::size_t n);
 
   // --- inspection ---
-  std::size_t size() const noexcept {
-    return chain_.size() + (tail_ ? tail_->size() : 0);
-  }
+  std::size_t size() const noexcept { return chain_.size() + tail_.size(); }
   std::size_t remaining() const noexcept { return size() - cursor_; }
   bool exhausted() const noexcept { return remaining() == 0; }
   // The full contents as a segment chain (seals the append tail).
@@ -87,8 +89,10 @@ class ByteBuf {
   void seal() const;
   Expected<void> need(std::size_t n) const;
 
+  static constexpr std::size_t kTailBytes = 128;
+
   mutable Buffer chain_;
-  mutable std::shared_ptr<std::vector<std::byte>> tail_;
+  mutable Segment tail_;
   std::size_t cursor_ = 0;
 };
 

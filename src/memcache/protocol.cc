@@ -107,7 +107,7 @@ class Scanner {
   }
 
   const Buffer& buf_;
-  const std::vector<BufView>& views_;
+  const std::span<const BufView> views_;
   Buffer::Position at_;
   std::size_t pos_ = 0;  // logical offset of at_
   std::string scratch_;
@@ -190,16 +190,14 @@ ByteBuf encode_multikey(std::string_view verb,
                         std::span<const std::string> keys) {
   std::size_t len = verb.size() + kCrlf.size();
   for (const auto& k : keys) len += 1 + k.size();
-  std::string line;
-  line.reserve(len);
-  line += verb;
-  for (const auto& k : keys) {
-    line += ' ';
-    line += k;
-  }
-  line += kCrlf;
   ByteBuf out;
-  out.put_raw(line);
+  out.reserve(len);
+  out.put_raw(verb);
+  for (const auto& k : keys) {
+    out.put_raw(" ");
+    out.put_raw(k);
+  }
+  out.put_raw(kCrlf);
   return out;
 }
 

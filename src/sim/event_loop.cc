@@ -8,9 +8,16 @@ namespace {
 
 // Wrapper coroutine that owns a spawned task for its whole lifetime. The
 // frame (and the Task parameter captured inside it) self-destroys at
-// completion because final_suspend() never suspends.
+// completion because final_suspend() never suspends. Its frame is pooled
+// like a Task's.
 struct Detached {
   struct promise_type {
+    static void* operator new(std::size_t n) {
+      return detail::FramePool::allocate(n);
+    }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      detail::FramePool::deallocate(p, n);
+    }
     Detached get_return_object() noexcept {
       return Detached{
           std::coroutine_handle<promise_type>::from_promise(*this)};

@@ -10,11 +10,17 @@
 // The kernel is strictly single-threaded: "parallelism" between simulated
 // nodes is interleaving on the simulated clock, so no atomics or locks are
 // needed and every run is deterministic.
+//
+// Frames come from the thread's FramePool, not from malloc: a fop runs a
+// dozen short-lived coroutines (DESIGN.md §5h).
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <new>
 #include <utility>
 #include <variant>
 
@@ -24,6 +30,81 @@ template <typename T>
 class Task;
 
 namespace detail {
+
+// Recycler for coroutine frames, in EventArena's LIFO idiom: a freed frame
+// goes on the free list of its 64 B size class, and the next frame of that
+// class takes the most recently freed, cache-hot block. Frames above
+// kMaxBytes go straight to the global allocator.
+//
+//   * The lists are thread_local, not per loop: a frame can outlive the loop
+//     that ran it (a caller-owned Task destroyed after its testbed), and one
+//     pool per thread keeps testbeds on different threads apart with no
+//     lock. A frame freed on another thread joins that thread's list.
+//   * The pool never shrinks: peak frame concurrency bounds it, as it bounds
+//     EventArena. Blocks still listed when a thread exits are not freed, so
+//     a thread that comes and goes keeps its peak until the process ends.
+//   * Under AddressSanitizer every frame comes from and returns to the
+//     global allocator. LIFO reuse would hand a destroyed frame's memory to
+//     the next coroutine and hide a resume-after-destroy that ASan's
+//     quarantine reports.
+class FramePool {
+ public:
+  static constexpr std::size_t kGrain = 64;
+  static constexpr std::size_t kMaxBytes = 2048;
+#if defined(__SANITIZE_ADDRESS__)
+  static constexpr bool kPooled = false;
+#else
+  static constexpr bool kPooled = true;
+#endif
+
+  static void* allocate(std::size_t n) {
+    if (!kPooled || n > kMaxBytes) return ::operator new(n);
+    Lists& l = lists_;
+    Block*& head = l.free[size_class(n)];
+    if (Block* b = head) {
+      head = b->next;
+      ++l.reuse;
+      return b;
+    }
+    return fresh(n);
+  }
+
+  static void deallocate(void* p, std::size_t n) noexcept {
+    if (!kPooled || n > kMaxBytes) {
+      ::operator delete(p);
+      return;
+    }
+    Block*& head = lists_.free[size_class(n)];
+    head = ::new (p) Block{head};
+  }
+
+  // This thread's frames served from a free list, and blocks taken from the
+  // global allocator (the latter plateaus once the pool is warm).
+  static std::uint64_t reuse() noexcept { return lists_.reuse; }
+  static std::uint64_t fresh_blocks() noexcept { return lists_.fresh; }
+
+ private:
+  struct Block {
+    Block* next;
+  };
+  struct Lists {
+    Block* free[kMaxBytes / kGrain];
+    std::uint64_t reuse;
+    std::uint64_t fresh;
+  };
+
+  static std::size_t size_class(std::size_t n) noexcept {
+    return (n - 1) / kGrain;
+  }
+  static void* fresh(std::size_t n) {
+    ++lists_.fresh;
+    return ::operator new((size_class(n) + 1) * kGrain);
+  }
+
+  // Constant-initialized and trivially destructible: no guard on access, and
+  // it stays usable while statics destroy their frames at exit.
+  static inline thread_local constinit Lists lists_{};
+};
 
 template <typename T>
 class TaskPromise;
@@ -44,6 +125,11 @@ struct FinalAwaiter {
 template <typename T>
 class TaskPromiseBase {
  public:
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
+
   std::suspend_always initial_suspend() const noexcept { return {}; }
   FinalAwaiter<TaskPromise<T>> final_suspend() const noexcept { return {}; }
 

@@ -192,6 +192,19 @@ TEST(Buffer, MegabyteBoundarySegments) {
   EXPECT_EQ(mid[8], static_cast<std::byte>(2 & 0xFF));
 }
 
+// A range whose end overflows size_t is out of bounds, not a short one:
+// SIZE_MAX is also std::dynamic_extent, and a wrapped sum indexes a view
+// past the end.
+TEST(Buffer, ContiguousRejectsWrappingRange) {
+  const Buffer b = Buffer::of_string("hello world");
+  ASSERT_EQ(b.size(), 11u);
+  ASSERT_EQ(b.segment_count(), 1u);
+  constexpr std::size_t kMax = static_cast<std::size_t>(-1);
+  EXPECT_TRUE(b.contiguous(1, kMax).empty());
+  EXPECT_TRUE(b.contiguous(12, kMax - 4).empty());
+  EXPECT_EQ(b.contiguous(1, 10).size(), 10u);  // the largest valid tail
+}
+
 // --- the ledger ---
 
 TEST(Buffer, GatherIsTheCountedMaterialization) {

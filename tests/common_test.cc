@@ -168,6 +168,27 @@ TEST(ByteBuf, SizeTracksEncodedBytes) {
   EXPECT_EQ(b.size(), 16u);
 }
 
+// The append tail grows in place past its first block and seals into the
+// chain as one segment; the ledger counts each encoded byte once, and a copy
+// taken mid-message keeps its bytes while the original writes on.
+TEST(ByteBuf, TailGrowsAndSealsAsOneSegment) {
+  const BufferStats before = buffer_stats();
+  ByteBuf b;
+  for (std::uint32_t i = 0; i < 100; ++i) b.put_u32(i);  // 400 B
+  const ByteBuf copy = b;
+  b.put_raw("tail");
+  EXPECT_EQ(b.buffer().segment_count(), 2u);
+  EXPECT_EQ(b.size(), 404u);
+  EXPECT_EQ(buffer_stats().bytes_copied - before.bytes_copied, 404u);
+  EXPECT_EQ(buffer_stats().segments_allocated - before.segments_allocated,
+            2u);  // the 400 B the copy sealed, then the 4 B written after it
+  ASSERT_EQ(copy.buffer().segment_count(), 1u);
+  EXPECT_EQ(copy.size(), 400u);
+  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(b.get_u32().value(), i);
+  EXPECT_EQ(to_string(b.get_view(4).value()), "tail");
+  EXPECT_TRUE(copy.buffer().content_equals(b.buffer().slice(0, 400)));
+}
+
 TEST(ByteBuf, RewindReplays) {
   ByteBuf b;
   b.put_u32(7);

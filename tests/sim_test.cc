@@ -124,6 +124,43 @@ TEST(EventLoop, RunUntilStopsAtDeadline) {
   EXPECT_EQ(woke, 1000u);
 }
 
+// --- frame pool ---
+
+Task<int> one_after(EventLoop& loop, SimDuration d) {
+  co_await loop.sleep(d);
+  co_return 1;
+}
+
+Task<void> adder(EventLoop& loop, SimDuration d, int& sum) {
+  sum += co_await one_after(loop, d);
+}
+
+// Each spawned task here takes three frames: spawn's wrapper, adder and
+// one_after. Once a first run has warmed the thread's pool, a hundred more
+// runs on fresh loops (10k tasks) take every frame from the free lists.
+TEST(FramePool, RecyclesFramesAcrossRuns) {
+  if (!detail::FramePool::kPooled) {
+    GTEST_SKIP() << "frames bypass the pool under AddressSanitizer";
+  }
+  constexpr int kTasks = 100;
+  int sum = 0;
+  auto one_run = [&sum] {
+    EventLoop loop;
+    for (int i = 0; i < kTasks; ++i) {
+      loop.spawn(adder(loop, static_cast<SimDuration>(i % 7), sum));
+    }
+    loop.run();
+  };
+  one_run();
+  const std::uint64_t fresh = detail::FramePool::fresh_blocks();
+  const std::uint64_t reuse = detail::FramePool::reuse();
+  EXPECT_GT(fresh, 0u);
+  for (int r = 0; r < 100; ++r) one_run();
+  EXPECT_EQ(detail::FramePool::fresh_blocks(), fresh);
+  EXPECT_EQ(detail::FramePool::reuse() - reuse, 3u * 100 * kTasks);
+  EXPECT_EQ(sum, 101 * kTasks);
+}
+
 TEST(EventLoop, LiveTaskCountTracksSpawns) {
   EventLoop loop;
   SimTime w1 = 0, w2 = 0;
