@@ -40,12 +40,8 @@ struct BenchArgs {
   // --seed=<n>: deterministic seed for benches with randomized mixes.
   std::uint64_t seed = 1;
   // --reps=<n>: timing repetitions per config; self-timing benches report
-  // the best rep (interleaved across variants, so machine-wide drift on a
-  // busy host hits every variant roughly equally).
+  // the best rep.
   int reps = 3;
-  // --legacy-queue: run the EventLoop on the old std::priority_queue — the
-  // perf baseline ablation.
-  bool legacy_queue = false;
   // --bricks: run the bench's brick-scaling sweep (distribute groups) in
   // addition to its headline figure.
   bool bricks = false;
@@ -62,9 +58,8 @@ enum BenchFlag : unsigned {
   kJson = 1u << 2,
   kSeed = 1u << 3,
   kReps = 1u << 4,
-  kLegacyQueue = 1u << 5,
-  kBricks = 1u << 6,
-  kWriteback = 1u << 7,
+  kBricks = 1u << 5,
+  kWriteback = 1u << 6,
 };
 
 struct BenchFlagHelp {
@@ -79,7 +74,6 @@ inline constexpr BenchFlagHelp kBenchFlagHelp[] = {
     {kJson, "--json=<path>", "append perf records (BENCH_*.json schema)"},
     {kSeed, "--seed=<n>", "seed for randomized mixes (default 1)"},
     {kReps, "--reps=<n>", "timing reps per config, best wins (default 3)"},
-    {kLegacyQueue, "--legacy-queue", "EventLoop on the legacy priority_queue"},
     {kBricks, "--bricks", "also run the brick-scaling sweep"},
     {kWriteback, "--writeback", "also run the write-back ablation"},
 };
@@ -132,8 +126,6 @@ inline BenchArgs parse_args(int argc, char** argv, unsigned honoured) {
     } else if (const char* reps = value(kReps, "--reps=")) {
       args.reps = std::atoi(reps);
       if (args.reps < 1) args.reps = 1;
-    } else if (is(kLegacyQueue, "--legacy-queue")) {
-      args.legacy_queue = true;
     } else if (is(kBricks, "--bricks")) {
       args.bricks = true;
     } else if (is(kWriteback, "--writeback")) {
@@ -180,7 +172,7 @@ inline const char* git_rev() {
 }
 
 struct BenchRecord {
-  std::string bench;  // e.g. "sim_core/timer/n=100000/wheel"
+  std::string bench;  // e.g. "sim_core/timer/n=100000"
   std::uint64_t events = 0;
   double wall_ms = 0.0;
   double events_per_sec = 0.0;

@@ -4,7 +4,7 @@ namespace imca::cluster {
 
 GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
     : cfg_(std::move(cfg)),
-      loop_(cfg_.queue, cfg_.tie_shake),
+      loop_(cfg_.tie_shake),
       fabric_(loop_, cfg_.transport),
       rpc_(fabric_) {
   const std::size_t replicas = cfg_.n_replicas == 0 ? 1 : cfg_.n_replicas;

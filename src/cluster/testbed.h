@@ -53,9 +53,8 @@ struct GlusterTestbedConfig {
   // memcached port and/or the brick's GlusterFS port, plus scheduled
   // crash/restart windows on either tier. Inert when inactive (default).
   net::FaultPlan faults;
-  // DES kernel (DESIGN.md §5h/§5k): the event-queue implementation and the
-  // schedule-shake seed (0 = plain FIFO tie-break), fixed for the run.
-  sim::QueueImpl queue = sim::QueueImpl::kTimerWheel;
+  // DES kernel (DESIGN.md §5k): the schedule-shake seed (0 = plain FIFO
+  // tie-break), fixed for the run.
   std::uint64_t tie_shake = 0;
 };
 

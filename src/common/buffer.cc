@@ -111,6 +111,12 @@ void Buffer::append(BufView v) {
   views_.push_back(std::move(v));
 }
 
+void Buffer::reserve(std::size_t views) {
+  if (views > views_.capacity()) {
+    views_.reserve(std::max(views, 2 * views_.capacity()));
+  }
+}
+
 void Buffer::append(const Buffer& other) {
   if (&other == this) {
     Buffer copy = other;

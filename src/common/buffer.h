@@ -100,8 +100,10 @@ class Segment {
   static void destroy(Block* b) noexcept;
   void swap(Segment& other) noexcept { std::swap(block_, other.block_); }
 
-  // ByteBuf's tail, which it alone holds: append in place. Pre:
-  // use_count() == 1 and size() + n <= capacity().
+  // ByteBuf's tail: append in place. Pre: the caller is the one ByteBuf
+  // writing this block, every view of it ends at or before size(), and
+  // size() + n <= capacity(). Views keep their own extent, so bytes
+  // written past size() never show through them.
   std::size_t capacity() const noexcept {
     return block_ != nullptr ? block_->capacity : 0;
   }
@@ -174,6 +176,9 @@ class Buffer {
   void append(BufView v);
   void append(const Buffer& other);
   void append(Buffer&& other);
+  // Room for `views` views in total, so the appends that follow do not
+  // regrow the view list (growth stays geometric).
+  void reserve(std::size_t views);
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }

@@ -16,29 +16,49 @@ ByteBuf& ByteBuf::operator=(const ByteBuf& other) {
     other.seal();
     chain_ = other.chain_;
     tail_ = Segment{};
+    tail_off_ = 0;
     cursor_ = other.cursor_;
   }
   return *this;
 }
 
+ByteBuf::ByteBuf(ByteBuf&& other) noexcept
+    : chain_(std::move(other.chain_)),
+      tail_(std::move(other.tail_)),
+      tail_off_(std::exchange(other.tail_off_, 0)),
+      cursor_(std::exchange(other.cursor_, 0)) {}
+
+ByteBuf& ByteBuf::operator=(ByteBuf&& other) noexcept {
+  if (this != &other) {
+    chain_ = std::move(other.chain_);
+    tail_ = std::move(other.tail_);
+    tail_off_ = std::exchange(other.tail_off_, 0);
+    cursor_ = std::exchange(other.cursor_, 0);
+  }
+  return *this;
+}
+
 void ByteBuf::seal() const {
-  if (tail_.size() == 0) return;
+  const std::size_t run = unsealed();
+  if (run == 0) return;
   auto& st = buffer_stats();
   ++st.segments_allocated;
-  st.segment_bytes += tail_.size();
-  // The tail block becomes an immutable segment of the chain without a
-  // copy; this ByteBuf keeps no handle to it, so nothing writes it again.
-  chain_.append(BufView(std::exchange(tail_, Segment{})));
+  st.segment_bytes += run;
+  // The run becomes a view of the chain without a copy. Its bytes never
+  // change: this ByteBuf writes only after tail_off_.
+  chain_.append(BufView(tail_, tail_off_, run));
+  tail_off_ = tail_.size();
 }
 
 void ByteBuf::reserve(std::size_t n) {
-  const std::size_t used = tail_.size();
-  if (tail_.valid() && tail_.capacity() - used >= n) return;
+  if (tail_.valid() && tail_.capacity() - tail_.size() >= n) return;
+  const std::size_t run = unsealed();
   std::size_t cap = std::max(kTailBytes, 2 * tail_.capacity());
-  while (cap - used < n) cap *= 2;
+  while (cap - run < n) cap *= 2;
   Segment grown = Segment::allocate(cap, 0);
-  if (used != 0) grown.append_in_place(tail_.bytes().data(), used);
+  if (run != 0) grown.append_in_place(tail_.bytes().data() + tail_off_, run);
   tail_ = std::move(grown);
+  tail_off_ = 0;
 }
 
 void ByteBuf::append(const void* p, std::size_t n) {
@@ -85,6 +105,7 @@ void ByteBuf::put_raw(std::string_view s) { append(s.data(), s.size()); }
 
 void ByteBuf::put_buffer(const Buffer& b) {
   if (b.empty()) return;
+  chain_.reserve(chain_.segment_count() + b.segment_count() + 2);
   seal();
   chain_.append(b);
 }

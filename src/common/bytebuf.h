@@ -6,9 +6,12 @@
 // are the sizes of actual encodings, not estimates.
 //
 // Storage is a Buffer (refcounted segment chain) plus a small mutable append
-// tail: a segment block the ByteBuf alone holds, written in place (from
-// kTailBytes, doubling) and handed to the chain as is when sealed. Headers
-// and protocol text are encoded into the tail; payloads enter
+// tail: a segment block written in place (from kTailBytes, doubling) whose
+// runs are handed to the chain as views when sealed. The ByteBuf keeps the
+// block after a seal and writes the next run (a protocol trailer after a
+// payload) into its spare capacity, past the end of every view, so a
+// header, payload, trailer message costs one block. Headers and protocol
+// text are encoded into the tail; payloads enter
 // through put_buffer()/put_bytes(Buffer), which splice the caller's segments
 // in without copying, and leave through get_view()/get_bytes(), which hand
 // back zero-copy slices of the receive buffer. The payload bytes of a reply
@@ -36,12 +39,13 @@ class ByteBuf {
       : chain_(Buffer::take(std::move(data))) {}
   explicit ByteBuf(Buffer data) : chain_(std::move(data)) {}
 
-  // Copying seals the source's append tail first: the copy must not alias a
-  // block the original keeps writing to (retry paths copy the request).
+  // Copying seals the source's append tail first, and the copy starts a
+  // fresh tail: only the ByteBuf that wrote a block writes its spare
+  // capacity (retry paths copy the request).
   ByteBuf(const ByteBuf& other);
   ByteBuf& operator=(const ByteBuf& other);
-  ByteBuf(ByteBuf&&) = default;
-  ByteBuf& operator=(ByteBuf&&) = default;
+  ByteBuf(ByteBuf&& other) noexcept;
+  ByteBuf& operator=(ByteBuf&& other) noexcept;
 
   // --- writing (appends at the end) ---
   void put_u8(std::uint8_t v) { append(&v, 1); }
@@ -55,7 +59,8 @@ class ByteBuf {
   void put_bytes(const Buffer& b);
   // Raw bytes, no length prefix (protocol text, small headers; copies).
   void put_raw(std::string_view s);
-  // Raw payload, spliced in without copying.
+  // Raw payload, spliced in without copying. The chain's view list is sized
+  // here for the run before it, its views and one run after it.
   void put_buffer(const Buffer& b);
   // Make room for `n` more bytes in the append tail, so the puts that follow
   // write one block.
@@ -74,7 +79,7 @@ class ByteBuf {
   Expected<Buffer> get_view(std::size_t n);
 
   // --- inspection ---
-  std::size_t size() const noexcept { return chain_.size() + tail_.size(); }
+  std::size_t size() const noexcept { return chain_.size() + unsealed(); }
   std::size_t remaining() const noexcept { return size() - cursor_; }
   bool exhausted() const noexcept { return remaining() == 0; }
   // The full contents as a segment chain (seals the append tail).
@@ -84,8 +89,10 @@ class ByteBuf {
 
  private:
   void append(const void* p, std::size_t n);
-  // Freeze the append tail into a refcounted segment so reads and copies see
-  // one immutable chain. Further appends start a fresh tail.
+  // Bytes written to the tail block since the last seal.
+  std::size_t unsealed() const noexcept { return tail_.size() - tail_off_; }
+  // Hand the tail's unsealed run to the chain as a view so reads and copies
+  // see one immutable chain. Further appends go after it in the same block.
   void seal() const;
   Expected<void> need(std::size_t n) const;
 
@@ -93,6 +100,8 @@ class ByteBuf {
 
   mutable Buffer chain_;
   mutable Segment tail_;
+  // Where the tail's unsealed run starts; every byte before it is in a view.
+  mutable std::size_t tail_off_ = 0;
   std::size_t cursor_ = 0;
 };
 

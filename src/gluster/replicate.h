@@ -26,8 +26,9 @@
 //     target child (and republish stale bytes through the brick's SMCache).
 //
 // Every container that influences op order is an ordered std::map/std::set:
-// the fault matrices diff the timer-wheel run against --legacy-queue byte
-// for byte, and unordered iteration would break that determinism contract.
+// the fault matrices' transcripts are pinned byte for byte against committed
+// golden files, and unordered iteration would break that determinism
+// contract.
 #pragma once
 
 #include <map>

@@ -46,23 +46,9 @@ void EventLoop::schedule_at(SimTime at, std::coroutine_handle<> h) {
     ++past_clamps_;
   }
   ++scheduled_;
-  if (impl_ == QueueImpl::kTimerWheel) {
-    // A near-term schedule (channel handoffs, schedule_now chains, short
-    // device-tick sleeps) resumes soon; its coroutine frame went cold while
-    // parked, so start the line fill now — by resume time it has at worst
-    // decayed to an outer-cache hit instead of a full memory stall. Longer
-    // sleeps are warmed later, by the level-1 cascade that precedes their
-    // resume (TimerWheel::cascade_slot).
-    constexpr SimTime kFramePrefetchHorizon = 4096;
-    if (at - now_ <= kFramePrefetchHorizon) {
-      detail::prefetch_frame(h.address());
-    }
-    wheel_.insert(arena_.alloc(at, seq_++, h));
-  } else {
-    const std::uint64_t key =
-        shake_seed_ != 0 ? detail::shake_key(shake_seed_, seq_) : seq_;
-    heap_.push(HeapEntry{at, key, seq_++, h});
-  }
+  const std::uint64_t key =
+      shake_seed_ != 0 ? detail::shake_key(shake_seed_, seq_) : seq_;
+  heap_.push(Entry{at, key, seq_++, h});
 }
 
 void EventLoop::spawn(Task<void> task) {
@@ -71,62 +57,25 @@ void EventLoop::spawn(Task<void> task) {
   schedule_now(d.handle);
 }
 
-std::coroutine_handle<> EventLoop::take_next() {
-  if (impl_ == QueueImpl::kTimerWheel) {
-    EventNode* e = wheel_.pop_min();
-    now_ = e->at;
-    if (trace_ != nullptr) trace_->emplace_back(e->at, e->seq);
-    const std::coroutine_handle<> h = e->handle;
-    // Copy-out complete and the node is unlinked: recycle it before the
-    // resume so the steady path's next schedule_at reuses it cache-hot.
-    arena_.release(e);
-    return h;
+std::uint64_t EventLoop::drain(SimTime deadline) {
+  deadline_ = deadline;
+  const std::uint64_t before = processed_;
+  while (!heap_.empty() && heap_.top().at <= deadline) {
+    const Entry e = heap_.top();
+    heap_.pop();
+    if (e.at == now_ && e.seq < last_seq_) ++tie_shaken_;
+    now_ = e.at;
+    last_seq_ = e.seq;
+    if (trace_ != nullptr) [[unlikely]] trace_->emplace_back(e.at, e.seq);
+    ++processed_;
+    in_place_left_ = kInPlaceRun;
+    e.handle.resume();
   }
-  const HeapEntry e = heap_.top();
-  heap_.pop();
-  now_ = e.at;
-  if (trace_ != nullptr) trace_->emplace_back(e.at, e.seq);
-  return e.handle;
-}
-
-std::uint64_t EventLoop::run() {
-  std::uint64_t n = 0;
-  if (impl_ == QueueImpl::kTimerWheel) {
-    while (!wheel_.empty()) {
-      EventNode* e = wheel_.pop_min();
-      now_ = e->at;
-      if (trace_ != nullptr) [[unlikely]] trace_->emplace_back(e->at, e->seq);
-      const std::coroutine_handle<> h = e->handle;
-      // Copy-out complete and the node is unlinked: recycle it before the
-      // resume so the steady path's next schedule_at reuses it cache-hot.
-      arena_.release(e);
-      ++n;
-      ++processed_;
-      h.resume();
-    }
-  } else {
-    while (!heap_.empty()) {
-      const std::coroutine_handle<> h = take_next();
-      ++n;
-      ++processed_;
-      h.resume();
-    }
-  }
-  return n;
+  return processed_ - before;
 }
 
 std::uint64_t EventLoop::run_until(SimTime deadline) {
-  std::uint64_t n = 0;
-  while (!idle()) {
-    const SimTime next = impl_ == QueueImpl::kTimerWheel
-                             ? wheel_.peek_min_time()
-                             : heap_.top().at;
-    if (next > deadline) break;
-    const std::coroutine_handle<> h = take_next();
-    ++n;
-    ++processed_;
-    h.resume();
-  }
+  const std::uint64_t n = drain(deadline);
   if (now_ < deadline) now_ = deadline;
   return n;
 }

@@ -31,18 +31,18 @@ class Task;
 
 namespace detail {
 
-// Recycler for coroutine frames, in EventArena's LIFO idiom: a freed frame
-// goes on the free list of its 64 B size class, and the next frame of that
-// class takes the most recently freed, cache-hot block. Frames above
+// Recycler for coroutine frames, a LIFO free list per size class: a freed
+// frame goes on the free list of its 64 B size class, and the next frame of
+// that class takes the most recently freed, cache-hot block. Frames above
 // kMaxBytes go straight to the global allocator.
 //
 //   * The lists are thread_local, not per loop: a frame can outlive the loop
 //     that ran it (a caller-owned Task destroyed after its testbed), and one
 //     pool per thread keeps testbeds on different threads apart with no
 //     lock. A frame freed on another thread joins that thread's list.
-//   * The pool never shrinks: peak frame concurrency bounds it, as it bounds
-//     EventArena. Blocks still listed when a thread exits are not freed, so
-//     a thread that comes and goes keeps its peak until the process ends.
+//   * The pool never shrinks: peak frame concurrency bounds it. Blocks
+//     still listed when a thread exits are not freed, so a thread that
+//     comes and goes keeps its peak until the process ends.
 //   * Under AddressSanitizer every frame comes from and returns to the
 //     global allocator. LIFO reuse would hand a destroyed frame's memory to
 //     the next coroutine and hide a resume-after-destroy that ASan's

@@ -2,6 +2,7 @@
 // stats and the table printer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <string>
 
@@ -73,6 +74,42 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926u);
   EXPECT_EQ(crc32(std::string_view("The quick brown fox jumps over the lazy dog")),
             0x414FA339u);
+}
+
+// The byte-at-a-time table CRC the slicing-by-8 loop replaced, kept as the
+// reference: every length and start alignment must give the same value.
+std::uint32_t bytewise_crc32(std::string_view s) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : s) {
+    crc = table[(crc ^ static_cast<unsigned char>(c)) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+TEST(Crc32, SlicingMatchesBytewiseAtEveryLengthAndAlignment) {
+  EXPECT_EQ(bytewise_crc32("123456789"), 0xCBF43926u);
+  std::string data(8 + 300, '\0');
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>((i * 131 + 17) ^ (i >> 3));
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::string_view s(data.data() + align, len);
+      ASSERT_EQ(crc32(s), bytewise_crc32(s))
+          << "align " << align << " len " << len;
+    }
+  }
 }
 
 TEST(Crc32, ByteSpanMatchesStringView) {
@@ -187,6 +224,31 @@ TEST(ByteBuf, TailGrowsAndSealsAsOneSegment) {
   for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(b.get_u32().value(), i);
   EXPECT_EQ(to_string(b.get_view(4).value()), "tail");
   EXPECT_TRUE(copy.buffer().content_equals(b.buffer().slice(0, 400)));
+}
+
+// A trailer written after a payload lands in the spare capacity of the
+// block that holds the header, past the header's view. A copy taken before
+// the trailer keeps its bytes and writes its own trailer into a new block.
+TEST(ByteBuf, TrailerSharesTheHeaderBlock) {
+  const Buffer payload = to_buffer("0123456789");
+  ByteBuf b;
+  b.put_raw("set k 0 0 10\r\n");
+  b.put_buffer(payload);
+  const ByteBuf copy = b;
+  b.put_raw("\r\n");
+  ByteBuf other = copy;
+  other.put_raw("!!");
+
+  const Buffer& msg = b.buffer();
+  EXPECT_EQ(to_string(msg), "set k 0 0 10\r\n0123456789\r\n");
+  ASSERT_EQ(msg.segment_count(), 3u);
+  const std::byte* header = msg.views()[0].bytes().data();
+  EXPECT_EQ(msg.views()[2].bytes().data(), header + 14);
+  EXPECT_EQ(msg.views()[1].bytes().data(),
+            payload.views()[0].bytes().data());
+  EXPECT_EQ(to_string(copy.buffer()), "set k 0 0 10\r\n0123456789");
+  EXPECT_EQ(to_string(other.buffer()), "set k 0 0 10\r\n0123456789!!");
+  EXPECT_NE(other.buffer().views()[2].bytes().data(), header + 14);
 }
 
 TEST(ByteBuf, RewindReplays) {

@@ -2,7 +2,7 @@
 // under every fault plan of one matrix, for one seed.
 //
 //   imca_fault_matrix --matrix={mcd,server,brick,writeback} [--seed=N]
-//                     [--shake=N] [--legacy-queue]
+//                     [--shake=N]
 //
 // Each matrix is data: a base config, an op count, its fault plans (each a
 // FaultPlan plus config overrides, an optional hand-built trace and the
@@ -13,10 +13,9 @@
 // expectations prove the workload really exercised the failure machinery
 // rather than passing vacuously.
 //
-// --legacy-queue and --shake=N pick the DES kernel's queue and tie-shake
-// seed (DESIGN.md §5h/§5k). Every plan also proves they reached its loop:
-// a timer-wheel run must have cascaded, a legacy-heap run must not have,
-// and a shaken wheel run must have permuted at least one tie.
+// --shake=N picks the DES kernel's tie-shake seed (DESIGN.md §5k). Every
+// plan also proves it reached its loop: a shaken run must have permuted at
+// least one tie.
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,14 +25,12 @@
 
 #include "common/units.h"
 #include "harness/workload_harness.h"
-#include "sim/event_loop.h"
 
 namespace {
 
 using imca::kMilli;
 using imca::SimDuration;
 using imca::harness::Op;
-using imca::sim::QueueImpl;
 using Cfg = imca::harness::ReplayConfig;
 using Res = imca::harness::ReplayResult;
 
@@ -91,21 +88,10 @@ const Check kClientRetried{
     [](const Cfg&, const Res& r) { return r.pc.retries > 0; },
     "brick crashed but the client never retried (vacuous pass)"};
 
-// The kernel switches reached the loop (checked on every plan, last).
+// The shake seed reached the loop (checked on every plan, last).
 const std::vector<Check> kKernelChecks = {
     {[](const Cfg& c, const Res& r) {
-       return c.testbed.queue != QueueImpl::kTimerWheel || r.loop.cascades > 0;
-     },
-     "timer-wheel run never cascaded (the queue did not reach the loop)"},
-    {[](const Cfg& c, const Res& r) {
-       return c.testbed.queue != QueueImpl::kLegacyHeap ||
-              r.loop.cascades == 0;
-     },
-     "--legacy-queue run cascaded (the loop ran the timer wheel)"},
-    {[](const Cfg& c, const Res& r) {
-       return c.testbed.tie_shake == 0 ||
-              c.testbed.queue != QueueImpl::kTimerWheel ||
-              r.loop.tie_shaken > 0;
+       return c.testbed.tie_shake == 0 || r.loop.tie_shaken > 0;
      },
      "--shake run never permuted a tie (the seed did not reach the loop)"},
 };
@@ -524,15 +510,13 @@ Matrix writeback_matrix() {
 
 // --- the one loop -----------------------------------------------------------
 
-int run(const Matrix& m, std::uint64_t seed, QueueImpl queue,
-        std::uint64_t shake) {
+int run(const Matrix& m, std::uint64_t seed, std::uint64_t shake) {
   int failures = 0;
   std::vector<Res> results;
   for (const Plan& plan : m.plans) {
     Cfg cfg = m.base;
     cfg.testbed.faults = plan.faults;
     cfg.testbed.faults.seed = seed;
-    cfg.testbed.queue = queue;
     cfg.testbed.tie_shake = shake;
     if (plan.tweak != nullptr) plan.tweak(cfg);
 
@@ -588,7 +572,6 @@ int main(int argc, char** argv) {
   const Matrix* matrix = nullptr;
   std::uint64_t seed = 1;
   std::uint64_t shake = 0;
-  QueueImpl queue = QueueImpl::kTimerWheel;
   bool bad = false;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -602,8 +585,6 @@ int main(int argc, char** argv) {
       seed = std::strtoull(a + 7, nullptr, 10);
     } else if (std::strncmp(a, "--shake=", 8) == 0) {
       shake = std::strtoull(a + 8, nullptr, 10);
-    } else if (std::strcmp(a, "--legacy-queue") == 0) {
-      queue = QueueImpl::kLegacyHeap;
     } else {
       bad = true;
     }
@@ -611,9 +592,9 @@ int main(int argc, char** argv) {
   if (bad || matrix == nullptr) {
     std::fprintf(stderr,
                  "usage: %s --matrix={mcd,server,brick,writeback} [--seed=N] "
-                 "[--shake=N] [--legacy-queue]\n",
+                 "[--shake=N]\n",
                  argv[0]);
     return 2;
   }
-  return run(*matrix, seed, queue, shake);
+  return run(*matrix, seed, shake);
 }

@@ -98,9 +98,8 @@ struct ReplayResult {
   core::WritebackStats wb;
   std::vector<core::WbLostExtent> wb_lost;  // accounted losses, per path
   std::uint64_t wb_tolerated_divergences = 0;  // files excused by a loss
-  // The DES kernel's counters: proof that the queue and shake settings
-  // reached the loop (cascades > 0 only on the wheel, tie_shaken > 0 only
-  // under a shake seed).
+  // The DES kernel's counters: proof that the shake seed reached the loop
+  // (tie_shaken > 0 only under a shake seed).
   sim::EventLoopStats loop;
 };
 

@@ -10,12 +10,12 @@
 //   * A shaken run permutes ONLY ties: the timestamp sequence is
 //     unchanged and each timestamp resumes the same event set, but the
 //     within-timestamp order differs (tie_shaken > 0, anti-vacuity).
-//   * Wheel and legacy heap produce identical traces under the same shake
-//     seed — the shaken schedule is still a deterministic contract, not an
-//     implementation accident.
 //   * Same seed reproduces, different seeds explore different orders.
 //   * A SimMutex-guarded read-modify-write stays exact under shake: the
 //     schedules shake explores are legal, so guarded code must not care.
+//
+// That a shaken trace is exactly the (time, key, seq) order of an
+// independent queue model is pinned in sim_wheel_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -43,9 +43,9 @@ Task<void> lockstep_client(EventLoop& loop, std::size_t iters) {
   }
 }
 
-Trace run_lockstep(QueueImpl impl, std::uint64_t shake, std::size_t n_clients,
+Trace run_lockstep(std::uint64_t shake, std::size_t n_clients,
                    std::size_t iters, EventLoopStats* stats = nullptr) {
-  EventLoop loop(impl, shake);
+  EventLoop loop(shake);
   Trace trace;
   loop.set_trace(&trace);
   for (std::size_t id = 0; id < n_clients; ++id) {
@@ -66,20 +66,17 @@ std::map<SimTime, std::multiset<std::uint64_t>> by_time(const Trace& t) {
 
 TEST(ScheduleShake, ZeroSeedIsByteIdenticalToFifo) {
   EventLoopStats plain_stats, zero_stats;
-  const Trace plain =
-      run_lockstep(QueueImpl::kTimerWheel, 0, 32, 50, &plain_stats);
-  const Trace zero =
-      run_lockstep(QueueImpl::kTimerWheel, 0, 32, 50, &zero_stats);
+  const Trace plain = run_lockstep(0, 32, 50, &plain_stats);
+  const Trace zero = run_lockstep(0, 32, 50, &zero_stats);
   ASSERT_EQ(plain, zero);
   EXPECT_EQ(plain_stats.tie_shaken, 0u);
   EXPECT_EQ(zero_stats.tie_shaken, 0u);
 }
 
 TEST(ScheduleShake, ShakenRunPermutesTiesOnly) {
-  const Trace fifo = run_lockstep(QueueImpl::kTimerWheel, 0, 32, 50);
+  const Trace fifo = run_lockstep(0, 32, 50);
   EventLoopStats shaken_stats;
-  const Trace shaken =
-      run_lockstep(QueueImpl::kTimerWheel, 7, 32, 50, &shaken_stats);
+  const Trace shaken = run_lockstep(7, 32, 50, &shaken_stats);
 
   ASSERT_EQ(fifo.size(), shaken.size());
   // Same timestamps in the same order; same event multiset per timestamp.
@@ -90,18 +87,10 @@ TEST(ScheduleShake, ShakenRunPermutesTiesOnly) {
   EXPECT_GT(shaken_stats.tie_shaken, 0u);
 }
 
-TEST(ScheduleShake, WheelAndLegacyHeapAgreeUnderShake) {
-  for (const std::uint64_t seed : {1ull, 7ull, 1234567ull}) {
-    const Trace wheel = run_lockstep(QueueImpl::kTimerWheel, seed, 24, 40);
-    const Trace heap = run_lockstep(QueueImpl::kLegacyHeap, seed, 24, 40);
-    ASSERT_EQ(wheel, heap) << "impls diverged under shake seed " << seed;
-  }
-}
-
 TEST(ScheduleShake, SameSeedReproducesDifferentSeedsDiffer) {
-  const Trace a1 = run_lockstep(QueueImpl::kTimerWheel, 9, 32, 50);
-  const Trace a2 = run_lockstep(QueueImpl::kTimerWheel, 9, 32, 50);
-  const Trace b = run_lockstep(QueueImpl::kTimerWheel, 10, 32, 50);
+  const Trace a1 = run_lockstep(9, 32, 50);
+  const Trace a2 = run_lockstep(9, 32, 50);
+  const Trace b = run_lockstep(10, 32, 50);
   EXPECT_EQ(a1, a2);
   EXPECT_NE(a1, b);
   EXPECT_EQ(by_time(a1), by_time(b));  // still the same legal schedule space
@@ -124,7 +113,7 @@ Task<void> guarded_rmw(EventLoop& loop, SimMutex& mu, std::uint64_t& total,
 
 TEST(ScheduleShake, GuardedRmwStaysExactUnderShake) {
   for (const std::uint64_t seed : {0ull, 3ull, 99ull}) {
-    EventLoop loop(QueueImpl::kTimerWheel, seed);
+    EventLoop loop(seed);
     SimMutex mu(loop);
     std::uint64_t total = 0;
     constexpr std::size_t kWorkers = 16;

@@ -438,11 +438,10 @@ Task<int> staggered_int(EventLoop& l, std::vector<Resume>& trace, int id,
 
 constexpr SimDuration kStagger[] = {30, 10, 20, 10, 0, 30};
 
-// The same staggered children under when_all and under gather, on one
-// queue implementation: the resume trace and the event count.
-std::pair<std::vector<Resume>, std::uint64_t> staggered_run(QueueImpl impl,
-                                                            bool use_gather) {
-  EventLoop loop(impl);
+// The same staggered children under when_all and under gather: the resume
+// trace and the event count.
+std::pair<std::vector<Resume>, std::uint64_t> staggered_run(bool use_gather) {
+  EventLoop loop;
   std::vector<Resume> trace;
   loop.spawn([](EventLoop& l, std::vector<Resume>& t,
                 bool g) -> Task<void> {
@@ -467,15 +466,12 @@ std::pair<std::vector<Resume>, std::uint64_t> staggered_run(QueueImpl impl,
 }
 
 TEST(Sync, GatherResumesChildrenExactlyLikeWhenAll) {
-  for (const QueueImpl impl :
-       {QueueImpl::kTimerWheel, QueueImpl::kLegacyHeap}) {
-    const auto with_when_all = staggered_run(impl, false);
-    const auto with_gather = staggered_run(impl, true);
-    EXPECT_EQ(with_gather.first.size(), 6u * 3 + 1);
-    EXPECT_TRUE(with_gather.first == with_when_all.first);
-    EXPECT_EQ(with_gather.second, with_when_all.second);
-    EXPECT_EQ(with_gather.first.back(), (Resume{-1, 30 + 15}));
-  }
+  const auto with_when_all = staggered_run(false);
+  const auto with_gather = staggered_run(true);
+  EXPECT_EQ(with_gather.first.size(), 6u * 3 + 1);
+  EXPECT_TRUE(with_gather.first == with_when_all.first);
+  EXPECT_EQ(with_gather.second, with_when_all.second);
+  EXPECT_EQ(with_gather.first.back(), (Resume{-1, 30 + 15}));
 }
 
 TEST(Sync, GatherEmptySchedulesNoEvent) {

@@ -61,14 +61,12 @@ TEST(Testbed, ImcaConfigWiresTranslators) {
   }(tb));
 }
 
-// The DES kernel knobs live in the config and reach the testbed's own loop
-// (the fault matrices' --legacy-queue and --shake flags ride on this).
-TEST(Testbed, QueueAndShakeConfigReachTheLoop) {
+// The DES kernel's shake seed lives in the config and reaches the testbed's
+// own loop (the fault matrices' --shake flag rides on this).
+TEST(Testbed, ShakeConfigReachesTheLoop) {
   GlusterTestbedConfig cfg;
-  cfg.queue = sim::QueueImpl::kLegacyHeap;
   cfg.tie_shake = 21;
   GlusterTestbed tb(cfg);
-  EXPECT_EQ(tb.loop().queue_impl(), sim::QueueImpl::kLegacyHeap);
   EXPECT_EQ(tb.loop().tie_shake(), 21u);
 }
 

@@ -24,7 +24,6 @@ constexpr std::string_view kStatRmw = "IMCA-STAT-RMW";
 constexpr std::string_view kDetach = "IMCA-DETACH";
 constexpr std::string_view kMovedBuf = "IMCA-MOVED-BUF";
 constexpr std::string_view kByteVec = "IMCA-BYTE-VEC";
-constexpr std::string_view kNodeFreed = "IMCA-NODE-FREED";
 constexpr std::string_view kNolintBare = "IMCA-NOLINT-BARE";
 
 // Identifiers that count as a liveness token for IMCA-CORO-THIS and the
@@ -693,85 +692,6 @@ void check_moved_buf(const Cursor& c, std::vector<Finding>* out,
   }
 }
 
-void check_node_freed(const Cursor& c, std::vector<Finding>* out,
-                      const std::string& file) {
-  // Declarations of EventNode* variables seen so far. `release(name)` (or
-  // `free(name)`) poisons the name — the arena immediately repurposes
-  // n->next as the free-list link and the next alloc() recycles the node,
-  // so any later read sees free-list internals or a different event's
-  // (time, seq, handle). Same scope machinery as IMCA-MOVED-BUF: leaving
-  // the block or reassigning the pointer revives it.
-  struct Decl {
-    bool freed = false;
-    int freed_line = 0;
-  };
-  std::map<std::string, Decl> vars;
-  std::vector<std::vector<std::string>> freed_stack;  // per brace depth
-  freed_stack.emplace_back();
-  for (size_t i = 0; i < c.size(); ++i) {
-    const Token& tk = c.at(i);
-    if (tk.is("{")) {
-      freed_stack.emplace_back();
-      continue;
-    }
-    if (tk.is("}")) {
-      for (const std::string& name : freed_stack.back()) {
-        auto it = vars.find(name);
-        if (it != vars.end()) it->second.freed = false;
-      }
-      freed_stack.pop_back();
-      if (freed_stack.empty()) freed_stack.emplace_back();
-      continue;
-    }
-    if (tk.ident("EventNode") && c.is(i + 1, "*") && c.is_ident(i + 2) &&
-        (c.is(i + 3, ";") || c.is(i + 3, "=") || c.is(i + 3, "{") ||
-         c.is(i + 3, "(") || c.is(i + 3, ",") || c.is(i + 3, ")"))) {
-      vars[c.at(i + 2).text] = Decl{};  // declaration (local, member, param)
-      i += 2;                           // don't treat the name as a use
-      continue;
-    }
-    if ((tk.ident("release") || tk.ident("free")) && c.is(i + 1, "(") &&
-        c.is_ident(i + 2) && c.is(i + 3, ")")) {
-      auto it = vars.find(c.at(i + 2).text);
-      if (it != vars.end()) {
-        if (it->second.freed) {
-          out->push_back({file, c.at(i + 2).line, std::string(kNodeFreed),
-                          "'" + it->first + "' released again after release "
-                          "on line " + std::to_string(it->second.freed_line) +
-                          " — double free corrupts the arena free list"});
-        } else {
-          it->second.freed = true;
-          it->second.freed_line = c.at(i + 2).line;
-          freed_stack.back().push_back(it->first);
-        }
-      }
-      i += 3;
-      continue;
-    }
-    if (tk.kind == Tok::kIdent) {
-      // `other.n` / `ns::n` is not the tracked local `n`.
-      if (i > 0 && (c.is(i - 1, ".") || c.is(i - 1, "->") ||
-                    c.is(i - 1, "::"))) {
-        continue;
-      }
-      auto it = vars.find(tk.text);
-      if (it != vars.end() && it->second.freed) {
-        // Reassignment revives the pointer.
-        if (c.is(i + 1, "=") && !c.is(i + 1, "==")) {
-          it->second.freed = false;
-          continue;
-        }
-        out->push_back({file, tk.line, std::string(kNodeFreed),
-                        "use of '" + tk.text + "' after release on line " +
-                            std::to_string(it->second.freed_line) +
-                            " — the node may already be recycled and its "
-                            "next is the free-list link"});
-        it->second.freed = false;  // one finding per release
-      }
-    }
-  }
-}
-
 void check_byte_vec(const Cursor& c, const std::string& relpath,
                     bool all_checks, std::vector<Finding>* out,
                     const std::string& file) {
@@ -833,7 +753,6 @@ std::vector<Finding> analyze(const std::string& relpath,
   }
   check_detach(c, index, &raw, relpath);
   check_moved_buf(c, &raw, relpath);
-  check_node_freed(c, &raw, relpath);
   check_byte_vec(c, relpath, all_checks, &raw, relpath);
 
   std::vector<Finding> out;

@@ -64,12 +64,6 @@
 //   IMCA-BYTE-VEC     std::vector<std::byte> in a payload signature under
 //                     src/ — Buffer is the one payload type on the data
 //                     path (folds the old lint-no-byte-vectors grep).
-//   IMCA-NODE-FREED   use of an EventNode* after arena release in the same
-//                     scope (the PR 6 wheel/arena class): release() turns
-//                     n->next into the free-list link and the next alloc
-//                     recycles the node, so a stale read resumes the wrong
-//                     coroutine — copy (at, seq, handle) out and unlink
-//                     BEFORE releasing.
 //   IMCA-NOLINT-BARE  a NOLINT(imca-…) with no ": justification" text; the
 //                     escape hatch requires a reason and cannot itself be
 //                     suppressed.

@@ -57,7 +57,6 @@ constexpr const char* kChecks[][2] = {
      "stats/ledger counter written from a value captured before a suspension"},
     {"IMCA-DETACH", "Task created and dropped without await/store/spawn"},
     {"IMCA-MOVED-BUF", "Buffer/ByteBuf used after std::move in the same scope"},
-    {"IMCA-NODE-FREED", "EventNode* used after arena release in the same scope"},
     {"IMCA-BYTE-VEC",
      "std::vector<std::byte> payload signature under src/ (use Buffer)"},
     {"IMCA-NOLINT-BARE", "NOLINT(imca-…) without a ': justification'"},
