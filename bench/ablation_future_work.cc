@@ -47,7 +47,7 @@ void rdma_ablation(const BenchArgs& args) {
     opt.max_record = 4 * kKiB;
     opt.records_per_size = 64;
     opt.record_multiplier = 64;  // 1B and 64B and 4K
-    return workload::run_latency_benchmark(tb.loop(), clients_of(tb), opt);
+    return workload::run_latency_benchmark(tb.loop(), tb.clients(), opt);
   };
   auto stat_64c = [](bool rdma) {
     GlusterTestbedConfig cfg;
@@ -57,7 +57,7 @@ void rdma_ablation(const BenchArgs& args) {
     GlusterTestbed tb(cfg);
     workload::StatOptions opt;
     opt.n_files = 4096;
-    return workload::run_stat_benchmark(tb.loop(), clients_of(tb), opt)
+    return workload::run_stat_benchmark(tb.loop(), tb.clients(), opt)
         .max_node_seconds;
   };
 
@@ -190,7 +190,7 @@ void scalability_ablation(const BenchArgs& args) {
     lcfg.n_ds = 2;
     LustreTestbed ltb(lcfg);
     const double lustre =
-        sharing_latency(ltb.loop(), clients_of(ltb), 16, 0);
+        sharing_latency(ltb.loop(), ltb.clients(), 16, 0);
     const auto revocations = ltb.mds().revocations();
 
     GlusterTestbedConfig gcfg;
@@ -198,7 +198,7 @@ void scalability_ablation(const BenchArgs& args) {
     gcfg.n_mcds = 2;
     GlusterTestbed gtb(gcfg);
     const double imca =
-        sharing_latency(gtb.loop(), clients_of(gtb), 16, 0);
+        sharing_latency(gtb.loop(), gtb.clients(), 16, 0);
 
     t.add_row({Table::cell(static_cast<std::uint64_t>(nodes)),
                Table::cell(lustre / 1e3), Table::cell(imca / 1e3),
@@ -248,7 +248,7 @@ void lustre_bank_ablation(const BenchArgs& args) {
         clients.push_back(cached.back().get());
       }
     } else {
-      clients = clients_of(tb);
+      clients = tb.clients();
     }
 
     // Shared-read workload against a disk-pressured DS: writer 0 seeds the

@@ -1,32 +1,24 @@
-// Shared helpers for the figure benches: client-list collection, strict flag
-// parsing (each bench accepts only the flags it honours), percentage
+// Shared helpers for the figure benches: strict flag parsing (each bench
+// accepts only the flags it honours, each number must parse whole), percentage
 // formatting, and the self-timing perf-trajectory recorder that writes the
 // versioned BENCH_*.json schema (EXPERIMENTS.md "Perf trajectory").
 #pragma once
 
-#include <sys/resource.h>
-
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/testbed.h"
+#include "common/parse.h"
 #include "common/table.h"
 
 namespace imca::bench {
-
-template <typename Testbed>
-std::vector<fsapi::FileSystemClient*> clients_of(Testbed& tb) {
-  std::vector<fsapi::FileSystemClient*> out;
-  for (std::size_t i = 0; i < tb.n_clients(); ++i) {
-    out.push_back(&tb.client(i));
-  }
-  return out;
-}
 
 struct BenchArgs {
   bool csv = false;
@@ -97,9 +89,22 @@ inline constexpr BenchFlagHelp kBenchFlagHelp[] = {
   std::exit(2);
 }
 
+// `text`, the value of `flag`, as a T that `ok` accepts; anything else is a
+// usage error (exit 2).
+template <typename T, typename Ok>
+T flag_number(const char* argv0, unsigned honoured, const char* flag,
+              const char* text, Ok ok, const char* want) {
+  const std::optional<T> v = parse_number<T>(text);
+  if (v && ok(*v)) return *v;
+  std::fprintf(stderr, "%s: %s wants %s, got '%s'\n", argv0, flag, want,
+               text);
+  usage_and_exit(argv0, nullptr, honoured);
+}
+
 // Strict: any unrecognized or unhonoured argument is a usage error (exit
 // 2) — a typo like --sclae=4 must not silently run the bench at the wrong
-// scale, and neither may a flag this bench would ignore.
+// scale, and neither may a flag this bench would ignore, nor a value such
+// as --scale=abc or --reps=0 that is not a number in the flag's range.
 inline BenchArgs parse_args(int argc, char** argv, unsigned honoured) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -117,15 +122,19 @@ inline BenchArgs parse_args(int argc, char** argv, unsigned honoured) {
     if (is(kCsv, "--csv")) {
       args.csv = true;
     } else if (const char* scale = value(kScale, "--scale=")) {
-      args.scale = std::atof(scale);
-      if (args.scale <= 0) args.scale = 1.0;
+      args.scale = flag_number<double>(
+          argv[0], honoured, "--scale", scale,
+          [](double x) { return std::isfinite(x) && x > 0; }, "a number > 0");
     } else if (const char* json = value(kJson, "--json=")) {
       args.json_path = json;
     } else if (const char* seed = value(kSeed, "--seed=")) {
-      args.seed = std::strtoull(seed, nullptr, 10);
+      args.seed = flag_number<std::uint64_t>(
+          argv[0], honoured, "--seed", seed, [](std::uint64_t) { return true; },
+          "a whole number");
     } else if (const char* reps = value(kReps, "--reps=")) {
-      args.reps = std::atoi(reps);
-      if (args.reps < 1) args.reps = 1;
+      args.reps = flag_number<int>(
+          argv[0], honoured, "--reps", reps, [](int n) { return n >= 1; },
+          "a whole number >= 1");
     } else if (is(kBricks, "--bricks")) {
       args.bricks = true;
     } else if (is(kWriteback, "--writeback")) {
@@ -179,10 +188,20 @@ struct BenchRecord {
   std::int64_t peak_rss_kb = 0;
 };
 
+// This process's peak resident set in KiB: VmHWM from /proc/self/status,
+// which belongs to one address space and starts afresh at exec. (getrusage's
+// ru_maxrss does not: Linux carries it across execve, so it would report
+// the launcher's peak whenever that was higher.)
 inline std::int64_t peak_rss_kb() {
-  struct rusage ru;
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<std::int64_t>(ru.ru_maxrss);  // KiB on Linux
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  long long kb = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lld", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return static_cast<std::int64_t>(kb);
 }
 
 // Wall-clock stopwatch; finish(events) closes a BenchRecord.

@@ -35,7 +35,7 @@ double run(net::TransportParams transport, std::uint64_t server_cache,
   IozoneOptions opt;
   opt.file_bytes = kFileBytes;
   opt.request_size = 256 * kKiB;
-  return workload::run_iozone(tb.loop(), clients_of(tb), opt)
+  return workload::run_iozone(tb.loop(), tb.clients(), opt)
       .aggregate_read_mbps;
 }
 

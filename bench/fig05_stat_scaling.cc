@@ -36,7 +36,7 @@ double run_gluster(std::size_t n_clients, std::size_t n_mcds,
   GlusterTestbed tb(cfg);
   workload::StatOptions opt;
   opt.n_files = n_files;
-  const auto r = workload::run_stat_benchmark(tb.loop(), clients_of(tb), opt);
+  const auto r = workload::run_stat_benchmark(tb.loop(), tb.clients(), opt);
   misses = n_mcds > 0 ? tb.mcd_totals().get_misses : 0;
   g_events += tb.loop().events_processed();
   return r.max_node_seconds;
@@ -50,7 +50,7 @@ double run_lustre(std::size_t n_clients, std::size_t n_ds,
   LustreTestbed tb(cfg);
   workload::StatOptions opt;
   opt.n_files = n_files;
-  const double s = workload::run_stat_benchmark(tb.loop(), clients_of(tb),
+  const double s = workload::run_stat_benchmark(tb.loop(), tb.clients(),
                                                 opt).max_node_seconds;
   g_events += tb.loop().events_processed();
   return s;

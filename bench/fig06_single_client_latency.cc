@@ -42,7 +42,7 @@ LatencySeries run_gluster(std::size_t n_mcds, std::uint64_t block_size,
   cfg.imca.block_size = block_size;
   cfg.imca.threaded_updates = threaded;
   GlusterTestbed tb(cfg);
-  return workload::run_latency_benchmark(tb.loop(), clients_of(tb),
+  return workload::run_latency_benchmark(tb.loop(), tb.clients(),
                                          base_options());
 }
 
@@ -61,7 +61,7 @@ LatencySeries run_lustre(std::size_t n_ds, bool cold) {
     // and remounted, evicting the client cache.
     opt.before_read_phase = [&tb](std::size_t) { tb.cold_all(); };
   }
-  return workload::run_latency_benchmark(tb.loop(), clients_of(tb), opt);
+  return workload::run_latency_benchmark(tb.loop(), tb.clients(), opt);
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ GlusterOutcome run_gluster(std::size_t n_mcds) {
   cfg.mcd_memory = 256 * kMiB;  // scaled from 6 GB (see header comment)
   GlusterTestbed tb(cfg);
   GlusterOutcome out;
-  out.series = workload::run_latency_benchmark(tb.loop(), clients_of(tb),
+  out.series = workload::run_latency_benchmark(tb.loop(), tb.clients(),
                                                base_options());
   if (n_mcds > 0) {
     const auto totals = tb.mcd_totals();
@@ -73,7 +73,7 @@ LatencySeries run_lustre(bool cold) {
   if (cold) {
     opt.before_read_phase = [&tb](std::size_t) { tb.cold_all(); };
   }
-  return workload::run_latency_benchmark(tb.loop(), clients_of(tb), opt);
+  return workload::run_latency_benchmark(tb.loop(), tb.clients(), opt);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ Outcome run(std::size_t n_clients, std::size_t n_mcds) {
   opt.records_per_size = 128;
   Outcome out;
   out.series =
-      workload::run_latency_benchmark(tb.loop(), clients_of(tb), opt);
+      workload::run_latency_benchmark(tb.loop(), tb.clients(), opt);
   if (n_mcds > 0) {
     const auto totals = tb.mcd_totals();
     out.evictions = totals.evictions;

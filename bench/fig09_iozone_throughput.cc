@@ -65,7 +65,7 @@ double run_gluster(std::size_t threads, std::size_t n_mcds,
   cfg.server.page_cache_bytes = kServerCache;
   GlusterTestbed tb(cfg);
   const auto before = buffer_stats();
-  const auto res = workload::run_iozone(tb.loop(), clients_of(tb), options());
+  const auto res = workload::run_iozone(tb.loop(), tb.clients(), options());
   if (ledger) {
     ledger->bytes_copied = buffer_stats().bytes_copied - before.bytes_copied;
     ledger->gather_calls = buffer_stats().gather_calls - before.gather_calls;
@@ -156,7 +156,7 @@ bool run_writeback_ablation(const imca::bench::BenchArgs& args,
     }
     GlusterTestbed tb(cfg);
     const auto res =
-        workload::run_iozone(tb.loop(), clients_of(tb), options());
+        workload::run_iozone(tb.loop(), tb.clients(), options());
     g_events += tb.loop().events_processed();
     const auto wbs = tb.writeback_totals();
     table.add_row({std::string(wb != 0 ? "write-back" : "write-through"),
@@ -197,7 +197,7 @@ double run_lustre(std::size_t threads) {
   auto opt = options();
   // Cold client caches for the read phase (unmount/remount, paper §5.3).
   opt.before_read_phase = [&tb](std::size_t) { tb.cold_all(); };
-  const auto r = workload::run_iozone(tb.loop(), clients_of(tb), opt);
+  const auto r = workload::run_iozone(tb.loop(), tb.clients(), opt);
   g_events += tb.loop().events_processed();
   return r.aggregate_read_mbps;
 }

@@ -38,7 +38,7 @@ double run_gluster(std::size_t n_clients, std::size_t n_mcds) {
   cfg.n_clients = n_clients;
   cfg.n_mcds = n_mcds;
   GlusterTestbed tb(cfg);
-  return workload::run_latency_benchmark(tb.loop(), clients_of(tb), options())
+  return workload::run_latency_benchmark(tb.loop(), tb.clients(), options())
       .read_ns.at(kRecord);
 }
 
@@ -49,7 +49,7 @@ double run_lustre(std::size_t n_clients) {
   LustreTestbed tb(cfg);
   auto opt = options();
   opt.before_read_phase = [&tb](std::size_t) { tb.cold_all(); };
-  return workload::run_latency_benchmark(tb.loop(), clients_of(tb), opt)
+  return workload::run_latency_benchmark(tb.loop(), tb.clients(), opt)
       .read_ns.at(kRecord);
 }
 

@@ -1,12 +1,21 @@
 #include "cluster/testbed.h"
 
 namespace imca::cluster {
+namespace {
+
+template <typename Client>
+std::vector<fsapi::FileSystemClient*> mounts(
+    const std::vector<std::unique_ptr<Client>>& clients) {
+  std::vector<fsapi::FileSystemClient*> out;
+  out.reserve(clients.size());
+  for (const auto& c : clients) out.push_back(c.get());
+  return out;
+}
+
+}  // namespace
 
 GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
-    : cfg_(std::move(cfg)),
-      loop_(cfg_.tie_shake),
-      fabric_(loop_, cfg_.transport),
-      rpc_(fabric_) {
+    : SimContext(cfg.transport, cfg.tie_shake), cfg_(std::move(cfg)) {
   const std::size_t replicas = cfg_.n_replicas == 0 ? 1 : cfg_.n_replicas;
   const std::size_t groups = cfg_.n_bricks == 0 ? 1 : cfg_.n_bricks;
   const std::size_t n_servers = groups * replicas;
@@ -17,15 +26,15 @@ GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
         n_servers == 1 ? std::string("gluster-server")
                        : "brick" + std::to_string(b / replicas) + "." +
                              std::to_string(b % replicas);
-    brick_nodes_.push_back(fabric_.add_node(name, kCoresPerNode).id());
+    brick_nodes_.push_back(fabric().add_node(name, kCoresPerNode).id());
   }
 
   for (std::size_t i = 0; i < cfg_.n_mcds; ++i) {
     const auto n =
-        fabric_.add_node("mcd" + std::to_string(i), kCoresPerNode).id();
+        fabric().add_node("mcd" + std::to_string(i), kCoresPerNode).id();
     mcd_nodes_.push_back(n);
     mcds_.push_back(
-        std::make_unique<memcache::McServer>(rpc_, n, cfg_.mcd_memory));
+        std::make_unique<memcache::McServer>(rpc(), n, cfg_.mcd_memory));
     mcds_.back()->start();
   }
 
@@ -41,7 +50,7 @@ GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
         injector_->set_spec(n, net::kPortGluster, cfg_.faults.server_spec);
       }
     }
-    rpc_.set_fault_injector(injector_.get());
+    rpc().set_fault_injector(injector_.get());
     for (const auto& crash : cfg_.faults.crashes) {
       mcds_.at(crash.mcd)->schedule_crash(crash.at, crash.restart_at);
     }
@@ -49,7 +58,7 @@ GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
 
   for (std::size_t b = 0; b < n_servers; ++b) {
     servers_.push_back(std::make_unique<gluster::GlusterServer>(
-        rpc_, brick_nodes_[b], cfg_.server));
+        rpc(), brick_nodes_[b], cfg_.server));
     if (!mcds_.empty() && cfg_.smcache) {
       core::ImcaConfig icfg = cfg_.imca;
       // With K > 1 this brick is one replica of a group and may be stale
@@ -57,9 +66,9 @@ GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
       // protocol (payload-covered blocks only, invalidate the rest).
       icfg.replica_bricks = replicas > 1;
       auto sm = std::make_unique<core::SmCacheXlator>(
-          loop_,
+          loop(),
           std::make_unique<mcclient::McClient>(
-              rpc_, brick_nodes_[b], mcd_nodes_, core::make_selector(icfg),
+              rpc(), brick_nodes_[b], mcd_nodes_, core::make_selector(icfg),
               core::make_mcclient_params(icfg, core::McRole::kWriter)),
           icfg);
       smcaches_.push_back(sm.get());
@@ -75,14 +84,14 @@ GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
 
   for (std::size_t c = 0; c < cfg_.n_clients; ++c) {
     const auto n =
-        fabric_.add_node("client" + std::to_string(c), kCoresPerNode).id();
+        fabric().add_node("client" + std::to_string(c), kCoresPerNode).id();
     clients_.push_back(std::make_unique<gluster::GlusterClient>(
-        rpc_, n, gluster::GlusterTopology{brick_nodes_, replicas},
+        rpc(), n, gluster::GlusterTopology{brick_nodes_, replicas},
         cfg_.client));
     if (!mcds_.empty()) {
       auto cm = std::make_unique<core::CmCacheXlator>(
           std::make_unique<mcclient::McClient>(
-              rpc_, n, mcd_nodes_, core::make_selector(cfg_.imca),
+              rpc(), n, mcd_nodes_, core::make_selector(cfg_.imca),
               core::make_mcclient_params(cfg_.imca, core::McRole::kReader)),
           cfg_.imca);
       // Brownout: this mount's CMCache watches its own mount's view of the
@@ -95,7 +104,7 @@ GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
         // id: unique per client by construction.
         cm->set_writeback(std::make_unique<core::WritebackTier>(
             std::make_unique<mcclient::McClient>(
-                rpc_, n, mcd_nodes_, core::make_selector(cfg_.imca),
+                rpc(), n, mcd_nodes_, core::make_selector(cfg_.imca),
                 core::make_mcclient_params(cfg_.imca, core::McRole::kWriter)),
             static_cast<std::uint64_t>(n), cfg_.imca));
       }
@@ -177,36 +186,49 @@ memcache::CacheStats GlusterTestbed::mcd_totals() const {
   return total;
 }
 
+std::vector<fsapi::FileSystemClient*> GlusterTestbed::clients() const {
+  return mounts(clients_);
+}
+
 LustreTestbed::LustreTestbed(LustreTestbedConfig cfg)
-    : cfg_(std::move(cfg)), fabric_(loop_, cfg_.transport), rpc_(fabric_) {
-  const auto mds_node = fabric_.add_node("mds", kCoresPerNode).id();
-  mds_ = std::make_unique<lustre::MetadataServer>(rpc_, mds_node);
+    : SimContext(cfg.transport), cfg_(std::move(cfg)) {
+  const auto mds_node = fabric().add_node("mds", kCoresPerNode).id();
+  mds_ = std::make_unique<lustre::MetadataServer>(rpc(), mds_node);
 
   std::vector<lustre::DataServer*> ds_ptrs;
   for (std::size_t i = 0; i < cfg_.n_ds; ++i) {
-    const auto n = fabric_.add_node("ost" + std::to_string(i), kCoresPerNode).id();
-    ds_.push_back(std::make_unique<lustre::DataServer>(rpc_, n, cfg_.ds));
+    const auto n =
+        fabric().add_node("ost" + std::to_string(i), kCoresPerNode).id();
+    ds_.push_back(std::make_unique<lustre::DataServer>(rpc(), n, cfg_.ds));
     ds_ptrs.push_back(ds_.back().get());
   }
 
   for (std::size_t c = 0; c < cfg_.n_clients; ++c) {
     const auto n =
-        fabric_.add_node("lclient" + std::to_string(c), kCoresPerNode).id();
+        fabric().add_node("lclient" + std::to_string(c), kCoresPerNode).id();
     client_nodes_.push_back(n);
     clients_.push_back(std::make_unique<lustre::LustreClient>(
-        rpc_, n, *mds_, ds_ptrs, cfg_.client));
+        rpc(), n, *mds_, ds_ptrs, cfg_.client));
   }
 }
 
+std::vector<fsapi::FileSystemClient*> LustreTestbed::clients() const {
+  return mounts(clients_);
+}
+
 NfsTestbed::NfsTestbed(NfsTestbedConfig cfg)
-    : cfg_(std::move(cfg)), fabric_(loop_, cfg_.transport), rpc_(fabric_) {
-  const auto server_node = fabric_.add_node("nfs-server", kCoresPerNode).id();
-  server_ = std::make_unique<nfs::NfsServer>(rpc_, server_node, cfg_.server);
+    : SimContext(cfg.transport), cfg_(std::move(cfg)) {
+  const auto server_node = fabric().add_node("nfs-server", kCoresPerNode).id();
+  server_ = std::make_unique<nfs::NfsServer>(rpc(), server_node, cfg_.server);
   for (std::size_t c = 0; c < cfg_.n_clients; ++c) {
     const auto n =
-        fabric_.add_node("nclient" + std::to_string(c), kCoresPerNode).id();
-    clients_.push_back(std::make_unique<nfs::NfsClient>(rpc_, n, *server_));
+        fabric().add_node("nclient" + std::to_string(c), kCoresPerNode).id();
+    clients_.push_back(std::make_unique<nfs::NfsClient>(rpc(), n, *server_));
   }
+}
+
+std::vector<fsapi::FileSystemClient*> NfsTestbed::clients() const {
+  return mounts(clients_);
 }
 
 }  // namespace imca::cluster

@@ -6,8 +6,10 @@
 //  * LustreTestbed  — MDS + 1..4 data servers + N coherent-cache clients.
 //  * NfsTestbed     — one NFS server + N clients on a chosen transport.
 //
-// All three expose their clients through fsapi::FileSystemClient so the same
-// workload code (src/workload) drives every system in every figure.
+// Each is a net::SimContext (loop, fabric, RPC, run()) plus the services on
+// it, and all three hand their clients out as fsapi::FileSystemClient
+// (clients()) so the same workload code (src/workload) drives every system
+// in every figure.
 #pragma once
 
 #include <memory>
@@ -26,6 +28,7 @@
 #include "memcache/server.h"
 #include "net/fabric.h"
 #include "net/rpc.h"
+#include "net/sim_context.h"
 #include "nfs/nfs.h"
 
 namespace imca::cluster {
@@ -58,14 +61,13 @@ struct GlusterTestbedConfig {
   std::uint64_t tie_shake = 0;
 };
 
-class GlusterTestbed {
+class GlusterTestbed : public net::SimContext {
  public:
   explicit GlusterTestbed(GlusterTestbedConfig cfg);
 
-  sim::EventLoop& loop() noexcept { return loop_; }
-  net::Fabric& fabric() noexcept { return fabric_; }
   std::size_t n_clients() const noexcept { return clients_.size(); }
   fsapi::FileSystemClient& client(std::size_t i) { return *clients_.at(i); }
+  std::vector<fsapi::FileSystemClient*> clients() const;
   // The same mount, concretely typed (protocol/client stats + health view).
   gluster::GlusterClient& gluster_client(std::size_t i) {
     return *clients_.at(i);
@@ -102,7 +104,6 @@ class GlusterTestbed {
   std::vector<core::WbLostExtent> writeback_losses();
   memcache::McServer& mcd(std::size_t i) { return *mcds_.at(i); }
   std::size_t n_mcds() const noexcept { return mcds_.size(); }
-  net::RpcSystem& rpc() noexcept { return rpc_; }
   // Null unless the config carried an active fault plan.
   const net::FaultInjector* fault_injector() const noexcept {
     return injector_.get();
@@ -111,17 +112,8 @@ class GlusterTestbed {
   // Aggregate MCD counters (the paper reads these for miss-rate claims).
   memcache::CacheStats mcd_totals() const;
 
-  // Convenience: run one task to completion on the loop.
-  void run(sim::Task<void> task) {
-    loop_.spawn(std::move(task));
-    loop_.run();
-  }
-
  private:
   GlusterTestbedConfig cfg_;
-  sim::EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   std::unique_ptr<net::FaultInjector> injector_;
   std::vector<net::NodeId> mcd_nodes_;
   std::vector<std::unique_ptr<memcache::McServer>> mcds_;
@@ -140,18 +132,17 @@ struct LustreTestbedConfig {
   lustre::LustreClientParams client;
 };
 
-class LustreTestbed {
+class LustreTestbed : public net::SimContext {
  public:
   explicit LustreTestbed(LustreTestbedConfig cfg);
 
-  sim::EventLoop& loop() noexcept { return loop_; }
-  net::Fabric& fabric() noexcept { return fabric_; }
-  net::RpcSystem& rpc() noexcept { return rpc_; }
   std::size_t n_clients() const noexcept { return clients_.size(); }
   lustre::LustreClient& client(std::size_t i) { return *clients_.at(i); }
+  std::vector<fsapi::FileSystemClient*> clients() const;
   // The fabric node a client runs on (for stacking extra services there).
   net::NodeId client_node(std::size_t i) const { return client_nodes_.at(i); }
   lustre::MetadataServer& mds() noexcept { return *mds_; }
+  std::size_t n_ds() const noexcept { return ds_.size(); }
   lustre::DataServer& ds(std::size_t i) { return *ds_.at(i); }
 
   // The paper's cold-cache methodology: unmount/remount every client.
@@ -159,16 +150,8 @@ class LustreTestbed {
     for (auto& c : clients_) c->cold();
   }
 
-  void run(sim::Task<void> task) {
-    loop_.spawn(std::move(task));
-    loop_.run();
-  }
-
  private:
   LustreTestbedConfig cfg_;
-  sim::EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   std::unique_ptr<lustre::MetadataServer> mds_;
   std::vector<std::unique_ptr<lustre::DataServer>> ds_;
   std::vector<std::unique_ptr<lustre::LustreClient>> clients_;
@@ -181,25 +164,17 @@ struct NfsTestbedConfig {
   nfs::NfsServerParams server;
 };
 
-class NfsTestbed {
+class NfsTestbed : public net::SimContext {
  public:
   explicit NfsTestbed(NfsTestbedConfig cfg);
 
-  sim::EventLoop& loop() noexcept { return loop_; }
   std::size_t n_clients() const noexcept { return clients_.size(); }
   nfs::NfsClient& client(std::size_t i) { return *clients_.at(i); }
+  std::vector<fsapi::FileSystemClient*> clients() const;
   nfs::NfsServer& server() noexcept { return *server_; }
-
-  void run(sim::Task<void> task) {
-    loop_.spawn(std::move(task));
-    loop_.run();
-  }
 
  private:
   NfsTestbedConfig cfg_;
-  sim::EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   std::unique_ptr<nfs::NfsServer> server_;
   std::vector<std::unique_ptr<nfs::NfsClient>> clients_;
 };

@@ -7,10 +7,13 @@
 namespace imca {
 
 namespace {
-BufferStats g_stats;
+// One ledger per thread, like the coroutine frame pool: two simulations on
+// two threads never share it. Constant-initialized and trivially
+// destructible, so every access is one thread-pointer-relative instruction.
+thread_local constinit BufferStats t_stats{};
 }  // namespace
 
-BufferStats& buffer_stats() noexcept { return g_stats; }
+BufferStats& buffer_stats() noexcept { return t_stats; }
 
 // --- Segment ---
 
@@ -38,8 +41,8 @@ void Segment::append_in_place(const std::byte* p, std::size_t n) noexcept {
 }
 
 Segment Segment::take(std::vector<std::byte>&& data) {
-  ++g_stats.segments_allocated;
-  g_stats.segment_bytes += data.size();
+  ++t_stats.segments_allocated;
+  t_stats.segment_bytes += data.size();
   using Vec = std::vector<std::byte>;
   static_assert(alignof(Vec) <= alignof(Block));
   Segment s = allocate(sizeof(Vec), data.size());
@@ -50,17 +53,17 @@ Segment Segment::take(std::vector<std::byte>&& data) {
 }
 
 Segment Segment::copy_of(std::span<const std::byte> src) {
-  ++g_stats.segments_allocated;
-  g_stats.segment_bytes += src.size();
-  g_stats.bytes_copied += src.size();
+  ++t_stats.segments_allocated;
+  t_stats.segment_bytes += src.size();
+  t_stats.bytes_copied += src.size();
   Segment s = allocate(src.size(), src.size());
   if (!src.empty()) std::memcpy(s.block_->data, src.data(), src.size());
   return s;
 }
 
 Segment Segment::zeros(std::size_t n) {
-  ++g_stats.segments_allocated;
-  g_stats.segment_bytes += n;
+  ++t_stats.segments_allocated;
+  t_stats.segment_bytes += n;
   Segment s = allocate(n, n);
   if (n != 0) std::memset(s.block_->data, 0, n);
   return s;
@@ -158,7 +161,7 @@ Buffer Buffer::slice(std::size_t offset, std::size_t length) const {
 }
 
 Buffer Buffer::slice(Position from, std::size_t length) const {
-  ++g_stats.view_slices;
+  ++t_stats.view_slices;
   Buffer b;
   std::size_t vi = from.view, vo = from.offset;
   while (length > 0 && vi < views_.size()) {
@@ -188,19 +191,19 @@ std::size_t Buffer::copy_to(std::size_t offset,
     ++vi;
     vo = 0;
   }
-  g_stats.bytes_copied += len;
+  t_stats.bytes_copied += len;
   return len;
 }
 
 std::vector<std::byte> Buffer::gather() const {
-  ++g_stats.gather_calls;
+  ++t_stats.gather_calls;
   std::vector<std::byte> out(size_);
   copy_to(0, out);
   return out;
 }
 
 std::string Buffer::gather_string() const {
-  ++g_stats.gather_calls;
+  ++t_stats.gather_calls;
   std::string out(size_, '\0');
   copy_to(0, {reinterpret_cast<std::byte*>(out.data()), out.size()});
   return out;

@@ -12,7 +12,7 @@
 //
 // Copies only happen at true materialization points — gather() into a
 // caller's contiguous buffer, Segment::copy_of at a byte source (disk read,
-// wire receive) — and every one is recorded in the process-wide BufferStats
+// wire receive) — and every one is recorded in this thread's BufferStats
 // ledger, so "how many times was this byte moved" is a measured quantity
 // (`bytes_copied_per_byte_read` in the bench JSON), not a belief.
 #pragma once
@@ -28,8 +28,8 @@
 
 namespace imca {
 
-// Process-wide copy ledger. The simulation is single-threaded per process,
-// so plain counters suffice.
+// The copy ledger of the calling thread. A simulation runs on one thread, so
+// plain counters suffice, and simulations on other threads keep their own.
 struct BufferStats {
   std::uint64_t segments_allocated = 0;  // Segments brought into existence
   std::uint64_t segment_bytes = 0;       // bytes those segments hold

@@ -19,7 +19,6 @@ sim::Task<Expected<ByteBuf>> RpcSystem::call(NodeId src, NodeId dst, Port port,
                                              ByteBuf request,
                                              const TransportParams* transport) {
   ++calls_;
-  ++calls_by_target_[{dst, port}];
   const TransportParams& t =
       transport != nullptr ? *transport : fabric_.transport();
 

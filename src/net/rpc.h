@@ -76,13 +76,6 @@ class RpcSystem {
 
   std::uint64_t calls_made() const noexcept { return calls_; }
 
-  // Calls issued *to* a given service, faulted or not. Lets failover tests
-  // assert an ejected daemon takes zero traffic.
-  std::uint64_t calls_to(NodeId node, Port port) const {
-    const auto it = calls_by_target_.find({node, port});
-    return it == calls_by_target_.end() ? 0 : it->second;
-  }
-
   // Attach (or detach, with nullptr) a fault injector. Not owned; must
   // outlive the RpcSystem or be detached first.
   void set_fault_injector(FaultInjector* injector) noexcept {
@@ -93,7 +86,6 @@ class RpcSystem {
   Fabric& fabric_;
   std::map<std::pair<NodeId, Port>, Handler> handlers_;
   std::uint64_t calls_ = 0;
-  std::map<std::pair<NodeId, Port>, std::uint64_t> calls_by_target_;
   FaultInjector* injector_ = nullptr;
 };
 

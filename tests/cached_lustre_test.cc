@@ -8,49 +8,40 @@
 #include "lustre/data_server.h"
 #include "lustre/mds.h"
 #include "memcache/server.h"
-#include "net/transport.h"
+#include "net/sim_context.h"
 
 namespace imca::lustre {
 namespace {
 
-using sim::EventLoop;
 using sim::Task;
 
-struct Rig {
-  explicit Rig(std::size_t n_clients = 2, std::size_t n_mcds = 2)
-      : fabric(loop, net::ipoib_rc()), rpc(fabric) {
-    const auto mds_node = fabric.add_node("mds").id();
-    mds = std::make_unique<MetadataServer>(rpc, mds_node);
-    const auto ds_node = fabric.add_node("ost0").id();
-    ds.push_back(std::make_unique<DataServer>(rpc, ds_node));
+struct Rig : net::SimContext {
+  explicit Rig(std::size_t n_clients = 2, std::size_t n_mcds = 2) {
+    const auto mds_node = fabric().add_node("mds").id();
+    mds = std::make_unique<MetadataServer>(rpc(), mds_node);
+    const auto ds_node = fabric().add_node("ost0").id();
+    ds.push_back(std::make_unique<DataServer>(rpc(), ds_node));
 
     std::vector<net::NodeId> mcd_nodes;
     for (std::size_t i = 0; i < n_mcds; ++i) {
-      const auto n = fabric.add_node("mcd" + std::to_string(i)).id();
+      const auto n = fabric().add_node("mcd" + std::to_string(i)).id();
       mcd_nodes.push_back(n);
-      mcds.push_back(std::make_unique<memcache::McServer>(rpc, n, 1 * kGiB));
+      mcds.push_back(std::make_unique<memcache::McServer>(rpc(), n, 1 * kGiB));
       mcds.back()->start();
     }
 
     for (std::size_t c = 0; c < n_clients; ++c) {
-      const auto n = fabric.add_node("client" + std::to_string(c)).id();
+      const auto n = fabric().add_node("client" + std::to_string(c)).id();
       inner.push_back(std::make_unique<LustreClient>(
-          rpc, n, *mds, std::vector<DataServer*>{ds[0].get()}));
+          rpc(), n, *mds, std::vector<DataServer*>{ds[0].get()}));
       cached.push_back(std::make_unique<CachedLustreClient>(
           *inner.back(),
           std::make_unique<mcclient::McClient>(
-              rpc, n, mcd_nodes, std::make_unique<mcclient::Crc32Selector>())));
+              rpc(), n, mcd_nodes,
+              std::make_unique<mcclient::Crc32Selector>())));
     }
   }
 
-  void run(Task<void> t) {
-    loop.spawn(std::move(t));
-    loop.run();
-  }
-
-  EventLoop loop;
-  net::Fabric fabric;
-  net::RpcSystem rpc;
   std::unique_ptr<MetadataServer> mds;
   std::vector<std::unique_ptr<DataServer>> ds;
   std::vector<std::unique_ptr<memcache::McServer>> mcds;

@@ -14,22 +14,18 @@
 #include "fsapi/filesystem.h"
 #include "gluster/client.h"
 #include "gluster/server.h"
-#include "net/fabric.h"
-#include "net/rpc.h"
-#include "net/transport.h"
+#include "net/sim_context.h"
 
 namespace imca {
 namespace {
 
 TEST(CoroLifetime, DeferredFopOutlivesCallersTemporaries) {
-  sim::EventLoop loop;
-  net::Fabric fabric(loop, net::ipoib_rc());
-  const net::NodeId server_node = fabric.add_node("server").id();
-  const net::NodeId client_node = fabric.add_node("client").id();
-  net::RpcSystem rpc(fabric);
-  gluster::GlusterServer server(rpc, server_node);
+  net::SimContext ctx;
+  const net::NodeId server_node = ctx.fabric().add_node("server").id();
+  const net::NodeId client_node = ctx.fabric().add_node("client").id();
+  gluster::GlusterServer server(ctx.rpc(), server_node);
   server.start();
-  gluster::GlusterClient client(rpc, client_node,
+  gluster::GlusterClient client(ctx.rpc(), client_node,
                                 gluster::GlusterTopology{{server_node}});
 
   // Long enough to defeat SSO: the temporary's bytes live on the heap, so
@@ -54,18 +50,16 @@ TEST(CoroLifetime, DeferredFopOutlivesCallersTemporaries) {
   const std::string scribble(128, 'Z');
   (void)scribble;
 
-  loop.spawn(std::move(*deferred));
-  loop.run();
+  ctx.run(std::move(*deferred));
   EXPECT_TRUE(created);
 
   // The file must exist under the exact intended name, not under whatever
   // the dead temporary's storage decayed into.
   bool visible = false;
-  loop.spawn([](gluster::GlusterClient& fs, std::string path,
-                bool& ok) -> sim::Task<void> {
+  ctx.run([](gluster::GlusterClient& fs, std::string path,
+             bool& ok) -> sim::Task<void> {
     ok = (co_await fs.stat(path)).has_value();
   }(client, kPath, visible));
-  loop.run();
   EXPECT_TRUE(visible);
 }
 

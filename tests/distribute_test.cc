@@ -17,7 +17,7 @@
 #include "gluster/protocol_client.h"
 #include "gluster/server.h"
 #include "net/rpc.h"
-#include "net/transport.h"
+#include "net/sim_context.h"
 
 namespace imca {
 namespace {
@@ -44,16 +44,16 @@ Task<void> crash_on_first_mutation(EventLoop* loop,
   victim->crash();
 }
 
-class DistributeTest : public ::testing::Test {
+class DistributeTest : public ::testing::Test, public net::SimContext {
  public:  // coroutine lambdas reach in by reference
-  DistributeTest() : fabric_(loop_, net::ipoib_rc()), rpc_(fabric_) {
+  DistributeTest() {
     for (std::size_t i = 0; i < kBricks; ++i) {
-      fabric_.add_node("brick" + std::to_string(i));
+      fabric().add_node("brick" + std::to_string(i));
     }
-    fabric_.add_node("client");
+    fabric().add_node("client");
     for (std::size_t i = 0; i < kBricks; ++i) {
       servers_.push_back(std::make_unique<gluster::GlusterServer>(
-          rpc_, i, gluster::GlusterServerParams{}));
+          rpc(), i, gluster::GlusterServerParams{}));
       servers_.back()->start();
     }
   }
@@ -62,19 +62,11 @@ class DistributeTest : public ::testing::Test {
     std::vector<std::unique_ptr<gluster::ProtocolClient>> subvols;
     for (std::size_t i = 0; i < kBricks; ++i) {
       subvols.push_back(std::make_unique<gluster::ProtocolClient>(
-          rpc_, kClientNode, i));
+          rpc(), kClientNode, i));
     }
     dht_ = std::make_unique<gluster::DistributeXlator>(std::move(subvols));
   }
 
-  void run(Task<void> t) {
-    loop_.spawn(std::move(t));
-    loop_.run();
-  }
-
-  EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   std::vector<std::unique_ptr<gluster::GlusterServer>> servers_;
   std::unique_ptr<gluster::DistributeXlator> dht_;
 };
@@ -115,7 +107,7 @@ TEST_F(DistributeTest, StagedRenameCrashWindowLeavesTargetIntact) {
     EXPECT_TRUE((co_await dht.write(to, 0, to_buffer("precious"))).has_value());
 
     gluster::GlusterServer* dst = t.servers_[dht.subvol_of(to)].get();
-    t.loop_.spawn(crash_on_first_mutation(&t.loop_, dst, dst, to));
+    t.loop().spawn(crash_on_first_mutation(&t.loop(), dst, dst, to));
     auto r = co_await dht.rename(from, to);
     EXPECT_FALSE(r.has_value());  // destination died mid-sequence
 

@@ -9,7 +9,7 @@
 #include "gluster/distribute.h"
 #include "gluster/protocol.h"
 #include "gluster/server.h"
-#include "net/transport.h"
+#include "net/sim_context.h"
 
 namespace imca::gluster {
 namespace {
@@ -65,24 +65,16 @@ TEST(FopCodec, GarbageRejected) {
 
 // --- end-to-end mount over the fabric ---
 
-class GlusterTest : public ::testing::Test {
+class GlusterTest : public ::testing::Test, public net::SimContext {
  protected:
-  GlusterTest() : fabric_(loop_, net::ipoib_rc()), rpc_(fabric_) {
-    fabric_.add_node("server");
-    fabric_.add_node("client");
-    server_ = std::make_unique<GlusterServer>(rpc_, 0);
+  GlusterTest() {
+    fabric().add_node("server");
+    fabric().add_node("client");
+    server_ = std::make_unique<GlusterServer>(rpc(), 0);
     server_->start();
-    client_ = std::make_unique<GlusterClient>(rpc_, 1, GlusterTopology{{0}});
+    client_ = std::make_unique<GlusterClient>(rpc(), 1, GlusterTopology{{0}});
   }
 
-  void run(Task<void> t) {
-    loop_.spawn(std::move(t));
-    loop_.run();
-  }
-
-  EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   std::unique_ptr<GlusterServer> server_;
   std::unique_ptr<GlusterClient> client_;
 };
@@ -125,9 +117,9 @@ TEST_F(GlusterTest, OpsTakeNetworkAndServerTime) {
     (void)co_await fs.read(*f, 0, 64 * kKiB);
   }(*client_));
   // Round trips, FUSE crossings and server fop work all advanced the clock.
-  EXPECT_GT(loop_.now(), 200 * kMicro);
-  EXPECT_GT(fabric_.node(0).cpu().total_busy(), 0u);
-  EXPECT_GT(fabric_.node(1).cpu().total_busy(), 0u);
+  EXPECT_GT(loop().now(), 200 * kMicro);
+  EXPECT_GT(fabric().node(0).cpu().total_busy(), 0u);
+  EXPECT_GT(fabric().node(1).cpu().total_busy(), 0u);
   EXPECT_EQ(server_->fops_served(), 3u);
 }
 
@@ -144,7 +136,7 @@ TEST_F(GlusterTest, ColdReadPaysDiskWarmReadDoesNot) {
     t0 = loop.now();
     (void)co_await fs.read(*f, 0, 4096);  // server page cache now out_warm
     out_warm = loop.now() - t0;
-  }(*client_, *server_, loop_, cold, warm));
+  }(*client_, *server_, loop(), cold, warm));
   EXPECT_GT(cold, warm * 5);  // the seek dominates
 }
 
@@ -168,7 +160,7 @@ TEST_F(GlusterTest, StatOfManyColdFilesHitsDisk) {
       EXPECT_TRUE((co_await fs.stat("/f" + std::to_string(i))).has_value());
     }
     EXPECT_LT(loop.now() - t1, out_cold_time);
-  }(*client_, *server_, loop_, cold_time));
+  }(*client_, *server_, loop(), cold_time));
   // Cold stats paid at least the initial seek plus per-request media time.
   EXPECT_GT(cold_time, 10 * kMilli);
   std::uint64_t seeks = 0;
@@ -181,28 +173,27 @@ TEST_F(GlusterTest, StatOfManyColdFilesHitsDisk) {
 // --- distribute (multi-brick namespace) ---
 
 TEST(Distribute, SpreadsNamespaceAcrossBricks) {
-  EventLoop loop;
-  net::Fabric fabric(loop, net::ipoib_rc());
-  net::RpcSystem rpc(fabric);
+  net::SimContext ctx;
   constexpr std::size_t kBricks = 3;
   std::vector<std::unique_ptr<GlusterServer>> bricks;
   for (std::size_t b = 0; b < kBricks; ++b) {
-    fabric.add_node("brick" + std::to_string(b));
+    ctx.fabric().add_node("brick" + std::to_string(b));
     bricks.push_back(
-        std::make_unique<GlusterServer>(rpc, static_cast<net::NodeId>(b)));
+        std::make_unique<GlusterServer>(ctx.rpc(),
+                                        static_cast<net::NodeId>(b)));
     bricks.back()->start();
   }
-  const auto client_node = fabric.add_node("client").id();
+  const auto client_node = ctx.fabric().add_node("client").id();
 
-  GlusterClient client(rpc, client_node, GlusterTopology{{0}});
+  GlusterClient client(ctx.rpc(), client_node, GlusterTopology{{0}});
   std::vector<std::unique_ptr<ProtocolClient>> conns;
   for (std::size_t b = 0; b < kBricks; ++b) {
     conns.push_back(std::make_unique<ProtocolClient>(
-        rpc, client_node, static_cast<net::NodeId>(b)));
+        ctx.rpc(), client_node, static_cast<net::NodeId>(b)));
   }
   client.push_translator(std::make_unique<DistributeXlator>(std::move(conns)));
 
-  loop.spawn([](GlusterClient& fs) -> Task<void> {
+  ctx.run([](GlusterClient& fs) -> Task<void> {
     for (int i = 0; i < 30; ++i) {
       const std::string path = "/spread/file" + std::to_string(i);
       auto f = co_await fs.create(path);
@@ -216,7 +207,6 @@ TEST(Distribute, SpreadsNamespaceAcrossBricks) {
       EXPECT_TRUE(st.has_value());
     }
   }(client));
-  loop.run();
 
   // Each brick holds a non-empty, disjoint share of the namespace.
   std::size_t total = 0;
@@ -228,22 +218,21 @@ TEST(Distribute, SpreadsNamespaceAcrossBricks) {
 }
 
 TEST(Distribute, CrossBrickRenameMigratesData) {
-  EventLoop loop;
-  net::Fabric fabric(loop, net::ipoib_rc());
-  net::RpcSystem rpc(fabric);
+  net::SimContext ctx;
   std::vector<std::unique_ptr<GlusterServer>> bricks;
   for (int b = 0; b < 3; ++b) {
-    fabric.add_node("brick" + std::to_string(b));
+    ctx.fabric().add_node("brick" + std::to_string(b));
     bricks.push_back(
-        std::make_unique<GlusterServer>(rpc, static_cast<net::NodeId>(b)));
+        std::make_unique<GlusterServer>(ctx.rpc(),
+                                        static_cast<net::NodeId>(b)));
     bricks.back()->start();
   }
-  const auto cnode = fabric.add_node("client").id();
-  GlusterClient client(rpc, cnode, GlusterTopology{{0}});
+  const auto cnode = ctx.fabric().add_node("client").id();
+  GlusterClient client(ctx.rpc(), cnode, GlusterTopology{{0}});
   std::vector<std::unique_ptr<ProtocolClient>> conns;
   for (int b = 0; b < 3; ++b) {
     conns.push_back(std::make_unique<ProtocolClient>(
-        rpc, cnode, static_cast<net::NodeId>(b)));
+        ctx.rpc(), cnode, static_cast<net::NodeId>(b)));
   }
   auto dht = std::make_unique<DistributeXlator>(std::move(conns));
   auto* dht_ptr = dht.get();
@@ -251,7 +240,7 @@ TEST(Distribute, CrossBrickRenameMigratesData) {
 
   // Captureless lambda: a capturing lambda temporary dies at the end of the
   // full expression while the lazy coroutine frame still references it.
-  loop.spawn([](DistributeXlator* dx, GlusterClient& fs) -> Task<void> {
+  ctx.run([](DistributeXlator* dx, GlusterClient& fs) -> Task<void> {
     // Find a pair of names hashing to different bricks.
     std::string from = "/mv/src0", to;
     for (int i = 0;; ++i) {
@@ -267,7 +256,6 @@ TEST(Distribute, CrossBrickRenameMigratesData) {
     EXPECT_TRUE(back.has_value());
     if (back) { EXPECT_EQ(to_string(*back), "migrates across bricks"); }
   }(dht_ptr, client));
-  loop.run();
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/units.h"
 #include "harness/workload_harness.h"
 
@@ -573,6 +574,21 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::uint64_t shake = 0;
   bool bad = false;
+  // Whether `a` is `prefix` plus a value; the value must be a whole number
+  // or the command line is bad.
+  const auto number = [&bad](const char* a, const char* prefix,
+                             std::uint64_t& out) {
+    const std::size_t n = std::strlen(prefix);
+    if (std::strncmp(a, prefix, n) != 0) return false;
+    if (const auto v = imca::parse_number<std::uint64_t>(a + n)) {
+      out = *v;
+    } else {
+      std::fprintf(stderr, "%.*s wants a whole number, got '%s'\n",
+                   static_cast<int>(n - 1), a, a + n);
+      bad = true;
+    }
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--matrix=", 9) == 0) {
@@ -581,11 +597,7 @@ int main(int argc, char** argv) {
         if (std::strcmp(a + 9, m.name) == 0) matrix = &m;
       }
       bad = bad || matrix == nullptr;
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      seed = std::strtoull(a + 7, nullptr, 10);
-    } else if (std::strncmp(a, "--shake=", 8) == 0) {
-      shake = std::strtoull(a + 8, nullptr, 10);
-    } else {
+    } else if (!number(a, "--seed=", seed) && !number(a, "--shake=", shake)) {
       bad = true;
     }
   }

@@ -145,48 +145,47 @@ TEST(Composition, ImcaOverDistributedNamespace) {
   // IMCa's client translator stacked over cluster/distribute with three
   // bricks: the cache tier must work regardless of which brick owns a path.
   // (The SMCache side lives per-brick, as it would in a real deployment.)
-  sim::EventLoop loop;
-  net::Fabric fabric(loop, net::ipoib_rc());
-  net::RpcSystem rpc(fabric);
+  net::SimContext ctx;
 
   std::vector<net::NodeId> mcd_nodes;
   std::vector<std::unique_ptr<memcache::McServer>> mcds;
   for (int i = 0; i < 2; ++i) {
-    const auto n = fabric.add_node("mcd" + std::to_string(i)).id();
+    const auto n = ctx.fabric().add_node("mcd" + std::to_string(i)).id();
     mcd_nodes.push_back(n);
-    mcds.push_back(std::make_unique<memcache::McServer>(rpc, n, 1 * kGiB));
+    mcds.push_back(
+        std::make_unique<memcache::McServer>(ctx.rpc(), n, 1 * kGiB));
     mcds.back()->start();
   }
 
   core::ImcaConfig icfg;
   std::vector<std::unique_ptr<gluster::GlusterServer>> bricks;
   for (int b = 0; b < 3; ++b) {
-    const auto n = fabric.add_node("brick" + std::to_string(b)).id();
-    bricks.push_back(std::make_unique<gluster::GlusterServer>(rpc, n));
+    const auto n = ctx.fabric().add_node("brick" + std::to_string(b)).id();
+    bricks.push_back(std::make_unique<gluster::GlusterServer>(ctx.rpc(), n));
     bricks.back()->push_translator(std::make_unique<core::SmCacheXlator>(
-        loop,
+        ctx.loop(),
         std::make_unique<mcclient::McClient>(
-            rpc, n, mcd_nodes, core::make_selector(icfg)),
+            ctx.rpc(), n, mcd_nodes, core::make_selector(icfg)),
         icfg));
     bricks.back()->start();
   }
 
-  const auto cnode = fabric.add_node("client").id();
+  const auto cnode = ctx.fabric().add_node("client").id();
   gluster::GlusterClient client(
-      rpc, cnode, gluster::GlusterTopology{{bricks[0]->node()}});
+      ctx.rpc(), cnode, gluster::GlusterTopology{{bricks[0]->node()}});
   std::vector<std::unique_ptr<gluster::ProtocolClient>> conns;
   for (const auto& b : bricks) {
     conns.push_back(
-        std::make_unique<gluster::ProtocolClient>(rpc, cnode, b->node()));
+        std::make_unique<gluster::ProtocolClient>(ctx.rpc(), cnode, b->node()));
   }
   client.push_translator(
       std::make_unique<gluster::DistributeXlator>(std::move(conns)));
   client.push_translator(std::make_unique<core::CmCacheXlator>(
-      std::make_unique<mcclient::McClient>(rpc, cnode, mcd_nodes,
+      std::make_unique<mcclient::McClient>(ctx.rpc(), cnode, mcd_nodes,
                                            core::make_selector(icfg)),
       icfg));
 
-  loop.spawn([](gluster::GlusterClient& fs) -> Task<void> {
+  ctx.run([](gluster::GlusterClient& fs) -> Task<void> {
     for (int i = 0; i < 12; ++i) {
       const std::string path = "/dist/f" + std::to_string(i);
       auto f = co_await fs.create(path);
@@ -201,7 +200,6 @@ TEST(Composition, ImcaOverDistributedNamespace) {
       EXPECT_TRUE(st.has_value());
     }
   }(client));
-  loop.run();
 
   // The namespace really spread over the bricks.
   int bricks_with_files = 0;

@@ -3,18 +3,13 @@
 // sharing between clients.
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "lustre/client.h"
-#include "lustre/data_server.h"
-#include "lustre/mds.h"
+#include "cluster/testbed.h"
 #include "lustre/stripe.h"
-#include "net/transport.h"
 
 namespace imca::lustre {
 namespace {
 
-using sim::EventLoop;
+using cluster::LustreTestbed;
 using sim::Task;
 
 // --- StripeMapper ---
@@ -64,44 +59,22 @@ TEST(Stripe, SecondStripeOnSameServerIsContiguousLocally) {
   EXPECT_EQ(b.local_offset, 1 * kMiB);
 }
 
-// --- deployment fixture ---
+// --- deployment: an MDS, `n_ds` data servers and `n_clients` clients ---
 
-struct LustreRig {
-  explicit LustreRig(std::size_t n_ds, std::size_t n_clients = 1,
-                     DsParams ds_params = {})
-      : fabric(loop, net::ipoib_rc()), rpc(fabric) {
-    const auto mds_node = fabric.add_node("mds").id();
-    mds = std::make_unique<MetadataServer>(rpc, mds_node);
-    std::vector<DataServer*> ds_ptrs;
-    for (std::size_t i = 0; i < n_ds; ++i) {
-      const auto n = fabric.add_node("ost" + std::to_string(i)).id();
-      ds.push_back(std::make_unique<DataServer>(rpc, n, ds_params));
-      ds_ptrs.push_back(ds.back().get());
-    }
-    for (std::size_t c = 0; c < n_clients; ++c) {
-      const auto n = fabric.add_node("client" + std::to_string(c)).id();
-      clients.push_back(
-          std::make_unique<LustreClient>(rpc, n, *mds, ds_ptrs));
-    }
-  }
-
-  void run(Task<void> t) {
-    loop.spawn(std::move(t));
-    loop.run();
-  }
-
-  EventLoop loop;
-  net::Fabric fabric;
-  net::RpcSystem rpc;
-  std::unique_ptr<MetadataServer> mds;
-  std::vector<std::unique_ptr<DataServer>> ds;
-  std::vector<std::unique_ptr<LustreClient>> clients;
-};
+cluster::LustreTestbedConfig deployment(std::size_t n_ds,
+                                        std::size_t n_clients = 1,
+                                        DsParams ds = {}) {
+  cluster::LustreTestbedConfig cfg;
+  cfg.n_ds = n_ds;
+  cfg.n_clients = n_clients;
+  cfg.ds = ds;
+  return cfg;
+}
 
 TEST(Lustre, CreateWriteReadRoundTrip) {
-  LustreRig rig(4);
-  rig.run([](LustreRig& r) -> Task<void> {
-    auto& fs = *r.clients[0];
+  LustreTestbed rig(deployment(4));
+  rig.run([](LustreTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/big");
     EXPECT_TRUE(f.has_value());
     // 3.5 MiB spans all four data servers.
@@ -126,55 +99,55 @@ TEST(Lustre, CreateWriteReadRoundTrip) {
     }
   }(rig));
   // Stripes landed on every DS.
-  for (const auto& d : rig.ds) {
-    EXPECT_GT(d->objects().total_bytes(), 0u);
+  for (std::size_t i = 0; i < rig.n_ds(); ++i) {
+    EXPECT_GT(rig.ds(i).objects().total_bytes(), 0u);
   }
 }
 
 TEST(Lustre, WarmReadIsMuchCheaperThanCold) {
-  LustreRig rig(4);
+  LustreTestbed rig(deployment(4));
   SimDuration cold_t = 0, warm_t = 0;
-  rig.run([](LustreRig& r, SimDuration& out_cold_t,
+  rig.run([](LustreTestbed& r, SimDuration& out_cold_t,
              SimDuration& out_warm_t) -> Task<void> {
-    auto& fs = *r.clients[0];
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/lat");
     (void)co_await fs.write(*f, 0, Buffer::zeros(1 * kMiB));
     fs.cold();  // unmount/remount: reads stay remote
-    SimTime t0 = r.loop.now();
+    SimTime t0 = r.loop().now();
     (void)co_await fs.read(*f, 0, 64 * kKiB);
-    out_cold_t = r.loop.now() - t0;
+    out_cold_t = r.loop().now() - t0;
     fs.warm();  // fresh mount allowed to cache again
     (void)co_await fs.read(*f, 0, 64 * kKiB);  // populates the client cache
-    t0 = r.loop.now();
+    t0 = r.loop().now();
     (void)co_await fs.read(*f, 0, 64 * kKiB);  // now served locally
-    out_warm_t = r.loop.now() - t0;
+    out_warm_t = r.loop().now() - t0;
   }(rig, cold_t, warm_t));
   EXPECT_GT(cold_t, 5 * warm_t);
-  EXPECT_EQ(rig.clients[0]->cache_hits(), 1u);
-  EXPECT_EQ(rig.clients[0]->cache_misses(), 2u);  // cold read + warming read
+  EXPECT_EQ(rig.client(0).cache_hits(), 1u);
+  EXPECT_EQ(rig.client(0).cache_misses(), 2u);  // cold read + warming read
 }
 
 TEST(Lustre, ColdDropsLocksToo) {
-  LustreRig rig(1);
-  rig.run([](LustreRig& r) -> Task<void> {
-    auto& fs = *r.clients[0];
+  LustreTestbed rig(deployment(1));
+  rig.run([](LustreTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/locks");
     (void)co_await fs.write(*f, 0, to_buffer("x"));
-    const auto before = r.mds->lock_requests();
+    const auto before = r.mds().lock_requests();
     (void)co_await fs.read(*f, 0, 1);  // lock cached from the write? read lock
     (void)co_await fs.read(*f, 0, 1);  // no new lock RPC
-    EXPECT_LE(r.mds->lock_requests(), before + 1);
+    EXPECT_LE(r.mds().lock_requests(), before + 1);
     fs.cold();
     (void)co_await fs.read(*f, 0, 1);  // must re-acquire
-    EXPECT_GE(r.mds->lock_requests(), before + 1);
+    EXPECT_GE(r.mds().lock_requests(), before + 1);
   }(rig));
 }
 
 TEST(Lustre, WriterRevokesReadersCache) {
-  LustreRig rig(2, /*n_clients=*/2);
-  rig.run([](LustreRig& r) -> Task<void> {
-    auto& reader = *r.clients[0];
-    auto& writer = *r.clients[1];
+  LustreTestbed rig(deployment(2, /*n_clients=*/2));
+  rig.run([](LustreTestbed& r) -> Task<void> {
+    auto& reader = r.client(0);
+    auto& writer = r.client(1);
     auto fr = co_await reader.create("/shared");
     (void)co_await reader.write(*fr, 0, to_buffer("version-1 data"));
     (void)co_await reader.read(*fr, 0, 14);  // reader now caches the pages
@@ -184,30 +157,30 @@ TEST(Lustre, WriterRevokesReadersCache) {
     // Writer's PW lock must revoke the reader.
     EXPECT_TRUE((co_await writer.write(*fw, 0, to_buffer("version-2 data")))
                     .has_value());
-    EXPECT_GE(r.mds->revocations(), 1u);
+    EXPECT_GE(r.mds().revocations(), 1u);
 
     // Reader sees the new bytes (coherent), paying a fresh fetch.
-    const auto misses_before = r.clients[0]->cache_misses();
+    const auto misses_before = r.client(0).cache_misses();
     auto back = co_await reader.read(*fr, 0, 14);
     EXPECT_TRUE(back.has_value());
     if (back) { EXPECT_EQ(to_string(*back), "version-2 data"); }
-    EXPECT_GT(r.clients[0]->cache_misses(), misses_before);
+    EXPECT_GT(r.client(0).cache_misses(), misses_before);
   }(rig));
 }
 
 TEST(Lustre, ConcurrentReadersShareTheLock) {
-  LustreRig rig(1, /*n_clients=*/4);
-  rig.run([](LustreRig& r) -> Task<void> {
-    auto f0 = co_await r.clients[0]->create("/ro");
-    (void)co_await r.clients[0]->write(*f0, 0, to_buffer("read-mostly"));
-    for (auto& c : r.clients) {
+  LustreTestbed rig(deployment(1, /*n_clients=*/4));
+  rig.run([](LustreTestbed& r) -> Task<void> {
+    auto f0 = co_await r.client(0).create("/ro");
+    (void)co_await r.client(0).write(*f0, 0, to_buffer("read-mostly"));
+    for (fsapi::FileSystemClient* c : r.clients()) {
       auto f = co_await c->open("/ro");
       auto data = co_await c->read(*f, 0, 11);
       EXPECT_TRUE(data.has_value());
       if (data) { EXPECT_EQ(to_string(*data), "read-mostly"); }
     }
     // Readers never revoke each other.
-    EXPECT_EQ(r.mds->revocations(), 1u);  // only the writer->reader upgrade
+    EXPECT_EQ(r.mds().revocations(), 1u);  // only the writer->reader upgrade
   }(rig));
 }
 
@@ -217,19 +190,21 @@ TEST(Lustre, MoreDataServersMoreStreamBandwidth) {
     // the bottleneck and striping across DSs is visible.
     DsParams dsp;
     dsp.raid_members = 2;
-    LustreRig rig(n_ds, 1, dsp);
+    LustreTestbed rig(deployment(n_ds, 1, dsp));
     SimDuration elapsed = 0;
-    rig.run([](LustreRig& r, SimDuration& out_elapsed) -> Task<void> {
-      auto& fs = *r.clients[0];
+    rig.run([](LustreTestbed& r, SimDuration& out_elapsed) -> Task<void> {
+      auto& fs = r.client(0);
       auto f = co_await fs.create("/stream");
       (void)co_await fs.write(*f, 0, Buffer::zeros(64 * kMiB));
       fs.cold();
-      for (auto& d : r.ds) d->device().drop_caches();  // force media
-      const SimTime t0 = r.loop.now();
+      for (std::size_t i = 0; i < r.n_ds(); ++i) {
+        r.ds(i).device().drop_caches();  // force media
+      }
+      const SimTime t0 = r.loop().now();
       for (std::uint64_t off = 0; off < 64 * kMiB; off += 4 * kMiB) {
         (void)co_await fs.read(f.value(), off, 4 * kMiB);
       }
-      out_elapsed = r.loop.now() - t0;
+      out_elapsed = r.loop().now() - t0;
     }(rig, elapsed));
     return elapsed;
   };
@@ -239,23 +214,23 @@ TEST(Lustre, MoreDataServersMoreStreamBandwidth) {
 }
 
 TEST(Lustre, UnlinkRemovesEverywhere) {
-  LustreRig rig(2);
-  rig.run([](LustreRig& r) -> Task<void> {
-    auto& fs = *r.clients[0];
+  LustreTestbed rig(deployment(2));
+  rig.run([](LustreTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/gone");
     (void)co_await fs.write(*f, 0, Buffer::zeros(3 * kMiB));
     EXPECT_TRUE((co_await fs.unlink("/gone")).has_value());
     EXPECT_EQ((co_await fs.stat("/gone")).error(), Errc::kNoEnt);
   }(rig));
-  for (const auto& d : rig.ds) {
-    EXPECT_EQ(d->objects().total_bytes(), 0u);
+  for (std::size_t i = 0; i < rig.n_ds(); ++i) {
+    EXPECT_EQ(rig.ds(i).objects().total_bytes(), 0u);
   }
 }
 
 TEST(Lustre, TruncateShrinksAcrossStripes) {
-  LustreRig rig(3);
-  rig.run([](LustreRig& r) -> Task<void> {
-    auto& fs = *r.clients[0];
+  LustreTestbed rig(deployment(3));
+  rig.run([](LustreTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/t");
     std::vector<std::byte> pattern(5 * kMiB);
     for (std::size_t i = 0; i < pattern.size(); ++i) {
@@ -286,9 +261,9 @@ TEST(Lustre, TruncateShrinksAcrossStripes) {
 }
 
 TEST(Lustre, RenameMovesStripesAndLocks) {
-  LustreRig rig(2);
-  rig.run([](LustreRig& r) -> Task<void> {
-    auto& fs = *r.clients[0];
+  LustreTestbed rig(deployment(2));
+  rig.run([](LustreTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/was");
     (void)co_await fs.write(
         *f, 0, Buffer::take(std::vector<std::byte>(3 * kMiB, std::byte{9})));
@@ -305,17 +280,17 @@ TEST(Lustre, RenameMovesStripesAndLocks) {
 }
 
 TEST(Lustre, StatGoesToMdsEveryTime) {
-  LustreRig rig(1);
-  rig.run([](LustreRig& r) -> Task<void> {
-    auto& fs = *r.clients[0];
+  LustreTestbed rig(deployment(1));
+  rig.run([](LustreTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/meta");
     (void)f;
-    const SimTime t0 = r.loop.now();
+    const SimTime t0 = r.loop().now();
     (void)co_await fs.stat("/meta");
-    const SimDuration first = r.loop.now() - t0;
-    const SimTime t1 = r.loop.now();
+    const SimDuration first = r.loop().now() - t0;
+    const SimTime t1 = r.loop().now();
     (void)co_await fs.stat("/meta");
-    const SimDuration second = r.loop.now() - t1;
+    const SimDuration second = r.loop().now() - t1;
     // No client-side attr caching: both stats pay the MDS round trip.
     EXPECT_GT(second, first / 2);
   }(rig));

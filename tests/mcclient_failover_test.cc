@@ -13,6 +13,7 @@
 #include "net/fabric.h"
 #include "net/fault.h"
 #include "net/rpc.h"
+#include "net/sim_context.h"
 
 namespace imca::mcclient {
 namespace {
@@ -21,20 +22,20 @@ using memcache::McServer;
 
 // Members are public: tests drive the fixture from captureless lambda
 // coroutines (the coroutine frame must not refer into a dead closure).
-class FailoverTest : public ::testing::Test {
+class FailoverTest : public ::testing::Test, public net::SimContext {
  public:
   static constexpr std::size_t kServers = 3;
 
-  FailoverTest() : fabric_(loop_, net::ipoib_rc()), rpc_(fabric_) {
+  FailoverTest() {
     for (std::size_t i = 0; i < kServers; ++i) {
-      fabric_.add_node("mcd" + std::to_string(i));
+      fabric().add_node("mcd" + std::to_string(i));
       servers_.push_back(std::make_unique<McServer>(
-          rpc_, static_cast<net::NodeId>(i), 64 * kMiB));
+          rpc(), static_cast<net::NodeId>(i), 64 * kMiB));
       servers_.back()->start();
       server_ids_.push_back(static_cast<net::NodeId>(i));
     }
-    client_node_ = fabric_.add_node("client").id();
-    rpc_.set_fault_injector(&injector_);
+    client_node_ = fabric().add_node("client").id();
+    rpc().set_fault_injector(&injector_);
   }
 
   // Black-hole every reply from `server` (requests still execute).
@@ -52,14 +53,6 @@ class FailoverTest : public ::testing::Test {
     }
   }
 
-  void run(sim::Task<void> t) {
-    loop_.spawn(std::move(t));
-    loop_.run();
-  }
-
-  sim::EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   net::FaultInjector injector_{1};
   std::vector<std::unique_ptr<McServer>> servers_;
   std::vector<net::NodeId> server_ids_;
@@ -76,16 +69,16 @@ TEST_F(FailoverTest, TimeoutBackoffScheduleExact) {
   p.backoff_base = 1 * kMilli;
   p.backoff_cap = 5 * kMilli;
   p.eject_after = 0;  // isolate the schedule from ejection
-  McClient c(rpc_, client_node_, server_ids_,
+  McClient c(rpc(), client_node_, server_ids_,
              std::make_unique<Crc32Selector>(), p);
   for (std::size_t s = 0; s < kServers; ++s) drop_replies_from(s);
 
   SimDuration elapsed = 0;
   run([](FailoverTest& t, McClient& cl,
          SimDuration& out) -> sim::Task<void> {
-    const SimTime t0 = t.loop_.now();
+    const SimTime t0 = t.loop().now();
     auto v = co_await cl.get("k");
-    out = t.loop_.now() - t0;
+    out = t.loop().now() - t0;
     EXPECT_EQ(v.error(), Errc::kNoEnt);  // degraded to a miss, not an error
   }(*this, c, elapsed));
 
@@ -105,7 +98,7 @@ TEST_F(FailoverTest, EjectedServerTakesZeroTraffic) {
   p.get_attempts = 1;
   p.eject_after = 2;
   p.retry_dead_interval = 0;  // never probe: dead stays dead
-  McClient c(rpc_, client_node_, server_ids_,
+  McClient c(rpc(), client_node_, server_ids_,
              std::make_unique<Crc32Selector>(), p);
   drop_replies_from(1);
 
@@ -116,13 +109,12 @@ TEST_F(FailoverTest, EjectedServerTakesZeroTraffic) {
     EXPECT_EQ((co_await cl.get(key)).error(), Errc::kNoEnt);  // streak 2
     EXPECT_TRUE(cl.server_dead(1));
 
-    const auto calls_frozen =
-        t.rpc_.calls_to(t.server_ids_[1], net::kPortMemcached);
+    // `cl` is the rig's only caller, so every call it makes shows here.
+    const auto calls_frozen = t.rpc().calls_made();
     for (int i = 0; i < 10; ++i) {
       EXPECT_EQ((co_await cl.get(key)).error(), Errc::kNoEnt);
     }
-    EXPECT_EQ(t.rpc_.calls_to(t.server_ids_[1], net::kPortMemcached),
-              calls_frozen);
+    EXPECT_EQ(t.rpc().calls_made(), calls_frozen);
   }(*this, c));
 
   EXPECT_EQ(c.stats().ejections, 1u);
@@ -137,7 +129,7 @@ TEST_F(FailoverTest, RejoinTriggersPurge) {
   p.op_timeout = 2 * kMilli;
   p.get_attempts = 1;
   p.retry_dead_interval = 5 * kMilli;
-  McClient c(rpc_, client_node_, server_ids_,
+  McClient c(rpc(), client_node_, server_ids_,
              std::make_unique<Crc32Selector>(), p);
 
   run([](FailoverTest& t, McClient& cl) -> sim::Task<void> {
@@ -150,14 +142,14 @@ TEST_F(FailoverTest, RejoinTriggersPurge) {
     t.servers_[2]->start();
     EXPECT_TRUE(t.servers_[2]
                     ->cache()
-                    .set(key, 0, 0, to_buffer("stale"), t.loop_.now())
+                    .set(key, 0, 0, to_buffer("stale"), t.loop().now())
                     .has_value());
 
     // Before the probe interval elapses the daemon stays ejected.
     EXPECT_EQ((co_await cl.get(key)).error(), Errc::kNoEnt);
     EXPECT_TRUE(cl.server_dead(2));
 
-    co_await t.loop_.sleep(6 * kMilli);
+    co_await t.loop().sleep(6 * kMilli);
     // The next op probes, flushes the daemon, readmits it — and therefore
     // misses instead of serving the stale item.
     EXPECT_EQ((co_await cl.get(key)).error(), Errc::kNoEnt);
@@ -184,7 +176,7 @@ TEST_F(FailoverTest, MultiGetMidBatchDeathIsBounded) {
   p.op_timeout = 2 * kMilli;
   p.get_attempts = 2;
   p.backoff_base = 1 * kMilli;
-  McClient c(rpc_, client_node_, {server_ids_[0], server_ids_[1]},
+  McClient c(rpc(), client_node_, {server_ids_[0], server_ids_[1]},
              std::make_unique<ModuloSelector>(), p);
 
   SimDuration elapsed = 0;
@@ -194,11 +186,11 @@ TEST_F(FailoverTest, MultiGetMidBatchDeathIsBounded) {
     (void)co_await cl.set("b", to_buffer("B"), 1);  // hint 1 -> daemon 1
     t.drop_replies_from(1);
 
-    const SimTime t0 = t.loop_.now();
+    const SimTime t0 = t.loop().now();
     const std::vector<std::string> keys{"a", "b"};
     const std::vector<std::uint64_t> hints{0, 1};
     auto got = co_await cl.multi_get(keys, hints);
-    out = t.loop_.now() - t0;
+    out = t.loop().now() - t0;
 
     EXPECT_EQ(got.size(), 2u);
     EXPECT_TRUE(got[0].has_value());
@@ -220,7 +212,7 @@ TEST_F(FailoverTest, ShortReadDegradesToMiss) {
   p.op_timeout = 2 * kMilli;
   p.get_attempts = 2;
   p.eject_after = 0;
-  McClient c(rpc_, client_node_, server_ids_,
+  McClient c(rpc(), client_node_, server_ids_,
              std::make_unique<Crc32Selector>(), p);
 
   run([](FailoverTest& t, McClient& cl) -> sim::Task<void> {
@@ -250,14 +242,14 @@ TEST_F(FailoverTest, ReliableMutationRetriesUntilClean) {
   p.backoff_base = 200 * kMicro;
   p.eject_after = 2;  // would fire quickly if reliable mode didn't suppress it
   p.reliable_mutations = true;
-  McClient c(rpc_, client_node_, server_ids_,
+  McClient c(rpc(), client_node_, server_ids_,
              std::make_unique<Crc32Selector>(), p);
 
   run([](FailoverTest& t, McClient& cl) -> sim::Task<void> {
     const std::string key = key_for(cl, 0);
     t.drop_replies_from(0);
-    t.loop_.spawn([](FailoverTest* tt) -> sim::Task<void> {
-      co_await tt->loop_.sleep(5 * kMilli);
+    t.loop().spawn([](FailoverTest* tt) -> sim::Task<void> {
+      co_await tt->loop().sleep(5 * kMilli);
       tt->injector_.clear_spec(tt->server_ids_[0], net::kPortMemcached);
     }(&t));
 
@@ -283,7 +275,7 @@ TEST_F(FailoverTest, DeleteBypassesEjectionAndRejoins) {
   p.reliable_mutations = true;
   p.delete_bypasses_ejection = true;
   p.retry_dead_interval = 0;  // isolate the bypass from timed probes
-  McClient c(rpc_, client_node_, server_ids_,
+  McClient c(rpc(), client_node_, server_ids_,
              std::make_unique<Crc32Selector>(), p);
 
   run([](FailoverTest& t, McClient& cl) -> sim::Task<void> {
@@ -296,7 +288,7 @@ TEST_F(FailoverTest, DeleteBypassesEjectionAndRejoins) {
     t.servers_[1]->start();
     EXPECT_TRUE(t.servers_[1]
                     ->cache()
-                    .set(key, 0, 0, to_buffer("stale"), t.loop_.now())
+                    .set(key, 0, 0, to_buffer("stale"), t.loop().now())
                     .has_value());
 
     EXPECT_TRUE((co_await cl.del(key)).has_value());

@@ -11,6 +11,7 @@
 #include "memcache/server.h"
 #include "net/fabric.h"
 #include "net/rpc.h"
+#include "net/sim_context.h"
 
 namespace imca::mcclient {
 namespace {
@@ -84,31 +85,23 @@ TEST(Selector, ConsistentIsBalanced) {
 
 // --- client over the fabric ---
 
-class McClientTest : public ::testing::Test {
+class McClientTest : public ::testing::Test, public net::SimContext {
  protected:
   static constexpr std::size_t kServers = 3;
 
-  McClientTest() : fabric_(loop_, net::ipoib_rc()), rpc_(fabric_) {
+  McClientTest() {
     for (std::size_t i = 0; i < kServers; ++i) {
-      fabric_.add_node("mcd" + std::to_string(i));
-      servers_.push_back(
-          std::make_unique<McServer>(rpc_, static_cast<net::NodeId>(i), 64 * kMiB));
+      fabric().add_node("mcd" + std::to_string(i));
+      servers_.push_back(std::make_unique<McServer>(
+          rpc(), static_cast<net::NodeId>(i), 64 * kMiB));
       servers_.back()->start();
       server_ids_.push_back(static_cast<net::NodeId>(i));
     }
-    client_node_ = fabric_.add_node("client").id();
-    client_ = std::make_unique<McClient>(rpc_, client_node_, server_ids_,
+    client_node_ = fabric().add_node("client").id();
+    client_ = std::make_unique<McClient>(rpc(), client_node_, server_ids_,
                                          std::make_unique<Crc32Selector>());
   }
 
-  void run(sim::Task<void> t) {
-    loop_.spawn(std::move(t));
-    loop_.run();
-  }
-
-  sim::EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   std::vector<std::unique_ptr<McServer>> servers_;
   std::vector<net::NodeId> server_ids_;
   net::NodeId client_node_ = 0;
@@ -157,7 +150,7 @@ TEST_F(McClientTest, MultiGetBatchesPerDaemon) {
       EXPECT_TRUE(got[i].has_value());
       if (got[i]) { EXPECT_EQ(to_string(got[i]->data), std::to_string(i)); }
     }
-  }(*client_, rpc_));
+  }(*client_, rpc()));
 }
 
 TEST_F(McClientTest, MultiGetReportsPartialMisses) {
@@ -220,7 +213,7 @@ TEST_F(McClientTest, MultiGetOrderedExposesMisses) {
     EXPECT_TRUE(got[2].has_value());
     if (got[2]) { EXPECT_EQ(to_string(got[2]->data), "C"); }
     EXPECT_FALSE(got[3].has_value());
-  }(*client_, rpc_));
+  }(*client_, rpc()));
   EXPECT_EQ(client_->stats().misses, 2u);
 }
 
@@ -245,7 +238,7 @@ TEST_F(McClientTest, KeyTooLongSurfaces) {
 }
 
 TEST_F(McClientTest, ModuloSelectorSpreadsBlocksOfOneFile) {
-  McClient modulo_client(rpc_, client_node_, server_ids_,
+  McClient modulo_client(rpc(), client_node_, server_ids_,
                          std::make_unique<ModuloSelector>());
   run([](McClient& c) -> sim::Task<void> {
     for (std::uint64_t block = 0; block < 9; ++block) {

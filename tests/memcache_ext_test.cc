@@ -7,7 +7,7 @@
 #include "memcache/cache.h"
 #include "memcache/protocol.h"
 #include "memcache/server.h"
-#include "net/transport.h"
+#include "net/sim_context.h"
 
 namespace imca::memcache {
 namespace {
@@ -99,19 +99,17 @@ TEST(ProtocolExt, MalformedExtCommandsError) {
 // --- client library over the fabric ---
 
 TEST(ClientExt, CasLoopImplementsAtomicUpdate) {
-  sim::EventLoop loop;
-  net::Fabric fabric(loop, net::ipoib_rc());
-  net::RpcSystem rpc(fabric);
-  fabric.add_node("mcd");
-  const auto cnode = fabric.add_node("client").id();
-  McServer server(rpc, 0, 64 * kMiB);
+  net::SimContext ctx;
+  ctx.fabric().add_node("mcd");
+  const auto cnode = ctx.fabric().add_node("client").id();
+  McServer server(ctx.rpc(), 0, 64 * kMiB);
   server.start();
-  mcclient::McClient client(rpc, cnode, {0},
+  mcclient::McClient client(ctx.rpc(), cnode, {0},
                             std::make_unique<mcclient::Crc32Selector>());
 
   // The write-back index's update over the wire: gets_at -> modify -> cas_at
   // on a pinned daemon.
-  loop.spawn([](mcclient::McClient& c) -> sim::Task<void> {
+  ctx.run([](mcclient::McClient& c) -> sim::Task<void> {
     EXPECT_TRUE((co_await c.set_at(0, "doc", to_buffer("v0"))).has_value());
     auto v = co_await c.gets_at(0, "doc");
     EXPECT_TRUE(v.has_value());
@@ -131,7 +129,6 @@ TEST(ClientExt, CasLoopImplementsAtomicUpdate) {
     EXPECT_TRUE(final_v.has_value());
     if (final_v) { EXPECT_EQ(to_string(final_v->data), "v1"); }
   }(client));
-  loop.run();
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "memcache/server.h"
 #include "net/fabric.h"
 #include "net/rpc.h"
+#include "net/sim_context.h"
 
 namespace imca::memcache {
 namespace {
@@ -377,25 +378,21 @@ TEST(Protocol, FlushAllClears) {
 
 // --- daemon over the fabric ---
 
-class McServerTest : public ::testing::Test {
+class McServerTest : public ::testing::Test, public net::SimContext {
  protected:
-  McServerTest()
-      : fabric_(loop_, net::ipoib_rc()), rpc_(fabric_) {
-    fabric_.add_node("mcd0");
-    fabric_.add_node("client");
-    server_ = std::make_unique<McServer>(rpc_, 0, 64 * kMiB);
+  McServerTest() {
+    fabric().add_node("mcd0");
+    fabric().add_node("client");
+    server_ = std::make_unique<McServer>(rpc(), 0, 64 * kMiB);
     server_->start();
   }
 
-  sim::EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   std::unique_ptr<McServer> server_;
 };
 
 TEST_F(McServerTest, SetGetOverFabric) {
   bool ok_flag = false;
-  loop_.spawn([](net::RpcSystem& rpc, bool& done) -> sim::Task<void> {
+  run([](net::RpcSystem& rpc, bool& done) -> sim::Task<void> {
     auto r1 = co_await rpc.call(
         1, 0, net::kPortMemcached,
         encode_store(StoreVerb::kSet, "k", 0, 0, to_buffer("v")));
@@ -408,10 +405,9 @@ TEST_F(McServerTest, SetGetOverFabric) {
       EXPECT_EQ(to_string(got.at("k").data), "v");
     }
     done = true;
-  }(rpc_, ok_flag));
-  loop_.run();
+  }(rpc(), ok_flag));
   EXPECT_TRUE(ok_flag);
-  EXPECT_GT(loop_.now(), 0u);  // network + service time elapsed
+  EXPECT_GT(loop().now(), 0u);  // network + service time elapsed
 }
 
 TEST_F(McServerTest, StopRefusesAndDropsContents) {
@@ -421,25 +417,23 @@ TEST_F(McServerTest, StopRefusesAndDropsContents) {
   EXPECT_FALSE(server_->running());
   EXPECT_EQ(server_->cache().item_count(), 0u);  // restart comes back cold
   Errc err = Errc::kOk;
-  loop_.spawn([](net::RpcSystem& rpc, Errc& e) -> sim::Task<void> {
+  run([](net::RpcSystem& rpc, Errc& e) -> sim::Task<void> {
     const std::string keys[] = {"k"};
     auto r = co_await rpc.call(1, 0, net::kPortMemcached, encode_get(keys));
     e = r.error();
-  }(rpc_, err));
-  loop_.run();
+  }(rpc(), err));
   EXPECT_EQ(err, Errc::kConnRefused);
 }
 
 TEST_F(McServerTest, ServiceTimeChargedToDaemonCpu) {
-  loop_.spawn([](net::RpcSystem& rpc) -> sim::Task<void> {
+  run([](net::RpcSystem& rpc) -> sim::Task<void> {
     (void)co_await rpc.call(
         1, 0, net::kPortMemcached,
         encode_store(StoreVerb::kSet, "k", 0, 0,
                      Buffer::zeros(64 * 1024)));
     co_return;
-  }(rpc_));
-  loop_.run();
-  EXPECT_GT(fabric_.node(0).cpu().total_busy(), 6 * kMicro);
+  }(rpc()));
+  EXPECT_GT(fabric().node(0).cpu().total_busy(), 6 * kMicro);
 }
 
 }  // namespace

@@ -2,43 +2,29 @@
 // transport sensitivity and the Fig 1 page-cache bandwidth cliff.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <utility>
 
-#include "net/transport.h"
-#include "nfs/nfs.h"
+#include "cluster/testbed.h"
 
 namespace imca::nfs {
 namespace {
 
-using sim::EventLoop;
+using cluster::NfsTestbed;
 using sim::Task;
 
-struct NfsRig {
-  explicit NfsRig(net::TransportParams transport,
-                  NfsServerParams sparams = {})
-      : fabric(loop, std::move(transport)), rpc(fabric) {
-    const auto snode = fabric.add_node("nfs-server").id();
-    server = std::make_unique<NfsServer>(rpc, snode, sparams);
-    const auto cnode = fabric.add_node("client").id();
-    client = std::make_unique<NfsClient>(rpc, cnode, *server);
-  }
-
-  void run(Task<void> t) {
-    loop.spawn(std::move(t));
-    loop.run();
-  }
-
-  EventLoop loop;
-  net::Fabric fabric;
-  net::RpcSystem rpc;
-  std::unique_ptr<NfsServer> server;
-  std::unique_ptr<NfsClient> client;
-};
+// One server and one client over `transport`.
+cluster::NfsTestbedConfig deployment(net::TransportParams transport,
+                                     NfsServerParams server = {}) {
+  cluster::NfsTestbedConfig cfg;
+  cfg.transport = std::move(transport);
+  cfg.server = server;
+  return cfg;
+}
 
 TEST(Nfs, BasicSemantics) {
-  NfsRig rig(net::ipoib_rc());
-  rig.run([](NfsRig& r) -> Task<void> {
-    auto& fs = *r.client;
+  NfsTestbed rig(deployment(net::ipoib_rc()));
+  rig.run([](NfsTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/f");
     EXPECT_TRUE(f.has_value());
     EXPECT_TRUE((co_await fs.write(*f, 0, to_buffer("nfs data"))).has_value());
@@ -54,31 +40,31 @@ TEST(Nfs, BasicSemantics) {
 }
 
 TEST(Nfs, LargeReadsChunkAtRsize) {
-  NfsRig rig(net::ipoib_rc());
-  rig.run([](NfsRig& r) -> Task<void> {
-    auto& fs = *r.client;
+  NfsTestbed rig(deployment(net::ipoib_rc()));
+  rig.run([](NfsTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/big");
     (void)co_await fs.write(*f, 0, Buffer::zeros(1 * kMiB));
-    const auto msgs_before = r.fabric.messages_sent();
+    const auto msgs_before = r.fabric().messages_sent();
     auto back = co_await fs.read(*f, 0, 1 * kMiB);
     EXPECT_TRUE(back.has_value());
     if (back) { EXPECT_EQ(back->size(), 1 * kMiB); }
     // 1 MiB at 64 KiB rsize = 16 requests + 16 replies.
-    EXPECT_EQ(r.fabric.messages_sent() - msgs_before, 32u);
+    EXPECT_EQ(r.fabric().messages_sent() - msgs_before, 32u);
   }(rig));
 }
 
 TEST(Nfs, TransportOrderingRdmaFastest) {
   auto measure = [](net::TransportParams t) {
-    NfsRig rig(std::move(t));
+    NfsTestbed rig(deployment(std::move(t)));
     SimDuration elapsed = 0;
-    rig.run([](NfsRig& r, SimDuration& out_elapsed) -> Task<void> {
-      auto& fs = *r.client;
+    rig.run([](NfsTestbed& r, SimDuration& out_elapsed) -> Task<void> {
+      auto& fs = r.client(0);
       auto f = co_await fs.create("/t");
       (void)co_await fs.write(*f, 0, Buffer::zeros(8 * kMiB));
-      const SimTime t0 = r.loop.now();
+      const SimTime t0 = r.loop().now();
       (void)co_await fs.read(*f, 0, 8 * kMiB);  // server cache is warm
-      out_elapsed = r.loop.now() - t0;
+      out_elapsed = r.loop().now() - t0;
     }(rig, elapsed));
     return elapsed;
   };
@@ -97,23 +83,23 @@ TEST(Nfs, BandwidthCollapsesPastServerMemory) {
   auto measure = [](std::uint64_t file_bytes) {
     NfsServerParams sp;
     sp.page_cache_bytes = 64 * kMiB;
-    NfsRig rig(net::ipoib_rc(), sp);
+    NfsTestbed rig(deployment(net::ipoib_rc(), sp));
     SimDuration elapsed = 0;
-    rig.run([](NfsRig& r, SimDuration& out_elapsed,
+    rig.run([](NfsTestbed& r, SimDuration& out_elapsed,
              std::uint64_t n_file_bytes) -> Task<void> {
-      auto& fs = *r.client;
+      auto& fs = r.client(0);
       auto f = co_await fs.create("/ws");
       for (std::uint64_t off = 0; off < n_file_bytes; off += 4 * kMiB) {
         (void)co_await fs.write(*f, off, Buffer::zeros(4 * kMiB));
       }
       // Two sequential re-read passes (IOzone re-read).
-      const SimTime t0 = r.loop.now();
+      const SimTime t0 = r.loop().now();
       for (int pass = 0; pass < 2; ++pass) {
         for (std::uint64_t off = 0; off < n_file_bytes; off += 4 * kMiB) {
           (void)co_await fs.read(*f, off, 4 * kMiB);
         }
       }
-      out_elapsed = r.loop.now() - t0;
+      out_elapsed = r.loop().now() - t0;
     }(rig, elapsed, file_bytes));
     // MB/s over the two passes.
     return 2.0 * to_mib(file_bytes) / to_seconds(elapsed);
@@ -124,9 +110,9 @@ TEST(Nfs, BandwidthCollapsesPastServerMemory) {
 }
 
 TEST(Nfs, EofShortRead) {
-  NfsRig rig(net::ipoib_rc());
-  rig.run([](NfsRig& r) -> Task<void> {
-    auto& fs = *r.client;
+  NfsTestbed rig(deployment(net::ipoib_rc()));
+  rig.run([](NfsTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/short");
     (void)co_await fs.write(*f, 0, to_buffer("abc"));
     auto back = co_await fs.read(*f, 1, 1 * kMiB);
@@ -136,9 +122,9 @@ TEST(Nfs, EofShortRead) {
 }
 
 TEST(Nfs, TruncateAndRename) {
-  NfsRig rig(net::ipoib_rc());
-  rig.run([](NfsRig& r) -> Task<void> {
-    auto& fs = *r.client;
+  NfsTestbed rig(deployment(net::ipoib_rc()));
+  rig.run([](NfsTestbed& r) -> Task<void> {
+    auto& fs = r.client(0);
     auto f = co_await fs.create("/a");
     (void)co_await fs.write(*f, 0, to_buffer("twelve bytes"));
     EXPECT_TRUE((co_await fs.truncate("/a", 6)).has_value());
@@ -155,9 +141,9 @@ TEST(Nfs, TruncateAndRename) {
 }
 
 TEST(Nfs, BadFdRejectedLocally) {
-  NfsRig rig(net::ipoib_rc());
-  rig.run([](NfsRig& r) -> Task<void> {
-    auto res = co_await r.client->read(fsapi::OpenFile{777}, 0, 1);
+  NfsTestbed rig(deployment(net::ipoib_rc()));
+  rig.run([](NfsTestbed& r) -> Task<void> {
+    auto res = co_await r.client(0).read(fsapi::OpenFile{777}, 0, 1);
     EXPECT_EQ(res.error(), Errc::kBadF);
   }(rig));
 }

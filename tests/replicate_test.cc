@@ -18,45 +18,36 @@
 #include "gluster/replicate.h"
 #include "gluster/server.h"
 #include "net/rpc.h"
-#include "net/transport.h"
+#include "net/sim_context.h"
 
 namespace imca {
 namespace {
 
-using sim::EventLoop;
 using sim::Task;
 
 constexpr std::size_t kReplicas = 3;
 
-class ReplicateTest : public ::testing::Test {
+class ReplicateTest : public ::testing::Test, public net::SimContext {
  public:  // coroutine lambdas reach in by reference
-  ReplicateTest() : fabric_(loop_, net::ipoib_rc()), rpc_(fabric_) {
+  ReplicateTest() {
     for (std::size_t i = 0; i < kReplicas; ++i) {
-      fabric_.add_node("brick" + std::to_string(i));
+      fabric().add_node("brick" + std::to_string(i));
     }
-    fabric_.add_node("client");
+    fabric().add_node("client");
   }
 
   void build() {
     std::vector<std::unique_ptr<gluster::ProtocolClient>> conns;
     for (std::size_t i = 0; i < kReplicas; ++i) {
       servers_.push_back(
-          std::make_unique<gluster::GlusterServer>(rpc_, i, server_params_));
+          std::make_unique<gluster::GlusterServer>(rpc(), i, server_params_));
       servers_.back()->start();
       conns.push_back(std::make_unique<gluster::ProtocolClient>(
-          rpc_, kReplicas, i));  // client rides the last node
+          rpc(), kReplicas, i));  // client rides the last node
     }
-    afr_ = std::make_unique<gluster::ReplicateXlator>(loop_, std::move(conns));
+    afr_ = std::make_unique<gluster::ReplicateXlator>(loop(), std::move(conns));
   }
 
-  void run(Task<void> t) {
-    loop_.spawn(std::move(t));
-    loop_.run();
-  }
-
-  EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   gluster::GlusterServerParams server_params_;
   std::vector<std::unique_ptr<gluster::GlusterServer>> servers_;
   std::unique_ptr<gluster::ReplicateXlator> afr_;

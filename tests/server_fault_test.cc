@@ -18,7 +18,7 @@
 #include "gluster/protocol.h"
 #include "gluster/server.h"
 #include "net/rpc.h"
-#include "net/transport.h"
+#include "net/sim_context.h"
 #include "sim/sync.h"
 
 namespace imca {
@@ -48,29 +48,21 @@ Task<FopReply> send_raw(net::RpcSystem& rpc, FopRequest req) {
   co_return *decoded;
 }
 
-class ServerFaultTest : public ::testing::Test {
+class ServerFaultTest : public ::testing::Test, public net::SimContext {
  public:  // coroutine lambdas reach in by reference
-  ServerFaultTest() : fabric_(loop_, net::ipoib_rc()), rpc_(fabric_) {
-    fabric_.add_node("server");
-    fabric_.add_node("client");
+  ServerFaultTest() {
+    fabric().add_node("server");
+    fabric().add_node("client");
   }
 
   void build(gluster::GlusterServerParams sp = {},
              gluster::ProtocolClientParams cp = {}) {
-    server_ = std::make_unique<gluster::GlusterServer>(rpc_, 0, sp);
+    server_ = std::make_unique<gluster::GlusterServer>(rpc(), 0, sp);
     server_->start();
     client_ = std::make_unique<gluster::GlusterClient>(
-        rpc_, 1, gluster::GlusterTopology{{0}}, cp);
+        rpc(), 1, gluster::GlusterTopology{{0}}, cp);
   }
 
-  void run(Task<void> t) {
-    loop_.spawn(std::move(t));
-    loop_.run();
-  }
-
-  EventLoop loop_;
-  net::Fabric fabric_;
-  net::RpcSystem rpc_;
   std::unique_ptr<gluster::GlusterServer> server_;
   std::unique_ptr<gluster::GlusterClient> client_;
 };
@@ -131,7 +123,7 @@ TEST_F(ServerFaultTest, ScheduledCrashWindowRiddenOutByRetries) {
       auto w = co_await fs.write(*f, i * 1024, to_buffer(chunk));
       EXPECT_TRUE(w.has_value()) << "write " << i;
       if (w) { EXPECT_EQ(*w, 1024u); }
-      co_await t.loop_.sleep(3 * kMilli);
+      co_await t.loop().sleep(3 * kMilli);
     }
     auto r = co_await fs.read(*f, 0, 10 * 1024);
     EXPECT_TRUE(r.has_value());
@@ -161,20 +153,20 @@ TEST_F(ServerFaultTest, ReplayWindowAnswersWithoutReapplying) {
     req.path = "/dup";
     req.client_id = 7;
     req.op_seq = 1;
-    auto first = co_await send_raw(t.rpc_, req);
+    auto first = co_await send_raw(t.rpc(), req);
     EXPECT_EQ(first.errc, Errc::kOk);
 
     // The retry re-sends the same (client_id, op_seq): the window answers
     // with the recorded kOk instead of re-running create (which would say
     // kExist — the classic non-idempotent-retry lie).
     req.retry = 1;
-    auto replay = co_await send_raw(t.rpc_, req);
+    auto replay = co_await send_raw(t.rpc(), req);
     EXPECT_EQ(replay.errc, Errc::kOk);
 
     // A genuinely new mutation against the same path sees the truth.
     req.op_seq = 2;
     req.retry = 0;
-    auto fresh = co_await send_raw(t.rpc_, req);
+    auto fresh = co_await send_raw(t.rpc(), req);
     EXPECT_EQ(fresh.errc, Errc::kExist);
   }(*this));
   const auto s = server_->stats();
@@ -218,9 +210,9 @@ TEST_F(ServerFaultTest, ParkedReplaysNeverDoubleApplyAfterShedOriginal) {
   // the same event; only ONE of them may become the new original — the
   // other must park again on (or be answered by) that new original, never
   // dispatch concurrently with it.
-  server_ = std::make_unique<gluster::GlusterServer>(rpc_, 0,
+  server_ = std::make_unique<gluster::GlusterServer>(rpc(), 0,
                                                      gluster::GlusterServerParams{});
-  auto shed = std::make_unique<SlowShedXlator>(loop_, 1, 2 * kMilli);
+  auto shed = std::make_unique<SlowShedXlator>(loop(), 1, 2 * kMilli);
   auto* shed_raw = shed.get();
   server_->push_translator(std::move(shed));
   server_->start();
@@ -229,7 +221,7 @@ TEST_F(ServerFaultTest, ParkedReplaysNeverDoubleApplyAfterShedOriginal) {
     FopRequest create;
     create.type = FopType::kCreate;
     create.path = "/f";
-    EXPECT_EQ((co_await send_raw(t.rpc_, create)).errc, Errc::kOk);
+    EXPECT_EQ((co_await send_raw(t.rpc(), create)).errc, Errc::kOk);
 
     std::vector<Errc> replay_errcs;
     std::vector<Task<void>> batch;
@@ -241,14 +233,15 @@ TEST_F(ServerFaultTest, ParkedReplaysNeverDoubleApplyAfterShedOriginal) {
       w.client_id = 7;
       w.op_seq = 1;
       w.data = to_buffer("abcd");
-      auto rep = co_await send_raw(tt.rpc_, w);
+      auto rep = co_await send_raw(tt.rpc(), w);
       EXPECT_EQ(rep.errc, Errc::kBusy);  // shed before applying anything
     }(t));
     // Two replays overtaking it; both park on the in-flight original.
     for (int i = 1; i <= 2; ++i) {
       batch.push_back([](ServerFaultTest& tt, int retry,
                          std::vector<Errc>& out) -> Task<void> {
-        co_await tt.loop_.sleep(static_cast<SimDuration>(retry) * 500 * kMicro);
+        co_await tt.loop().sleep(static_cast<SimDuration>(retry) * 500 *
+                                 kMicro);
         FopRequest w;
         w.type = FopType::kWrite;
         w.path = "/f";
@@ -256,13 +249,13 @@ TEST_F(ServerFaultTest, ParkedReplaysNeverDoubleApplyAfterShedOriginal) {
         w.op_seq = 1;
         w.retry = static_cast<std::uint8_t>(retry);
         w.data = to_buffer("abcd");
-        auto rep = co_await send_raw(tt.rpc_, w);
+        auto rep = co_await send_raw(tt.rpc(), w);
         out.push_back(rep.errc);
         EXPECT_EQ(rep.errc, Errc::kOk);
         EXPECT_EQ(rep.count, 4u);
       }(t, i, replay_errcs));
     }
-    co_await sim::when_all(t.loop_, std::move(batch));
+    co_await sim::when_all(t.loop(), std::move(batch));
     EXPECT_EQ(replay_errcs.size(), 2u);
   }(*this));
 
@@ -283,7 +276,7 @@ TEST_F(ServerFaultTest, AdmissionBoundShedsInsteadOfQueueing) {
     FopRequest req;
     req.type = FopType::kCreate;
     req.path = "/a";
-    (void)co_await send_raw(t.rpc_, req);
+    (void)co_await send_raw(t.rpc(), req);
     // Cold metadata: the next stat occupies dispatch for a ~12 ms disk
     // access, so its concurrent twin finds the admission slot taken.
     t.server_->device().drop_caches();
@@ -295,10 +288,10 @@ TEST_F(ServerFaultTest, AdmissionBoundShedsInsteadOfQueueing) {
             FopRequest s;
             s.type = FopType::kStat;
             s.path = "/a";
-            o.push_back((co_await send_raw(tt.rpc_, s)).errc);
+            o.push_back((co_await send_raw(tt.rpc(), s)).errc);
           }(t, out));
     }
-    co_await sim::when_all(t.loop_, std::move(batch));
+    co_await sim::when_all(t.loop(), std::move(batch));
     EXPECT_EQ(out.size(), 2u);
     int ok = 0, busy = 0;
     for (Errc e : out) (e == Errc::kOk ? ok : busy)++;
@@ -317,7 +310,7 @@ TEST_F(ServerFaultTest, IoQueueBoundShedsTheOverflow) {
     FopRequest req;
     req.type = FopType::kCreate;
     req.path = "/a";
-    (void)co_await send_raw(t.rpc_, req);
+    (void)co_await send_raw(t.rpc(), req);
     t.server_->device().drop_caches();
     // One io thread, one queue slot, three cold stats: serve one, queue
     // one, shed one.
@@ -329,10 +322,10 @@ TEST_F(ServerFaultTest, IoQueueBoundShedsTheOverflow) {
             FopRequest s;
             s.type = FopType::kStat;
             s.path = "/a";
-            o.push_back((co_await send_raw(tt.rpc_, s)).errc);
+            o.push_back((co_await send_raw(tt.rpc(), s)).errc);
           }(t, out));
     }
-    co_await sim::when_all(t.loop_, std::move(batch));
+    co_await sim::when_all(t.loop(), std::move(batch));
     EXPECT_EQ(out.size(), 3u);
     int ok = 0, busy = 0;
     for (Errc e : out) (e == Errc::kOk ? ok : busy)++;
@@ -349,7 +342,7 @@ TEST_F(ServerFaultTest, ExpiredDeadlineBudgetIsShedBeforeDispatch) {
     req.type = FopType::kStat;
     req.path = "/whatever";
     req.ttl = 1;  // 1 ns of budget: gone before dispatch CPU finishes
-    auto rep = co_await send_raw(t.rpc_, req);
+    auto rep = co_await send_raw(t.rpc(), req);
     EXPECT_EQ(rep.errc, Errc::kBusy);
   }(*this));
   EXPECT_EQ(server_->stats().sheds_expired, 1u);

@@ -3,7 +3,11 @@
 // headline directional claims (IMCa stat scaling, cache-hit read latency).
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+
 #include "cluster/testbed.h"
+#include "common/buffer.h"
 #include "workload/iozone.h"
 #include "workload/latency_bench.h"
 #include "workload/stat_bench.h"
@@ -14,24 +18,6 @@ namespace {
 using workload::IozoneOptions;
 using workload::LatencyOptions;
 using workload::StatOptions;
-
-std::vector<fsapi::FileSystemClient*> all_clients(GlusterTestbed& tb) {
-  std::vector<fsapi::FileSystemClient*> out;
-  for (std::size_t i = 0; i < tb.n_clients(); ++i) out.push_back(&tb.client(i));
-  return out;
-}
-
-std::vector<fsapi::FileSystemClient*> all_clients(LustreTestbed& tb) {
-  std::vector<fsapi::FileSystemClient*> out;
-  for (std::size_t i = 0; i < tb.n_clients(); ++i) out.push_back(&tb.client(i));
-  return out;
-}
-
-std::vector<fsapi::FileSystemClient*> all_clients(NfsTestbed& tb) {
-  std::vector<fsapi::FileSystemClient*> out;
-  for (std::size_t i = 0; i < tb.n_clients(); ++i) out.push_back(&tb.client(i));
-  return out;
-}
 
 TEST(Testbed, NoCacheConfigHasNoImca) {
   GlusterTestbedConfig cfg;
@@ -80,7 +66,7 @@ TEST(Latency, SmallReadsFasterWithImca) {
     opt.max_record = 4 * kKiB;
     opt.records_per_size = 64;
     const auto series =
-        workload::run_latency_benchmark(tb.loop(), all_clients(tb), opt);
+        workload::run_latency_benchmark(tb.loop(), tb.clients(), opt);
     return series.read_ns.at(1);
   };
   const double nocache = read_1b(0);
@@ -100,7 +86,7 @@ TEST(Latency, SyncImcaWritesSlowerThanNoCache) {
     opt.max_record = 2 * kKiB;
     opt.records_per_size = 64;
     const auto series =
-        workload::run_latency_benchmark(tb.loop(), all_clients(tb), opt);
+        workload::run_latency_benchmark(tb.loop(), tb.clients(), opt);
     return series.write_ns.at(2 * kKiB);
   };
   const double nocache = write_2k(0, false);
@@ -122,7 +108,7 @@ TEST(Latency, SharedFileModeOnlyRootWrites) {
   opt.records_per_size = 32;
   opt.shared_file = true;
   const auto series =
-      workload::run_latency_benchmark(tb.loop(), all_clients(tb), opt);
+      workload::run_latency_benchmark(tb.loop(), tb.clients(), opt);
   EXPECT_FALSE(series.read_ns.empty());
   // Only one file exists on the server.
   EXPECT_EQ(tb.server().object_store().file_count(), 1u);
@@ -136,7 +122,7 @@ TEST(Stat, ImcaCutsStatTimeWithManyClients) {
     GlusterTestbed tb(cfg);
     StatOptions opt;
     opt.n_files = 400;
-    return workload::run_stat_benchmark(tb.loop(), all_clients(tb), opt)
+    return workload::run_stat_benchmark(tb.loop(), tb.clients(), opt)
         .max_node_seconds;
   };
   const double nocache = run(0);
@@ -151,7 +137,7 @@ TEST(Stat, ReportsAllStatsIssued) {
   GlusterTestbed tb(cfg);
   StatOptions opt;
   opt.n_files = 100;
-  const auto r = workload::run_stat_benchmark(tb.loop(), all_clients(tb), opt);
+  const auto r = workload::run_stat_benchmark(tb.loop(), tb.clients(), opt);
   EXPECT_EQ(r.total_stats, 300u);
   EXPECT_GT(r.max_node_seconds, 0.0);
 }
@@ -164,7 +150,7 @@ TEST(Iozone, RunsOnAllThreeSystems) {
   GlusterTestbedConfig gcfg;
   gcfg.n_clients = 2;
   GlusterTestbed gtb(gcfg);
-  const auto g = workload::run_iozone(gtb.loop(), all_clients(gtb), opt);
+  const auto g = workload::run_iozone(gtb.loop(), gtb.clients(), opt);
   EXPECT_GT(g.aggregate_read_mbps, 0.0);
   EXPECT_EQ(g.bytes_read, 2 * opt.file_bytes);
 
@@ -172,13 +158,13 @@ TEST(Iozone, RunsOnAllThreeSystems) {
   lcfg.n_clients = 2;
   lcfg.n_ds = 2;
   LustreTestbed ltb(lcfg);
-  const auto l = workload::run_iozone(ltb.loop(), all_clients(ltb), opt);
+  const auto l = workload::run_iozone(ltb.loop(), ltb.clients(), opt);
   EXPECT_GT(l.aggregate_read_mbps, 0.0);
 
   NfsTestbedConfig ncfg;
   ncfg.n_clients = 2;
   NfsTestbed ntb(ncfg);
-  const auto n = workload::run_iozone(ntb.loop(), all_clients(ntb), opt);
+  const auto n = workload::run_iozone(ntb.loop(), ntb.clients(), opt);
   EXPECT_GT(n.aggregate_read_mbps, 0.0);
 }
 
@@ -191,7 +177,7 @@ TEST(Iozone, ModuloHashSpreadsBlocksOverMcds) {
   IozoneOptions opt;
   opt.file_bytes = 2 * kMiB;
   opt.request_size = 64 * kKiB;
-  (void)workload::run_iozone(tb.loop(), all_clients(tb), opt);
+  (void)workload::run_iozone(tb.loop(), tb.clients(), opt);
   // Every daemon holds a share of the blocks (round-robin placement).
   for (std::size_t i = 0; i < tb.n_mcds(); ++i) {
     EXPECT_GT(tb.mcd(i).cache().item_count(), 100u) << "mcd " << i;
@@ -208,7 +194,7 @@ TEST(Determinism, WholeWorkloadIsReproducible) {
     opt.max_record = 2 * kKiB;
     opt.records_per_size = 32;
     const auto series =
-        workload::run_latency_benchmark(tb.loop(), all_clients(tb), opt);
+        workload::run_latency_benchmark(tb.loop(), tb.clients(), opt);
     return std::pair{series.read_ns, tb.loop().now()};
   };
   const auto a = run();
@@ -231,6 +217,69 @@ TEST(McdTotals, AggregateCounters) {
   EXPECT_GT(totals.cmd_set, 0u);
   EXPECT_GT(totals.get_hits, 0u);
   EXPECT_GT(totals.curr_items, 0u);
+}
+
+// --- independent simulations ---
+
+// One small stat run on a fresh IMCa testbed: what it measured, where its
+// clock stopped and what it added to the copy ledger of its thread.
+struct StatRun {
+  double max_node_seconds = 0;
+  SimTime end = 0;
+  BufferStats ledger;
+};
+
+StatRun stat_run() {
+  const BufferStats before = buffer_stats();
+  GlusterTestbedConfig cfg;
+  cfg.n_clients = 8;
+  cfg.n_mcds = 2;
+  GlusterTestbed tb(cfg);
+  StatOptions opt;
+  opt.n_files = 2000;
+  StatRun r;
+  r.max_node_seconds =
+      workload::run_stat_benchmark(tb.loop(), tb.clients(), opt)
+          .max_node_seconds;
+  r.end = tb.loop().now();
+  const BufferStats& after = buffer_stats();
+  r.ledger.segments_allocated =
+      after.segments_allocated - before.segments_allocated;
+  r.ledger.segment_bytes = after.segment_bytes - before.segment_bytes;
+  r.ledger.bytes_copied = after.bytes_copied - before.bytes_copied;
+  r.ledger.gather_calls = after.gather_calls - before.gather_calls;
+  r.ledger.view_slices = after.view_slices - before.view_slices;
+  return r;
+}
+
+// Two testbeds on two threads at once share no state: each reproduces the
+// run it makes alone on the main thread, clock and copy ledger included.
+TEST(SimContext, TwoSimulationsOnTwoThreadsMatchOneAlone) {
+  const StatRun alone = stat_run();
+  ASSERT_GT(alone.ledger.segments_allocated, 0u);
+
+  StatRun runs[2];
+  {
+    std::latch start(2);  // both simulations run at the same time
+    std::jthread a([&] {
+      start.arrive_and_wait();
+      runs[0] = stat_run();
+    });
+    std::jthread b([&] {
+      start.arrive_and_wait();
+      runs[1] = stat_run();
+    });
+  }  // both joined here
+
+  for (const StatRun& r : runs) {
+    EXPECT_EQ(r.max_node_seconds, alone.max_node_seconds);
+    EXPECT_EQ(r.end, alone.end);
+    EXPECT_EQ(r.ledger.segments_allocated, alone.ledger.segments_allocated);
+    EXPECT_EQ(r.ledger.segment_bytes, alone.ledger.segment_bytes);
+    EXPECT_EQ(r.ledger.bytes_copied, alone.ledger.bytes_copied);
+    EXPECT_EQ(r.ledger.gather_calls, alone.ledger.gather_calls);
+    EXPECT_EQ(r.ledger.view_slices, alone.ledger.view_slices);
+  }
 }
 
 }  // namespace

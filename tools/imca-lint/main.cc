@@ -16,8 +16,6 @@
 // The run is two passes: pass 1 lexes every file and builds the whole-tree
 // symbol index (per-function suspension / lock / this / mutation summaries,
 // see index.h); pass 2 runs the checks per file against that index.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -140,9 +138,16 @@ std::set<Finding> parse_expectations(const std::string& relpath,
 // trajectory catches both an analyzer slowdown and a finding-count jump.
 void write_bench_json(const std::string& path, std::size_t nfiles,
                       std::size_t nfindings, double wall_ms) {
+  // Peak RSS is VmHWM, which belongs to this address space alone; getrusage's
+  // ru_maxrss survives execve and would report the launcher's peak.
   long rss_kb = 0;
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) == 0) rss_kb = ru.ru_maxrss;
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      std::istringstream(line.substr(6)) >> rss_kb;
+      break;
+    }
+  }
   const double secs = wall_ms / 1000.0;
   const double files_per_sec =
       secs > 0 ? static_cast<double>(nfiles) / secs : 0.0;

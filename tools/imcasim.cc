@@ -12,14 +12,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/testbed.h"
 #include "common/buffer.h"
+#include "common/parse.h"
 #include "common/table.h"
 #include "imca/block_mapper.h"
 #include "workload/iozone.h"
@@ -154,6 +157,32 @@ std::optional<std::string> flag_value(const char* arg, const char* name) {
   return std::nullopt;
 }
 
+// A crash window, "ms[:ms]" (crash, then optional restart), prefixed by the
+// crashed element's index as "i@" when `index` is non-null.
+bool parse_crash(std::string_view text, std::size_t* index, SimTime& at,
+                 std::optional<SimTime>& restart_at) {
+  // Milliseconds as a SimTime, if they parse whole and the product fits.
+  const auto ms = [](std::string_view t) -> std::optional<SimTime> {
+    const auto v = parse_number<SimTime>(t);
+    if (!v || *v > std::numeric_limits<SimTime>::max() / kMilli) return {};
+    return *v * kMilli;
+  };
+  if (index != nullptr) {
+    const std::size_t sep = text.find('@');
+    const auto i = parse_number<std::size_t>(text.substr(0, sep));
+    if (sep == std::string_view::npos || !i) return false;
+    *index = *i;
+    text.remove_prefix(sep + 1);
+  }
+  const std::size_t colon = text.find(':');
+  const auto crash = ms(text.substr(0, colon));
+  if (!crash) return false;
+  at = *crash;
+  if (colon == std::string_view::npos) return true;
+  restart_at = ms(text.substr(colon + 1));
+  return restart_at.has_value();
+}
+
 // A flag the run never reads would print output byte-identical to the run
 // without it; refuse it instead of letting it pose as a setting.
 void reject_unread_flags(const Options& o) {
@@ -217,35 +246,30 @@ Options parse(int argc, char** argv) {
     };
     const auto num = [&](const char* name, auto& out) {
       if (auto v = flag_value(a, name)) {
-        out = static_cast<std::decay_t<decltype(out)>>(
-            std::strtoull(v->c_str(), nullptr, 10));
+        const auto n = parse_number<std::decay_t<decltype(out)>>(*v);
+        if (!n) {
+          std::fprintf(stderr, "%s wants a whole number, got '%s'\n", name,
+                       v->c_str());
+          usage(2);
+        }
+        out = *n;
         matched = true;
       }
     };
     const auto prob = [&](const char* name, double& out) {
       if (auto v = flag_value(a, name)) {
-        out = std::strtod(v->c_str(), nullptr);
-        if (out < 0.0 || out > 1.0) {
+        const auto p = parse_number<double>(*v);
+        if (!p || !(*p >= 0.0 && *p <= 1.0)) {  // NaN fails too
           std::fprintf(stderr, "%s wants a probability in [0,1]\n", name);
           usage(2);
         }
+        out = *p;
         matched = true;
       }
     };
     if (auto v = flag_value(a, "--crash-mcd")) {
-      // i@ms or i@ms:ms
-      char* end = nullptr;
       net::CrashEvent ev;
-      ev.mcd = std::strtoull(v->c_str(), &end, 10);
-      if (*end != '@') {
-        std::fprintf(stderr, "--crash-mcd wants i@ms[:ms]\n");
-        usage(2);
-      }
-      ev.at = std::strtoull(end + 1, &end, 10) * kMilli;
-      if (*end == ':') {
-        ev.restart_at = std::strtoull(end + 1, &end, 10) * kMilli;
-      }
-      if (*end != '\0') {
+      if (!parse_crash(*v, &ev.mcd, ev.at, ev.restart_at)) {
         std::fprintf(stderr, "--crash-mcd wants i@ms[:ms]\n");
         usage(2);
       }
@@ -253,19 +277,8 @@ Options parse(int argc, char** argv) {
       continue;
     }
     if (auto v = flag_value(a, "--crash-brick")) {
-      // i@ms or i@ms:ms
-      char* end = nullptr;
       net::ServerCrashEvent ev;
-      ev.brick = std::strtoull(v->c_str(), &end, 10);
-      if (*end != '@') {
-        std::fprintf(stderr, "--crash-brick wants i@ms[:ms]\n");
-        usage(2);
-      }
-      ev.at = std::strtoull(end + 1, &end, 10) * kMilli;
-      if (*end == ':') {
-        ev.restart_at = std::strtoull(end + 1, &end, 10) * kMilli;
-      }
-      if (*end != '\0') {
+      if (!parse_crash(*v, &ev.brick, ev.at, ev.restart_at)) {
         std::fprintf(stderr, "--crash-brick wants i@ms[:ms]\n");
         usage(2);
       }
@@ -273,14 +286,8 @@ Options parse(int argc, char** argv) {
       continue;
     }
     if (auto v = flag_value(a, "--crash-server")) {
-      // ms or ms:ms
-      char* end = nullptr;
       net::ServerCrashEvent ev;
-      ev.at = std::strtoull(v->c_str(), &end, 10) * kMilli;
-      if (*end == ':') {
-        ev.restart_at = std::strtoull(end + 1, &end, 10) * kMilli;
-      }
-      if (*end != '\0') {
+      if (!parse_crash(*v, nullptr, ev.at, ev.restart_at)) {
         std::fprintf(stderr, "--crash-server wants ms[:ms]\n");
         usage(2);
       }
@@ -357,33 +364,22 @@ core::HashScheme hash_of(const Options& o) {
   usage(2);
 }
 
-// Any of the four systems behind one set of FileSystemClient pointers.
+// Any of the four systems: the testbed that was built, plus the simulation
+// and the clients every workload drives, whichever testbed that is.
 struct Rig {
   std::unique_ptr<cluster::GlusterTestbed> gluster;
   std::unique_ptr<cluster::LustreTestbed> lustre;
   std::unique_ptr<cluster::NfsTestbed> nfs;
-
-  sim::EventLoop& loop() {
-    if (gluster) return gluster->loop();
-    if (lustre) return lustre->loop();
-    return nfs->loop();
-  }
-  std::vector<fsapi::FileSystemClient*> clients() {
-    std::vector<fsapi::FileSystemClient*> out;
-    const auto grab = [&out](auto& tb) {
-      for (std::size_t i = 0; i < tb.n_clients(); ++i) {
-        out.push_back(&tb.client(i));
-      }
-    };
-    if (gluster) grab(*gluster);
-    if (lustre) grab(*lustre);
-    if (nfs) grab(*nfs);
-    return out;
-  }
+  net::SimContext* sim = nullptr;
+  std::vector<fsapi::FileSystemClient*> clients;
 };
 
 Rig build(const Options& o) {
   Rig rig;
+  const auto adopt = [&rig](const auto& tb) {
+    rig.sim = tb.get();
+    rig.clients = tb->clients();
+  };
   if (o.system == "imca" || o.system == "gluster") {
     cluster::GlusterTestbedConfig cfg;
     cfg.n_clients = o.clients;
@@ -458,14 +454,14 @@ Rig build(const Options& o) {
       // arm the failover machinery with a sane default instead.
       cfg.imca.mcd_op_timeout = 2 * kMilli;
     }
-    rig.gluster = std::make_unique<cluster::GlusterTestbed>(cfg);
+    adopt(rig.gluster = std::make_unique<cluster::GlusterTestbed>(cfg));
   } else if (o.system == "lustre") {
     cluster::LustreTestbedConfig cfg;
     cfg.n_clients = o.clients;
     cfg.n_ds = o.ds;
     cfg.transport = transport_of(o);
     if (o.server_cache_mb) cfg.ds.page_cache_bytes = o.server_cache_mb * kMiB;
-    rig.lustre = std::make_unique<cluster::LustreTestbed>(cfg);
+    adopt(rig.lustre = std::make_unique<cluster::LustreTestbed>(cfg));
   } else if (o.system == "nfs") {
     cluster::NfsTestbedConfig cfg;
     cfg.n_clients = o.clients;
@@ -473,7 +469,7 @@ Rig build(const Options& o) {
     if (o.server_cache_mb) {
       cfg.server.page_cache_bytes = o.server_cache_mb * kMiB;
     }
-    rig.nfs = std::make_unique<cluster::NfsTestbed>(cfg);
+    adopt(rig.nfs = std::make_unique<cluster::NfsTestbed>(cfg));
   } else {
     std::fprintf(stderr, "unknown system: %s\n", o.system.c_str());
     usage(2);
@@ -498,7 +494,7 @@ int run_latency(Rig& rig, const Options& o, bool shared) {
     opt.before_read_phase = [&rig](std::size_t) { rig.lustre->cold_all(); };
   }
   const auto series =
-      workload::run_latency_benchmark(rig.loop(), rig.clients(), opt);
+      workload::run_latency_benchmark(rig.sim->loop(), rig.clients, opt);
   Table t({"record_bytes", "read_us", "write_us"});
   for (const auto& [r, read_ns] : series.read_ns) {
     const auto w = series.write_ns.find(r);
@@ -512,7 +508,8 @@ int run_latency(Rig& rig, const Options& o, bool shared) {
 int run_stat(Rig& rig, const Options& o) {
   workload::StatOptions opt;
   opt.n_files = o.files;
-  const auto r = workload::run_stat_benchmark(rig.loop(), rig.clients(), opt);
+  const auto r =
+      workload::run_stat_benchmark(rig.sim->loop(), rig.clients, opt);
   Table t({"metric", "value"});
   t.add_row({"files", Table::cell(static_cast<std::uint64_t>(o.files))});
   t.add_row({"clients", Table::cell(static_cast<std::uint64_t>(o.clients))});
@@ -532,7 +529,7 @@ int run_iozone(Rig& rig, const Options& o) {
   if (o.cold && rig.lustre) {
     opt.before_read_phase = [&rig](std::size_t) { rig.lustre->cold_all(); };
   }
-  const auto r = workload::run_iozone(rig.loop(), rig.clients(), opt);
+  const auto r = workload::run_iozone(rig.sim->loop(), rig.clients, opt);
   Table t({"metric", "value"});
   t.add_row({"threads", Table::cell(static_cast<std::uint64_t>(o.clients))});
   t.add_row({"file_mb_per_thread",
@@ -767,6 +764,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(bs.gather_calls),
               static_cast<unsigned long long>(bs.view_slices));
   std::printf("# simulated_time=%s\n",
-              format_duration(static_cast<double>(rig.loop().now())).c_str());
+              format_duration(static_cast<double>(rig.sim->loop().now()))
+                  .c_str());
   return rc;
 }
